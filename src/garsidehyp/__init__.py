@@ -19,7 +19,6 @@ from . import (  # noqa: F401
     absorbable,
     acceptance,
     braidtop,
-    cache,
     coxeter,
     garside,
     graphio,

@@ -4,22 +4,18 @@ Every paper-facing check is reachable as a subcommand; outputs are JSON
 objects on stdout (stable key order).  Exit codes: 0 pass, 1 check failure,
 2 usage error, 3 inconclusive (a cap or truncation prevented a definite
 answer).  A flat key=value config file can pre-set any long option; explicit
-flags win.  GARSIDE_CACHE_DIR (or --cache-dir) enables persistence of the
-per-group multiplication memo tables between runs.
+flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import absorbable as ab
 from . import acceptance
 from . import braidtop as bt
-from . import cache
 from . import garside as gd
 from . import graphio
 from . import metrics as mt
@@ -39,17 +35,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
-
-_used_groups: list[CoxeterGraph] = []
-
-
-def _group(spec: str) -> CoxeterGraph:
-    g = parse_group_spec(spec)
-    if g not in _used_groups:
-        _used_groups.append(g)
-        cache.load_memos(g)
-    return g
-
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, default=str))
@@ -79,7 +64,7 @@ def _parse_parabolic(group: CoxeterGraph, literal: str) -> pb.ParabolicSubgroup:
 # ---------------------------------------------------------------------------
 
 def cmd_nf(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     nf = gd.normal_form(gd.parse_word(group, args.word))
     _emit({"group": group.family, "word": args.word, "normal_form": nf.render(),
            "inf": nf.inf, "sup": nf.sup, "canonical_length": nf.canonical_length,
@@ -88,7 +73,7 @@ def cmd_nf(args) -> int:
 
 
 def cmd_mul(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     left = gd.normal_form(gd.parse_word(group, args.left))
     right = gd.normal_form(gd.parse_word(group, args.right))
     _emit({"product": gd.multiply(left, right).render()})
@@ -96,14 +81,14 @@ def cmd_mul(args) -> int:
 
 
 def cmd_inv(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     g = gd.normal_form(gd.parse_word(group, args.word))
     _emit({"inverse": gd.invert(g).render()})
     return EXIT_PASS
 
 
 def cmd_member(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     g = gd.normal_form(gd.parse_word(group, args.word))
     labels = tuple(args.subset.split(","))
     try:
@@ -116,7 +101,7 @@ def cmd_member(args) -> int:
 
 
 def cmd_normalizer(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     g = gd.normal_form(gd.parse_word(group, args.word))
     labels = tuple(args.subset.split(","))
     _emit({"normalizes": pb.normalizer_membership(g, labels),
@@ -125,7 +110,7 @@ def cmd_normalizer(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     labels = tuple(args.subset.split(",")) if args.subset else group.generators
     res = gd.omega_of(group, labels)
     _emit({"subset": list(labels), "omega": res.element.render(),
@@ -134,7 +119,7 @@ def cmd_omega(args) -> int:
 
 
 def cmd_census(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     bound = args.sup_bound
     if group.is_dihedral:
         summary = ab.dihedral_census(group, bound)
@@ -149,7 +134,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_cparab(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     p0 = _parse_parabolic(group, args.p0)
     graph = mt.build_cparab_neighborhood(p0, args.conj_len, args.hops)
     _export(graph, args)
@@ -159,7 +144,7 @@ def cmd_cparab(args) -> int:
 
 
 def cmd_cal(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     graph = mt.build_cal_graph(group, args.len_bound, args.abs_bound,
                                args.witness_bound)
     _export(graph, args)
@@ -169,7 +154,7 @@ def cmd_cal(args) -> int:
 
 
 def cmd_quotient_cayley(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     graph = mt.quotient_cayley_graph(group, args.len_bound)
     _export(graph, args)
     _emit({"vertices": len(graph.vertices), "edges": len(graph.edges),
@@ -178,7 +163,7 @@ def cmd_quotient_cayley(args) -> int:
 
 
 def cmd_ball(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     oracle = mt.genset_oracle(group, args.kind, args.witness_bound)
     graph = mt.bounded_ball_graph(oracle, args.radius, args.universe)
     _export(graph, args)
@@ -188,7 +173,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_wordlen(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     oracle = mt.genset_oracle(group, args.kind, args.witness_bound)
     g = gd.normal_form(gd.parse_word(group, args.word))
     res = mt.word_length_bound(g, oracle, args.universe)
@@ -197,7 +182,7 @@ def cmd_wordlen(args) -> int:
 
 
 def cmd_fat_triangle(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     x = gd.normal_form(gd.parse_word(group, args.x))
     y = gd.normal_form(gd.parse_word(group, args.y))
     tri = ab.build_fat_triangle(x, y)
@@ -228,7 +213,7 @@ def cmd_arc_identity(args) -> int:
 
 
 def cmd_double(args) -> int:
-    source = _group(f"A{args.n - 1}")
+    source = parse_group_spec(f"A{args.n - 1}")
     word = gd.parse_word(source, args.word)
     img = bt.double_first_strand(word, args.n)
     _emit({"image": img.render(), "group": f"A{args.n}"})
@@ -236,7 +221,7 @@ def cmd_double(args) -> int:
 
 
 def cmd_delta_factor(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     fact = bt.delta_three_parabolic_factorization(group)
     prod = gd.identity_element(group)
     for el, _t in fact.parts:
@@ -249,7 +234,7 @@ def cmd_delta_factor(args) -> int:
 
 
 def cmd_qi_constants(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     stds = [pb.standard_parabolic(group, t)
             for t in pb.proper_irreducible_subsets(group)]
     graph = mt.build_cparab_neighborhood(stds[0], args.conj_len, args.hops)
@@ -269,7 +254,7 @@ def cmd_qi_constants(args) -> int:
 
 
 def cmd_delta_estimate(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     if args.construction == "cal":
         graph = mt.build_cal_graph(group, args.len_bound)
     else:
@@ -288,11 +273,7 @@ def cmd_accept(args) -> int:
         numbers = sorted(acceptance.CRITERIA)
     else:
         numbers = [int(args.criterion)]
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda n: acceptance.CRITERIA[n](), numbers))
-    else:
-        results = [acceptance.CRITERIA[n]() for n in numbers]
+    results = [acceptance.CRITERIA[n]() for n in numbers]
     all_ok = True
     for res in results:
         print(res.line())
@@ -302,7 +283,7 @@ def cmd_accept(args) -> int:
 
 
 def cmd_props(args) -> int:
-    group = _group(args.group)
+    group = parse_group_spec(args.group)
     props = graph_properties(group)
     _emit({"family": group.family, "irreducible": props.irreducible,
            "coxeter_order": props.coxeter_order, "rank": props.rank})
@@ -319,10 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Garside arithmetic and candidate hyperbolic structures "
                     "for spherical Artin-Tits groups")
     parser.add_argument("--config", help="flat key=value file; flags override")
-    parser.add_argument("--cache-dir", help="memo-table cache directory "
-                        f"(or ${cache.ENV_VAR})")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for independent checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -466,8 +443,6 @@ def _apply_config(args: argparse.Namespace, path: str) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.cache_dir:
-        os.environ[cache.ENV_VAR] = args.cache_dir
     if args.config:
         _apply_config(args, args.config)
     try:
@@ -480,10 +455,6 @@ def main(argv=None) -> int:
                             NonSpherical)):
             return EXIT_USAGE
         return EXIT_FAIL
-    finally:
-        for group in _used_groups:
-            cache.save_memos(group)
-        _used_groups.clear()
     return code
 
 

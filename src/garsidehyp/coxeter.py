@@ -2,30 +2,32 @@
 Exact arithmetic in finite Coxeter groups.
 
 A group is described by a `CoxeterGraph` (generator labels plus the symmetric
-matrix of orders m_{s,t}).  Elements of the finite Coxeter group W are kept in
-per-family combinatorial models:
+matrix of orders m_{s,t}).  The finite Coxeter group W is modelled by its
+action on its root system, with each generator a permutation of root indices
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4):
 
-- rank 1           : the two-element group,
-- rank 2           : dihedral rotation/reflection pairs (k, eps),
-- A_n  (n >= 3)    : permutations of n+1 points in one-line notation,
-- B_n  (n >= 3)    : signed permutations,
-- D_n  (n >= 4)    : even-signed permutations,
-- E6/E7/E8, F4,
-  H3/H4            : matrices of the reflection representation, with entries
-                     in Z or in Z[phi] (phi^2 = phi + 1) when an edge label 5
-                     is present,
-- reducible input  : the direct product of the component models.
+- a rank-2 component with label m has 2m roots, root k at angle k*pi/m; the
+  simple roots are k = 0 and k = m-1, and the generators act by
+  k -> (m - k) mod 2m and k -> (m - 2 - k) mod 2m;
+- any other component's roots are the closure of its simple roots under
+  reflection, in simple-root coordinates with exact Cartan entries in Z[phi]
+  (phi^2 = phi + 1): -1 for label 3, (-1, -2) for label 4, -phi for label 5;
+- a reducible group has the disjoint union of its components' roots, and each
+  generator fixes the roots of the other components.
 
-A model only has to provide an identity key, generator keys and an exact
-multiplication of keys.  Everything else (lengths, descent sets, reduced
-words, inverses, the longest element) is derived once per group by a
-breadth-first enumeration of W stored in a `SimpleTable`.  Element indices in
-the table are assigned in shortlex order of the lexicographically least
-reduced word, so index equality is element equality and index 0 is the
-identity.
+An element is keyed by the tuple of root indices it sends the simple roots
+to, so left multiplication by a generator is pure tuple indexing.  A
+breadth-first enumeration of W by left multiplication, stored in a
+`SimpleTable`, gives everything else by index lookups: lengths, the
+lexicographically least reduced words, inverses (the word folded through left
+multiplication), right multiplication (x s = (s x^{-1})^{-1}), descent sets
+and the longest element.  Element indices are assigned in shortlex order of
+the lexicographically least reduced word, so index equality is element
+equality and index 0 is the identity.
 
-Enumeration refuses to run past a configured cap on |W| (default 52 000,
-large enough for E6) and raises OrderOverflow instead of silently grinding.
+A table refuses any group whose order (a closed form per classified family)
+exceeds a configured cap (default 52 000, large enough for E6), raising
+OrderOverflow before enumerating anything.
 """
 
 from __future__ import annotations
@@ -377,240 +379,74 @@ def graph_properties(g: CoxeterGraph, cap: int | None = None) -> GraphProperties
 
 
 # ---------------------------------------------------------------------------
-# Element models (identity + generator keys + exact key multiplication)
+# The root-permutation model
 # ---------------------------------------------------------------------------
 
-class _Rank1Model:
-    def identity(self):
-        return 0
-
-    def gens(self):
-        return [1]
-
-    def mult(self, u, v):
-        return u ^ v
+# Cartan entries (A[i][j], A[j][i]) per edge label, as a + b*phi over Z[phi]
+# with phi^2 = phi + 1; A[i][j] * A[j][i] = 4 cos^2(pi/m).
+_CARTAN = {2: ((0, 0), (0, 0)), 3: ((-1, 0), (-1, 0)),
+           4: ((-1, 0), (-2, 0)), 5: ((0, -1), (0, -1))}
 
 
-class _DihedralModel:
-    """Keys (k, eps): rotation r^k for eps = 0, reflection r^k * a for eps = 1.
+def _dihedral_roots(m: int) -> tuple[list[int], list[list[int]]]:
+    """I2(m): root k at angle k*pi/m, k < 2m; the simple roots are 0 and m-1."""
+    n = 2 * m
+    return [0, m - 1], [[(m - k) % n for k in range(n)],
+                        [(m - 2 - k) % n for k in range(n)]]
 
-    With a = (0, 1) and b = (m-1, 1) the product ab is the rotation r.
+
+def _closed_roots(g: CoxeterGraph, comp: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
+    """Close the simple roots of a component under reflection.
+
+    Roots are vectors in simple-root coordinates with Z[phi] entries;
+    s_i changes coordinate i only, to v_i - sum_j A[i][j] v_j.
     """
-
-    def __init__(self, m: int):
-        self.m = m
-
-    def identity(self):
-        return (0, 0)
-
-    def gens(self):
-        return [(0, 1), (self.m - 1, 1)]
-
-    def mult(self, u, v):
-        j, e1 = u
-        k, e2 = v
-        rot = (j + k) % self.m if e1 == 0 else (j - k) % self.m
-        return (rot, e1 ^ e2)
-
-
-class _PermModel:
-    """S_n in one-line tuples; mult(u, v) maps x to v(u(x))."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def identity(self):
-        return tuple(range(self.n))
-
-    def gens(self):
-        out = []
-        for i in range(self.n - 1):
-            t = list(range(self.n))
-            t[i], t[i + 1] = t[i + 1], t[i]
-            out.append(tuple(t))
-        return out
-
-    def mult(self, u, v):
-        return tuple(v[x] for x in u)
-
-
-class _SignedPermModel:
-    """B_n as signed permutations: tuples of values in {+-1..+-n}.
-
-    Generators: s_i (i < n) swaps the values i and i+1; s_n negates the
-    value n.  mult(u, v) applies u first, then v.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def identity(self):
-        return tuple(range(1, self.n + 1))
-
-    def _apply(self, w, x):
-        return w[x - 1] if x > 0 else -w[-x - 1]
-
-    def gens(self):
-        out = []
-        for i in range(1, self.n):
-            t = list(range(1, self.n + 1))
-            t[i - 1], t[i] = t[i], t[i - 1]
-            out.append(tuple(t))
-        t = list(range(1, self.n + 1))
-        t[self.n - 1] = -self.n
-        out.append(tuple(t))
-        return out
-
-    def mult(self, u, v):
-        return tuple(self._apply(v, x) for x in u)
-
-
-class _EvenSignedPermModel(_SignedPermModel):
-    """D_n: same keys, but the last generator is the negating swap of n-1, n."""
-
-    def gens(self):
-        out = []
-        for i in range(1, self.n):
-            t = list(range(1, self.n + 1))
-            t[i - 1], t[i] = t[i], t[i - 1]
-            out.append(tuple(t))
-        t = list(range(1, self.n + 1))
-        t[self.n - 2], t[self.n - 1] = -self.n, -(self.n - 1)
-        out.append(tuple(t))
-        return out
-
-
-class _ReflectionModel:
-    """Reflection representation with exact entries.
-
-    Entries are plain ints for crystallographic diagrams and pairs (a, b)
-    meaning a + b*phi when an edge label 5 is present.  Generator matrices
-    send the basis vector alpha_j to alpha_j - A[i][j] alpha_i.
-    """
-
-    def __init__(self, g: CoxeterGraph):
-        self.rank = g.rank
-        self.golden = any(m == 5 for _, _, m in g.edges())
-        if any(m not in (2, 3, 4, 5) for _, _, m in g.edges()):
-            raise NonSpherical("matrix model supports edge labels up to 5")
-        n = g.rank
-        A = [[0] * n for _ in range(n)]
+    n = len(comp)
+    cartan = [[(2, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            cartan[a][b], cartan[b][a] = _CARTAN[g.matrix[comp[a]][comp[b]]]
+    roots = [tuple((1, 0) if j == i else (0, 0) for j in range(n)) for i in range(n)]
+    index = {r: k for k, r in enumerate(roots)}
+    perms: list[list[int]] = [[] for _ in range(n)]
+    for v in roots:  # grows as reflections find new roots
         for i in range(n):
-            A[i][i] = 2
-        for i, j, m in g.edges():
-            if m == 3:
-                A[i][j] = A[j][i] = -1
-            elif m == 4:
-                A[i][j], A[j][i] = -1, -2
-            else:
-                A[i][j] = A[j][i] = "phi"
-        if self.golden:
-            conv = lambda x: (-1, 0) if x == -1 else ((0, -1) if x == "phi" else (x, 0))
-            self.one, self.zero = (1, 0), (0, 0)
-            self.A = [[conv(x) for x in row] for row in A]
+            a, b = v[i]
+            for (c, d), (x, y) in zip(cartan[i], v):
+                a -= c * x + d * y
+                b -= c * y + d * x + d * y
+            image = v[:i] + ((a, b),) + v[i + 1:]
+            k = index.get(image)
+            if k is None:
+                k = index[image] = len(roots)
+                roots.append(image)
+            perms[i].append(k)
+    return list(range(n)), perms
+
+
+def _root_permutations(g: CoxeterGraph) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The simple-root indices and, per generator, a permutation of all roots.
+
+    The roots of a reducible group are the disjoint union of its components'
+    roots; each generator fixes the roots of the other components.
+    """
+    parts = []
+    for comp in g.components():
+        if len(comp) == 2:
+            parts.append((comp, *_dihedral_roots(g.matrix[comp[0]][comp[1]])))
         else:
-            self.one, self.zero = 1, 0
-            self.A = A
-        self._gens = [self._gen_matrix(i) for i in range(n)]
-
-    def _radd(self, x, y):
-        if self.golden:
-            return (x[0] + y[0], x[1] + y[1])
-        return x + y
-
-    def _rmul(self, x, y):
-        if self.golden:
-            a, b = x
-            c, d = y
-            return (a * c + b * d, a * d + b * c + b * d)
-        return x * y
-
-    def _gen_matrix(self, i):
-        n = self.rank
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                val = self.one if r == c else self.zero
-                if r == i:
-                    coeff = self.A[i][c]
-                    neg = (-coeff[0], -coeff[1]) if self.golden else -coeff
-                    val = self._radd(val, neg)
-                row.append(val)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def identity(self):
-        n = self.rank
-        return tuple(tuple(self.one if r == c else self.zero for c in range(n))
-                     for r in range(n))
-
-    def gens(self):
-        return list(self._gens)
-
-    def mult(self, u, v):
-        n = self.rank
-        out = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = self.zero
-                for k in range(n):
-                    acc = self._radd(acc, self._rmul(u[r][k], v[k][c]))
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
-
-
-class _ProductModel:
-    """Direct product of component models; keys are tuples of component keys."""
-
-    def __init__(self, models, comp_gen_index):
-        # comp_gen_index maps a global generator index to (component, local index).
-        self.models = models
-        self.comp_gen_index = comp_gen_index
-
-    def identity(self):
-        return tuple(m.identity() for m in self.models)
-
-    def gens(self):
-        ids = [m.identity() for m in self.models]
-        out = []
-        for comp, local in self.comp_gen_index:
-            key = list(ids)
-            key[comp] = self.models[comp].gens()[local]
-            out.append(tuple(key))
-        return out
-
-    def mult(self, u, v):
-        return tuple(m.mult(a, b) for m, a, b in zip(self.models, u, v))
-
-
-def _model_for(g: CoxeterGraph):
-    comps = component_families(g)
-    if len(comps) > 1:
-        models, pos = [], {}
-        for ci, (comp, fam) in enumerate(comps):
-            sub = g.subgraph(comp)
-            models.append(_model_for(sub))
-            for local, global_idx in enumerate(comp):
-                pos[global_idx] = (ci, local)
-        return _ProductModel(models, [pos[i] for i in range(g.rank)])
-    fam = comps[0][1]
-    letter, n = _family_parts(fam)
-    if g.rank == 1:
-        return _Rank1Model()
-    if g.rank == 2:
-        return _DihedralModel(g.matrix[0][1])
-    if letter == "A":
-        return _PermModel(n + 1)
-    if letter == "B":
-        return _SignedPermModel(n)
-    if letter == "D":
-        # The fork generator is the last label; the model matches the parsed
-        # layout (path s1..s_{n-1}, fork s_n on s_{n-2}).
-        return _EvenSignedPermModel(n)
-    return _ReflectionModel(g)
+            parts.append((comp, *_closed_roots(g, comp)))
+    total = sum(len(perms[0]) for _, _, perms in parts)
+    simple, gens = [0] * g.rank, [[]] * g.rank
+    offset = 0
+    for comp, local_simple, local_perms in parts:
+        size = len(local_perms[0])
+        for s, k, perm in zip(comp, local_simple, local_perms):
+            full = list(range(total))
+            full[offset:offset + size] = [offset + p for p in perm]
+            simple[s], gens[s] = offset + k, full
+        offset += size
+    return tuple(simple), gens
 
 
 # ---------------------------------------------------------------------------
@@ -629,54 +465,65 @@ class SimpleTable:
     """
 
     def __init__(self, graph: CoxeterGraph, cap: int):
-        model = _model_for(graph)
-        ident = model.identity()
-        gen_keys = model.gens()
-        rank = graph.rank
+        order = graph.coxeter_order()
+        if order > cap:
+            raise OrderOverflow(f"|W| of {graph.family} exceeds cap {cap}")
+        ident, perms = _root_permutations(graph)
 
-        key_len: dict = {ident: 0}
-        levels = [[ident]]
-        while levels[-1]:
-            nxt = []
-            for key in levels[-1]:
-                for s in range(rank):
-                    prod = model.mult(key, gen_keys[s])
-                    if prod not in key_len:
-                        key_len[prod] = len(levels)
-                        nxt.append(prod)
-                        if len(key_len) > cap:
-                            raise OrderOverflow(
-                                f"|W| of {graph.family} exceeds cap {cap}")
-            levels.append(nxt)
+        # Breadth-first search by left multiplication; left[x][s] is s*x in
+        # discovery order, which is by length.
+        key_id = {ident: 0}
+        keys, bfs_len, left = [ident], [0], []
+        for x, key in enumerate(keys):  # grows as new elements are found
+            row = []
+            for perm in perms:
+                prod = tuple([perm[k] for k in key])
+                y = key_id.get(prod)
+                if y is None:
+                    y = key_id[prod] = len(keys)
+                    keys.append(prod)
+                    bfs_len.append(bfs_len[x] + 1)
+                row.append(y)
+            left.append(row)
+        size = len(keys)
+        if size != order:
+            raise NonSpherical(f"enumerated {size} elements of {graph.family}, "
+                               f"expected {order}; model is broken")
 
-        # Lexicographically least reduced words, by increasing length.
-        word: dict = {ident: ()}
-        for level in levels[1:]:
-            for key in level:
-                best = None
-                for s in range(rank):
-                    left = model.mult(gen_keys[s], key)
-                    if key_len[left] == key_len[key] - 1:
-                        cand = (s,) + word[left]
-                        if best is None or cand < best:
-                            best = cand
-                word[key] = best
+        # The lex-least reduced word starts with the least left descent.
+        word: list[tuple[int, ...]] = [()] * size
+        for x in range(1, size):
+            for s, y in enumerate(left[x]):
+                if bfs_len[y] < bfs_len[x]:
+                    word[x] = (s,) + word[y]
+                    break
 
-        ordered = sorted(key_len, key=lambda k: (key_len[k], word[k]))
-        index = {k: i for i, k in enumerate(ordered)}
-        size = len(ordered)
+        ordered = sorted(range(size), key=lambda x: (bfs_len[x], word[x]))
+        index = [0] * size
+        for i, x in enumerate(ordered):
+            index[x] = i
 
         self.graph = graph
         self.size = size
-        self.length = [key_len[k] for k in ordered]
-        self.word = [word[k] for k in ordered]
-        self.rmult = [[index[model.mult(k, gk)] for gk in gen_keys] for k in ordered]
-        self.lmult = [[index[model.mult(gk, k)] for gk in gen_keys] for k in ordered]
+        self.length = [bfs_len[x] for x in ordered]
+        self.word = [word[x] for x in ordered]
+        self.lmult = lmult = [[index[y] for y in left[x]] for x in ordered]
         maxlen = self.length[-1]
         if self.length.count(maxlen) != 1:
             raise NonSpherical("longest element is not unique; model is broken")
         self.w0 = size - 1
 
+        # x^{-1} is the word of x read through left multiplication, and
+        # x s = (s x^{-1})^{-1}.
+        self.inverse = inverse = [0] * size
+        for x, w in enumerate(self.word):
+            acc = 0
+            for s in w:
+                acc = lmult[acc][s]
+            inverse[x] = acc
+        self.rmult = [[inverse[y] for y in lmult[inverse[x]]] for x in range(size)]
+
+        rank = graph.rank
         self.rdesc = [0] * size
         self.ldesc = [0] * size
         self.support = [0] * size
@@ -690,13 +537,6 @@ class SimpleTable:
             for s in self.word[x]:
                 mask |= 1 << s
             self.support[x] = mask
-
-        self.inverse = [0] * size
-        for x in range(size):
-            acc = 0
-            for s in reversed(self.word[x]):
-                acc = self.rmult[acc][s]
-            self.inverse[x] = acc
 
         # left_comp[x] = w0 x^{-1}  (the simple completing x to w0 on the left)
         # tau[x]       = w0 x w0    (conjugation by the Garside element)

@@ -1,9 +1,8 @@
 import json
-import pickle
 
 import pytest
 
-from garsidehyp import cache, cli, graphio, metrics as mt
+from garsidehyp import cli, graphio, metrics as mt
 from garsidehyp.coxeter import parse_group_spec
 
 
@@ -140,33 +139,6 @@ def test_graph_export_roundtrip(tmp_path):
     graphio.export_json(empty, tmp_path / "e.json")
     assert graphio.import_json(tmp_path / "e.json").vertices == ()
     graphio.export_dot(empty, tmp_path / "e.dot")
-
-
-def test_cache_roundtrip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-    group = parse_group_spec("I2(5)")
-    tab = group.table()
-    tab.mult(3, 5)
-    assert cache.save_memos(group)
-    fresh_count = len(tab._mult_memo)
-    tab._mult_memo.clear()
-    assert cache.load_memos(group)
-    assert len(tab._mult_memo) == fresh_count
-    # stale version files are ignored, never misread
-    path = next(tmp_path.glob("memo-*.pkl"))
-    payload = pickle.loads(path.read_bytes())
-    payload["version"] = 999
-    path.write_bytes(pickle.dumps(payload))
-    assert not cache.load_memos(group)
-    # corrupt files are ignored
-    path.write_bytes(b"not a pickle")
-    assert not cache.load_memos(group)
-    # the CLI exercises the cache hooks end to end
-    code = cli.main(["--cache-dir", str(tmp_path), "nf", "--group", "I2(5)",
-                     "--word", "a b a"])
-    capsys.readouterr()
-    assert code == 0
-    assert list(tmp_path.glob("memo-*.pkl"))
 
 
 def test_parabolic_literals(capsys):

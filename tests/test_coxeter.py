@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from garsidehyp import coxeter as cx
@@ -12,6 +15,19 @@ from garsidehyp.errors import (
 )
 
 from oracles import WordOracle
+
+# Reducible diagrams: a dihedral closed form inside a product, and an A2 on
+# s1, s3 beside an isolated s2, so root blocks and generator order interleave.
+REDUCIBLE = {
+    "A1xI2(7)": cx.CoxeterGraph(("s1", "a", "b"),
+                                ((1, 2, 2), (2, 1, 7), (2, 7, 1)), "A1xI2(7)"),
+    "A2xA1": cx.CoxeterGraph(("s1", "s2", "s3"),
+                             ((1, 2, 3), (2, 1, 2), (3, 2, 1)), "A2xA1"),
+}
+
+
+def _graph(spec):
+    return REDUCIBLE[spec] if spec in REDUCIBLE else parse_group_spec(spec)
 
 
 def test_parse_a3_path_labels():
@@ -74,7 +90,8 @@ def test_order_overflow():
 
 KNOWN_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48, "B4": 384,
-    "D4": 192, "D5": 1920, "F4": 1152, "H3": 120, "I2(5)": 10, "I2(12)": 24,
+    "D4": 192, "D5": 1920, "F4": 1152, "H3": 120, "H4": 14_400, "E6": 51_840,
+    "I2(5)": 10, "I2(12)": 24,
 }
 
 
@@ -162,11 +179,12 @@ def test_sign_character():
                 assert (tab.length[prod] - tab.length[x] - tab.length[y]) % 2 == 0
 
 
-@pytest.mark.parametrize("spec", ["A2", "B2", "A3", "B3", "H3",
-                                  "I2(5)", "I2(7)", "I2(12)"])
+@pytest.mark.parametrize("spec", ["A2", "B2", "A3", "B3", "D4", "H3",
+                                  "I2(5)", "I2(7)", "I2(12)",
+                                  "A1xI2(7)", "A2xA1"])
 def test_multiplication_against_word_oracle(spec):
     """Full multiplication table against the braid-move word oracle."""
-    g = parse_group_spec(spec)
+    g = _graph(spec)
     tab = g.table()
     oracle = WordOracle(g.rank, g.matrix)
     assert oracle.size == tab.size
@@ -189,3 +207,38 @@ def test_dihedral_alias_same_table():
     g3 = parse_group_spec("I2(3)")
     a2 = parse_group_spec("A2")
     assert g3.table() is a2.table()
+
+
+# sha256 of the compact JSON of a table's word, lmult, rmult, inverse, tau and
+# left_comp lists, recorded with the per-family element models that preceded
+# the root-permutation model.  They pin the shortlex index order that normal
+# forms, censuses and graph exports are written in.
+TABLE_DIGESTS = {
+    "A1": "9d7b3fc1ca6801a517194aff866453e5c6d23530269924ab067ce55a07fa0bdd",
+    "A1xI2(7)": "eca1e849c13de44f24cad9115bfdd81e44117d859e8e77ddc425562ecfde3514",
+    "A2": "2d527004ffa6bab81a23cc406db790430814b3056bccce36869a0aefb511e5f5",
+    "A2xA1": "fa739befca6208d370012e209baf9fec8b51048075d11c30b57cd20eaea96de3",
+    "A3": "c16dda6eba7f1aa37eec8ffc2a73756f14e53425e52066f14ae24292e6ac3e3c",
+    "A4": "3c9e69058cdda373c194780ab596ed841bda30e26f39ae03938493d9f44ee00f",
+    "A5": "af3bd4f83041e578a300f29265ea38300ed1f5e0c6590ccdf9d61607b156860b",
+    "B2": "3d54aab8f1211b4ce76b7fb7f1b71eda3e209fc7ec757649feedc3ca88a6959b",
+    "B3": "061ef543caa47cd75e9b429580483f1178b49e10fcaac4708b8a219408e4ddec",
+    "B4": "0e0e44954c660ee37d8e303cc7c1ef9bf784f453d7eef9a6cc7ad6d0bf26731d",
+    "D4": "993070e1a67755da82a23a0efccaabfa564969ee6de02f709ed44f51c5bc9d6f",
+    "D5": "920c9a1cc7858015664381deb63540660ab3117d1bf3f6ad8cb1345911ecb721",
+    "E6": "d7acc6a9d36a16c3971280744c08b78d6c1c87dd83e980037f2cbca95c717fa1",
+    "F4": "e43a6843b3813672b35aa742851f53e403b574bc734d31ebaa397e4e8eccb596",
+    "H3": "de0033c6d28604b181b1e55208ff21e5e40133921f56d35828712921256e83d3",
+    "H4": "77a710583d561aacb0828f5a509fc943b159c91d657f6f592498091c25063908",
+    "I2(12)": "237a4f3c1ee2ce8ddf67bb954c10aef0cd47578a2adac6e0d9b139f45cf2bcf1",
+    "I2(5)": "8264cd90e774bb7067b8552324575dfdd50baeb13eaf1a797daca3f313149922",
+    "I2(7)": "774a5d60ab2bb6177ea7046a60b74616478977632b9168c6d2894a950a31a5e8",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE_DIGESTS))
+def test_index_order_digest(spec):
+    tab = _graph(spec).table()
+    blob = json.dumps([tab.word, tab.lmult, tab.rmult, tab.inverse, tab.tau,
+                       tab.left_comp], separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == TABLE_DIGESTS[spec]
