@@ -54,6 +54,10 @@ KIND_SIMPLES = "Simples"
 KIND_FINITE = "FiniteS_plus_Delta2"
 KINDS = (KIND_XP, KIND_XNP, KIND_XABS, KIND_SIMPLES, KIND_FINITE)
 
+# The XNP enumerator tests every element of its box for membership, at about
+# 0.1 ms each; a box above this many elements is refused rather than filtered.
+XNP_BOX_LIMIT = 100_000
+
 
 def _nf_key(g: GarsideElement) -> tuple[int, tuple[int, ...]]:
     return (g.power, g.factors)
@@ -118,14 +122,6 @@ def _subgroup_members(group: CoxeterGraph, labels: Sequence[str],
     if len(indices) == group.rank:
         raise GroupMismatch("proper subsets only")
     inner = 2 * bound + 2
-    if len(indices) == 1:
-        s = gd.generator_element(group, labels[0])
-        for j in range(-bound, bound + 1):
-            if j:
-                el = gd.power(s, j)
-                if in_universe(el, bound):
-                    yield el
-        return
     sub = group.subgraph(indices)
     subtab = sub.table()
     delta_t = gd.delta_of(group, labels)
@@ -137,49 +133,25 @@ def _subgroup_members(group: CoxeterGraph, labels: Sequence[str],
         for s_local in subtab.word[f]:
             x = tab.rmult[x][group.gen_index(sub.generators[s_local])]
         amb.append(x)
+    sub_positives = list(gd.iter_positive_elements(sub, inner))
     for p in range(-inner, inner + 1):
         base = gd.power(delta_t, p)
-        for k in range(0, inner + 1):
-            if k == 0:
-                if not base.is_identity and in_universe(base, bound):
-                    yield base
-                continue
-            for tup in _sub_factor_tuples(subtab, k):
-                el = base
-                for f in tup:
-                    el = gd.multiply(el, gd.GarsideElement(group, 0, (amb[f],)))
-                if in_universe(el, bound):
-                    yield el
-
-
-def _sub_factor_tuples(subtab, length: int):
-    first = tuple(x for x in range(1, subtab.size) if x != subtab.w0)
-    buf = [0] * length
-
-    def rec(depth, options):
-        for x in options:
-            buf[depth] = x
-            if depth + 1 == length:
-                yield tuple(buf)
-            else:
-                yield from rec(depth + 1, subtab.follows(x))
-
-    yield from rec(0, first)
+        if not base.is_identity and in_universe(base, bound):
+            yield base
+        for sub_el in sub_positives:
+            el = base
+            for f in sub_el.factors:
+                el = gd.multiply(el, gd.GarsideElement(group, 0, (amb[f],)))
+            if in_universe(el, bound):
+                yield el
 
 
 def _xp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
     subsets = pb.proper_irreducible_subsets(group)
 
     def membership(g: GarsideElement) -> bool:
-        if is_central_even_delta_power(g):
-            return True
-        for labels in subsets:
-            try:
-                if pb.standard_membership(g, labels):
-                    return True
-            except CapExceeded:
-                continue
-        return False
+        return is_central_even_delta_power(g) or \
+            any(pb.standard_membership(g, labels) for labels in subsets)
 
     def enumerate_up_to(bound: int) -> list[GarsideElement]:
         seen: dict = {}
@@ -195,13 +167,13 @@ def _xp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
 
 
 def _universe_elements(group: CoxeterGraph, bound: int) -> Iterator[GarsideElement]:
+    """Every nonidentity element of the box of the given bound."""
     for p in range(-bound, bound + 1):
         if p:
             yield gd.delta_pow(group, p)
-    for ell in range(1, bound + 1):
-        for tup in gd.iter_positive_factor_tuples(group, ell):
-            for p in range(-bound, bound + 1):
-                yield gd.GarsideElement(group, p, tup)
+    for el in gd.iter_positive_elements(group, bound):
+        for p in range(-bound, bound + 1):
+            yield gd.GarsideElement(group, p, el.factors)
 
 
 def _xnp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
@@ -212,6 +184,12 @@ def _xnp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
         return any(gd.commute(g, om) for om in omegas)
 
     def enumerate_up_to(bound: int) -> list[GarsideElement]:
+        size = (2 * bound + 1) * sum(gd.count_positive_nf(group, ell)
+                                     for ell in range(bound + 1))
+        if size > XNP_BOX_LIMIT:
+            raise CapExceeded(
+                f"XNP enumeration would filter the box of bound {bound}, "
+                f"{size} elements, over the limit of {XNP_BOX_LIMIT}")
         out = [el for el in _universe_elements(group, bound) if membership(el)]
         out.sort(key=lambda e: e.sort_key())
         return out
@@ -290,14 +268,32 @@ def _finite_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
                                step_local=False)
 
 
-def enumerate_genset(oracle: GeneratingSetOracle, len_bound: int) -> list[GarsideElement]:
-    """All members inside the universe box of the given bound, shortlex order."""
-    return oracle.enumerate_up_to(len_bound)
-
-
 # ---------------------------------------------------------------------------
 # Metric graphs
 # ---------------------------------------------------------------------------
+
+def _bfs_layers(dist: dict, start, neighbours: Callable) -> Iterator[list]:
+    """Breadth-first search from `start`, one distance layer at a time.
+
+    Yields the vertices at distance 0, 1, 2, ... and records every vertex's
+    distance in `dist` when it is first reached.  `neighbours(v)` runs once
+    for each expanded vertex, and a layer is expanded only when the next one
+    is asked for, so a caller stops at a cutoff by leaving the loop.
+    """
+    dist[start] = 0
+    layer = [start]
+    d = 0
+    while layer:
+        yield layer
+        d += 1
+        nxt = []
+        for v in layer:
+            for w in neighbours(v):
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        layer = nxt
+
 
 @dataclasses.dataclass
 class MetricGraph:
@@ -339,19 +335,10 @@ class MetricGraph:
         return self._adj
 
     def bfs_distances(self, source: int, cutoff: int | None = None) -> dict[int, int]:
-        adj = self.adjacency()
-        dist = {source: 0}
-        frontier = [source]
-        d = 0
-        while frontier and (cutoff is None or d < cutoff):
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
+        dist: dict[int, int] = {}
+        for d, _ in enumerate(_bfs_layers(dist, source, self.adjacency().__getitem__)):
+            if d == cutoff:
+                break
         return dist
 
     def distance(self, key_a: str, key_b: str) -> int | None:
@@ -381,20 +368,21 @@ def element_key(g: GarsideElement) -> str:
     return g.render()
 
 
-def coset_rep(g: GarsideElement) -> GarsideElement:
-    """Canonical inf-0 representative of the coset g<D>.
+def _coset_factors(tau: Sequence[int], factors: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical factor tuple of the coset g<D> of an element with these factors.
 
     Multiplying by D twists the factors by tau, so a coset has up to two
     inf-0 normal forms; the factor-tuple minimum of the two is the key.
     """
-    tab = g.group.table()
-    twisted = tuple(tab.tau[x] for x in g.factors)
-    factors = min(g.factors, twisted)
-    return gd.GarsideElement(g.group, 0, factors)
+    return min(factors, tuple(tau[x] for x in factors))
+
+
+def _render_factors(group: CoxeterGraph, fs: tuple[int, ...]) -> str:
+    return gd.GarsideElement(group, 0, fs).render()
 
 
 def coset_key(g: GarsideElement) -> str:
-    return coset_rep(g).render()
+    return _render_factors(g.group, _coset_factors(g.group.table().tau, g.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -424,44 +412,42 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
     if radius < 0:
         raise UniverseTooSmall("radius must be >= 0")
     group = oracle.group
-    start = gd.identity_element(group)
-    elems = {_nf_key(start): start}
-    if radius > 0:
-        gens = _box_step_generators(oracle, universe_len)
-        clipped = False
-        frontier = [start]
-        for _ in range(radius):
-            nxt = []
-            for g in frontier:
-                for u in gens:
-                    h = gd.multiply(g, u)
-                    if not in_universe(h, universe_len):
-                        clipped = True
-                        continue
-                    k = _nf_key(h)
-                    if k not in elems:
-                        elems[k] = h
-                        nxt.append(h)
-            if not nxt and clipped and _ < radius - 1:
-                raise UniverseTooSmall(
-                    f"ball expansion stalled at radius {_ + 1} < {radius}")
-            frontier = nxt
-        key_edges = []
-        elist = list(elems.values())
-        eset = set(elems)
-        for g in elist:
-            for u in gens:
-                h = gd.multiply(g, u)
-                k = _nf_key(h)
-                if k in eset and k != _nf_key(g):
-                    key_edges.append((element_key(g), element_key(h)))
+    gens = _box_step_generators(oracle, universe_len) if radius else []
+    clipped = False
+
+    def step(key):
+        nonlocal clipped
+        g = gd.GarsideElement(group, *key)
+        out = []
+        for u in gens:
+            h = gd.multiply(g, u)
+            if in_universe(h, universe_len):
+                out.append(_nf_key(h))
+            else:
+                clipped = True
+        return out
+
+    dist: dict = {}
+    for d, _ in enumerate(_bfs_layers(dist, _nf_key(gd.identity_element(group)), step)):
+        if d == radius:
+            break
     else:
-        key_edges = []
+        if clipped and d + 1 < radius:
+            raise UniverseTooSmall(
+                f"ball expansion stalled at radius {d + 1} < {radius}")
+    elems = [gd.GarsideElement(group, *key) for key in dist]
+    key_edges = []
+    for g in elems:
+        for u in gens:
+            h = gd.multiply(g, u)
+            k = _nf_key(h)
+            if k in dist and k != _nf_key(g):
+                key_edges.append((element_key(g), element_key(h)))
     prov = {"group": group.family, "construction": f"ball[{oracle.kind}]",
             "radius": radius, "universe_len": universe_len}
     if oracle.notes:
         prov["notes"] = oracle.notes
-    return _build_graph((element_key(g) for g in elems.values()), key_edges, prov)
+    return _build_graph((element_key(g) for g in elems), key_edges, prov)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -483,32 +469,35 @@ def word_length_bound(g: GarsideElement, oracle: GeneratingSetOracle,
         return WordLengthResult("exact", 0, universe_len)
     if oracle.membership(g):
         return WordLengthResult("exact", 1, universe_len)
+    group = oracle.group
     gens = _box_step_generators(oracle, universe_len)
     target = _nf_key(g)
-    dist = {_nf_key(gd.identity_element(oracle.group)): 0}
-    frontier = [gd.identity_element(oracle.group)]
-    d = 0
-    clipped = False
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in gens:
-                h = gd.multiply(v, u)
-                k = _nf_key(h)
-                if k == target:
-                    if d <= 2:
-                        return WordLengthResult("exact", d, universe_len)
-                    exact = oracle.step_local and not clipped
-                    return WordLengthResult("exact" if exact else "upper",
-                                            d, universe_len)
-                if not in_universe(h, universe_len):
-                    clipped = True
-                    continue
-                if k not in dist:
-                    dist[k] = d
-                    nxt.append(h)
-        frontier = nxt
+    clipped = found = False
+
+    def step(key):
+        # Once the target is generated no further product is formed, so
+        # `clipped` keeps its value from that moment.
+        nonlocal clipped, found
+        if found:
+            return ()
+        v = gd.GarsideElement(group, *key)
+        out = []
+        for u in gens:
+            h = gd.multiply(v, u)
+            k = _nf_key(h)
+            if k == target:
+                found = True
+                return (k,)
+            if in_universe(h, universe_len):
+                out.append(k)
+            else:
+                clipped = True
+        return out
+
+    for d, _ in enumerate(_bfs_layers({}, _nf_key(gd.identity_element(group)), step)):
+        if found:
+            exact = d <= 2 or (oracle.step_local and not clipped)
+            return WordLengthResult("exact" if exact else "upper", d, universe_len)
     return WordLengthResult("unknown", None, universe_len)
 
 
@@ -541,19 +530,9 @@ class QuotientCayleyUniverse:
                 self._steps.append((0, (x,)))
                 c = tab.left_comp[x]
                 self._steps.append((1, (c,) if c else ()))
-        self.provenance = {"group": group.family,
-                           "construction": "quotient-cayley(lazy)",
-                           "len_bound": len_bound}
-
-    def canon(self, factors: tuple[int, ...]) -> tuple[int, ...]:
-        tau = self.tab.tau
-        return min(factors, tuple(tau[x] for x in factors))
-
-    def contains(self, rep: GarsideElement) -> bool:
-        return rep.canonical_length <= self.len_bound
 
     def key_of(self, g: GarsideElement) -> tuple[int, ...]:
-        return self.canon(g.factors)
+        return _coset_factors(self.tab.tau, g.factors)
 
     def neighbor_keys(self, fs: tuple[int, ...]) -> list[tuple[int, ...]]:
         tab = self.tab
@@ -566,7 +545,7 @@ class QuotientCayleyUniverse:
             _, res = gd._mul_normal(tab, base, sf)
             if len(res) > self.len_bound:
                 continue
-            k = self.canon(res)
+            k = _coset_factors(tau, res)
             if k not in seen:
                 seen.add(k)
                 out.append(k)
@@ -580,38 +559,25 @@ class QuotientCayleyUniverse:
         """
         if source.canonical_length > self.len_bound:
             raise UniverseTooSmall("source outside the universe")
-        src = self.key_of(source)
-        dist = {src: 0}
-        frontier = [src]
-        d = 0
-        remaining = set(targets) - set(dist) if targets is not None else None
-        while frontier and (cutoff is None or d < cutoff) and \
-                (remaining is None or remaining):
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in self.neighbor_keys(v):
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-                        if remaining is not None:
-                            remaining.discard(w)
-            frontier = nxt
+        remaining = None if targets is None else set(targets)
+        dist: dict[tuple[int, ...], int] = {}
+        for d, layer in enumerate(_bfs_layers(dist, self.key_of(source),
+                                              self.neighbor_keys)):
+            if remaining is not None:
+                remaining.difference_update(layer)
+                if not remaining:
+                    break
+            if d == cutoff:
+                break
         return dist
-
-
-def _render_factors(group: CoxeterGraph, fs: tuple[int, ...]) -> str:
-    return gd.GarsideElement(group, 0, fs).render()
 
 
 def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
     """Materialized Cay(A)/<D> truncation: cosets of canonical length <= bound,
     edges between cosets differing by one nontrivial simple."""
     universe = QuotientCayleyUniverse(group, len_bound)
-    keys = {universe.canon(())}
-    for ell in range(1, len_bound + 1):
-        for tup in gd.iter_positive_factor_tuples(group, ell):
-            keys.add(universe.canon(tup))
+    keys = {()} | {universe.key_of(el)
+                   for el in gd.iter_positive_elements(group, len_bound)}
     key_edges = []
     for fs in keys:
         a = _render_factors(group, fs)
@@ -630,19 +596,12 @@ def build_cal_graph(group: CoxeterGraph, len_bound: int,
     edges.  Absorbable steps come from the bounded census, so missing edges
     only make distances larger (a lower approximation of the true graph)."""
     abs_bound = len_bound if abs_sup_bound is None else abs_sup_bound
-    steps: dict = {}
-    tab = group.table()
-    for x in range(1, tab.size):
-        if x != tab.w0:
-            el = gd.GarsideElement(group, 0, (x,))
-            steps[_nf_key(el)] = el
-            steps[_nf_key(gd.invert(el))] = gd.invert(el)
+    # The nontrivial simples and their inverses; the D^{+-1} steps listed
+    # with them never join two distinct cosets.
+    steps = {_nf_key(el): el for el in _simples_oracle(group).enumerate_up_to(1)}
     for el in ab.enumerate_absorbable(group, abs_bound, witness_bound):
         steps.setdefault(_nf_key(el), el)
-    reps = [gd.identity_element(group)]
-    for ell in range(1, len_bound + 1):
-        for tup in gd.iter_positive_factor_tuples(group, ell):
-            reps.append(gd.GarsideElement(group, 0, tup))
+    reps = [gd.identity_element(group), *gd.iter_positive_elements(group, len_bound)]
     keys = {coset_key(r) for r in reps}
     key_edges = []
     for rep in reps:
@@ -672,48 +631,34 @@ def build_cparab_neighborhood(p0: ParabolicSubgroup, conj_len: int,
     """
     group = p0.group
     verts: dict[str, ParabolicSubgroup] = {p0.key(): p0}
-    conjugators = [gd.identity_element(group)]
-    for ell in range(1, conj_len + 1):
-        for tup in gd.iter_positive_factor_tuples(group, ell):
-            conjugators.append(gd.GarsideElement(group, 0, tup))
+    conjugators = [gd.identity_element(group), *gd.iter_positive_elements(group, conj_len)]
     for labels in pb.proper_irreducible_subsets(group):
-        std = pb.standard_parabolic(group, labels)
         for g in conjugators:
-            cand = pb.parabolic_from_conjugate(g, labels) if not g.is_identity else std
+            cand = pb.parabolic_from_conjugate(g, labels)
             verts.setdefault(cand.key(), cand)
-    # Hops-restricted BFS from P0 over commutation edges.
     commute_memo: dict[tuple[str, str], bool] = {}
 
-    def adjacent(a: ParabolicSubgroup, b: ParabolicSubgroup) -> bool:
-        ka, kb = a.key(), b.key()
+    def adjacent(ka: str, kb: str) -> bool:
         if ka == kb:
             return False
         mk = (ka, kb) if ka < kb else (kb, ka)
         got = commute_memo.get(mk)
         if got is None:
-            got = pb.omega_commute_edge(a, b)
-            commute_memo[mk] = got
+            got = commute_memo[mk] = pb.omega_commute_edge(verts[ka], verts[kb])
         return got
 
-    kept = {p0.key(): p0}
-    frontier = [p0]
-    for _ in range(hops):
-        nxt = []
-        for v in frontier:
-            for cand in verts.values():
-                if cand.key() not in kept and adjacent(v, cand):
-                    kept[cand.key()] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    key_edges = []
-    kept_list = list(kept.values())
-    for i, a in enumerate(kept_list):
-        for b in kept_list[i + 1:]:
-            if adjacent(a, b):
-                key_edges.append((a.key(), b.key()))
+    kept: dict[str, int] = {}
+    layers = _bfs_layers(kept, p0.key(),
+                         lambda ka: [kb for kb in verts if adjacent(ka, kb)])
+    for d, _ in enumerate(layers):
+        if d == hops:
+            break
+    kept_keys = list(kept)
+    key_edges = [(a, b) for i, a in enumerate(kept_keys)
+                 for b in kept_keys[i + 1:] if adjacent(a, b)]
     prov = {"group": group.family, "construction": "cparab",
             "p0": p0.key(), "conj_len": conj_len, "hops": hops}
-    return _build_graph(kept.keys(), key_edges, prov)
+    return _build_graph(kept_keys, key_edges, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +690,8 @@ class FatTriangleReport:
 def fat_triangle_distances(triangle: ab.FatTriangle, universe) -> FatTriangleReport:
     """Verify the cross-side distance law max(d1, d2) and the corner law.
 
-    `universe` is a QuotientCayleyUniverse (or materialized graph wrapped in
-    one); its bound must cover the triangle with margin 2.
+    `universe` is a QuotientCayleyUniverse; its bound must cover the
+    triangle with margin 2.
     """
     if isinstance(universe, MetricGraph):
         raise TypeError("pass a QuotientCayleyUniverse for fat-triangle checks")
@@ -758,7 +703,7 @@ def fat_triangle_distances(triangle: ab.FatTriangle, universe) -> FatTriangleRep
     }
     for verts in sides.values():
         for v in verts:
-            if coset_rep(v).canonical_length + 2 > universe.len_bound:
+            if v.canonical_length + 2 > universe.len_bound:
                 raise UniverseTooSmall("universe must cover the triangle plus margin 2")
     # distances from the shared corner along a side are index distances
     shared = {
@@ -869,9 +814,8 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0,
     n = len(graph.vertices)
     if n == 0:
         return Fraction(0)
-    if not graph.is_connected():
-        if not per_component:
-            raise DisconnectedInput("graph is disconnected")
+    if not graph.is_connected() and not per_component:
+        raise DisconnectedInput("graph is disconnected")
     dist_rows: dict[int, dict[int, int]] = {}
 
     def dist(i: int, j: int) -> int | None:

@@ -5,14 +5,18 @@ A parabolic subgroup P = a^-1 A_T a is represented by the normal form of its
 minimal central element Omega_P = a^-1 Omega_T a, which depends only on P.
 Equality of subgroups is equality of these keys.
 
-Membership in a standard parabolic A_T is decided by clearing denominators:
-find the least m >= 0 with Delta_T^m g positive.  Standard parabolic
-submonoids are closed under the greedy factorization, so once the product is
-positive, g lies in A_T exactly when every greedy factor is supported in T.
-If g never becomes positive within the cap the test raises CapExceeded
-rather than guessing; the cap (total factor length plus |inf| times the
-length of Delta) is a documented heuristic validated against brute-force
-enumeration in the tests.
+Membership in a standard parabolic A_T is exact.  Write the normal form as
+g = D^p x_1..x_k.  For p >= 0, g is positive, and a positive element lies in
+A_T exactly when it lies in the submonoid A_T^+, that is when every greedy
+factor (D counted p times) is supported in T; for proper T this rules out
+p > 0.  For p = -m < 0, split g as
+a^-1 b with a = (D^-m x_1..x_j)^-1 and b = x_{j+1}..x_k, j = min(m, k).
+Both are positive, and this is the left-fraction (np) normal form of g:
+a and b have no common left divisor.  Standard parabolic submonoids are
+closed under left divisors and left gcds, so g lies in A_T exactly when both
+a and b lie in A_T^+ (Paris, "Parabolic subgroups of Artin groups",
+J. Algebra 196, 1997; Dehornoy et al., Foundations of Garside Theory,
+EMS Tracts 22, 2015).
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import Iterable, Iterator, Sequence
 from . import garside as gd
 from .coxeter import CoxeterGraph
 from .errors import (
-    CapExceeded,
     EmptySubset,
     GroupMismatch,
     ImproperSubset,
@@ -80,21 +83,20 @@ def proper_irreducible_subsets(group: CoxeterGraph) -> list[tuple[str, ...]]:
 
 
 def standard_membership(g: GarsideElement, subset: Iterable[str]) -> bool:
-    """Whether g lies in the standard parabolic A_T."""
+    """Whether g lies in the standard parabolic A_T (exact; see module docstring)."""
     labels = subset_labels(g.group, subset)
     tab = g.group.table()
-    tmask = tab.mask_of(g.group.gen_indices(labels))
-    delta_t = gd.delta_of(g.group, labels)
-    cap = sum(tab.length[x] for x in g.factors) + abs(g.power) * tab.length[tab.w0]
-    h = g
-    for _ in range(cap + 1):
-        if h.power >= 0:
-            prefix = [tab.w0] * h.power
-            return all(tab.support[x] & ~tmask == 0 for x in
-                       itertools.chain(prefix, h.factors))
-        h = gd.multiply(delta_t, h)
-    raise CapExceeded(
-        f"membership in A_{tuple(labels)} undecided within cap {cap}")
+    outside = ~tab.mask_of(g.group.gen_indices(labels))
+
+    def positive_member(power: int, factors: Iterable[int]) -> bool:
+        return (power == 0 or tab.support[tab.w0] & outside == 0) and \
+            all(tab.support[x] & outside == 0 for x in factors)
+
+    if g.power >= 0:
+        return positive_member(g.power, g.factors)
+    j = min(-g.power, len(g.factors))
+    a = gd.invert(GarsideElement(g.group, g.power, g.factors[:j]))
+    return positive_member(a.power, a.factors) and positive_member(0, g.factors[j:])
 
 
 def normalizer_membership(g: GarsideElement, subset: Iterable[str]) -> bool:
@@ -146,12 +148,10 @@ def _standardization_candidates(group: CoxeterGraph,
     Multiplying by a power of D does not change canonical length, and D^2 is
     central, so the twists k in {0, 1} exhaust the D-coset of each positive.
     """
-    for twist in (0, 1):
-        yield gd.delta_pow(group, twist)
-    for ell in range(1, radius + 1):
-        for tup in gd.iter_positive_factor_tuples(group, ell):
-            for twist in (0, 1):
-                yield gd._make(group, twist, tup)
+    for g in itertools.chain([gd.identity_element(group)],
+                             gd.iter_positive_elements(group, radius)):
+        for twist in (0, 1):
+            yield GarsideElement(group, twist, g.factors)
 
 
 def simultaneous_standardize(p: ParabolicSubgroup, q: ParabolicSubgroup,

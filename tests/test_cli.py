@@ -37,6 +37,11 @@ def test_mul_inv_member(capsys):
     code, out = run(capsys, "member", "--group", "A3", "--word", "s1 s2 s1",
                     "--subset", "s1,s2")
     assert code == 0 and last_json(out)["member"] is True
+    # non-members with negative inf get an answer, not an exit 3
+    for word in ("s3^-1", "s1 s3^-1"):
+        code, out = run(capsys, "member", "--group", "A3", "--word", word,
+                        "--subset", "s1,s2")
+        assert code == 0 and last_json(out)["member"] is False
     code, out = run(capsys, "normalizer", "--group", "A3", "--word", "s1 s2 s1 s2 s1 s3 s2 s1 s2 s1 s2 s3",
                     "--subset", "s2")
     assert code == 0
@@ -104,6 +109,13 @@ def test_usage_and_error_exit_codes(capsys):
     assert code == 2
     code, _out = run(capsys, "props", "--group", "E8")
     assert code == 3
+    # the XNP step set at universe 2 would filter the A3 box of bound 6,
+    # 2,651,623 elements; it is refused up front
+    code, out = run(capsys, "ball", "--group", "A3", "--kind", "XNP",
+                    "--radius", "1", "--universe", "2")
+    data = last_json(out)
+    assert code == 3 and data["error"] == "CapExceeded"
+    assert "2651623" in data["message"] and str(mt.XNP_BOX_LIMIT) in data["message"]
     code, _out = run(capsys, "census", "--group", "I2(5)", "--sup-bound", "12")
     assert code == 0
 

@@ -65,7 +65,7 @@ def test_xp_contained_in_xnp():
 
 def test_simples_enumeration():
     simples = mt.genset_oracle(I3, mt.KIND_SIMPLES)
-    got = {e.render() for e in mt.enumerate_genset(simples, 1)}
+    got = {e.render() for e in simples.enumerate_up_to(1)}
     assert got == {"D^1", "D^-1", "D^0 | a", "D^0 | b", "D^0 | ab", "D^0 | ba",
                    "D^-1 | a", "D^-1 | b", "D^-1 | ab", "D^-1 | ba"}
 
@@ -82,7 +82,7 @@ def test_xp_enumeration_matches_naive_filter():
 
 def test_xabs_enumeration_census():
     oracle = mt.genset_oracle(I3, mt.KIND_XABS)
-    got = mt.enumerate_genset(oracle, 8)
+    got = oracle.enumerate_up_to(8)
     absorbables = [e for e in got if e.factors]
     centrals = [e for e in got if not e.factors]
     assert len(absorbables) == 4  # the 4m-8 census for m=3
@@ -184,6 +184,17 @@ def test_word_length_examples():
     simples = mt.genset_oracle(I5, mt.KIND_SIMPLES)
     far = gd.power(a, 9)
     assert mt.word_length_bound(far, simples, 3).kind == "unknown"
+    # distance >= 3 is exact only for a step-local oracle whose search never
+    # left the box before it generated the target
+    simples3 = mt.genset_oracle(I3, mt.KIND_SIMPLES)
+    for oracle, g, universe, expected in [
+            (simples3, nf(I3, "a a a"), 3, ("exact", 3)),
+            (simples3, nf(I3, "a a a a"), 4, ("exact", 4)),
+            (simples3, nf(I3, "a a a"), 2, ("upper", 3)),  # clipped
+            (xp, nf(I5, "a b a b"), 2, ("upper", 4)),  # not step-local
+    ]:
+        res = mt.word_length_bound(g, oracle, universe)
+        assert (res.kind, res.value, res.universe_len) == expected + (universe,)
 
 
 def test_word_length_monotone_in_universe():

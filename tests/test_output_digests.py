@@ -1,0 +1,87 @@
+"""Byte-identity guard for graph exports and printed results.
+
+Each graph command's `--out` file, and the standard output of each command
+that prints its result, is pinned by a sha256 digest.  A change in how the
+graphs are built or walked therefore cannot move a vertex, an edge, an
+exactness tag or a delta value unnoticed.  Update a digest only together
+with a stated reason for the changed output.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from garsidehyp import cli
+
+GRAPH_EXPORTS = {
+    ("quotient-cayley", "--group", "A3", "--len-bound", "2"):
+        "b99ff7c5ac2228eefac0e00042a518e7944f5def8351b6b3af0919b550edd923",
+    ("cal", "--group", "I2(5)", "--len-bound", "3"):
+        "ae84bb2a3fdea9add8cfa6708971c8f476de211e2abdef419579b36ab6bc6904",
+    ("ball", "--group", "A2", "--kind", "Xabs", "--radius", "2", "--universe", "2"):
+        "875c8b7e24a32d99862b9178119e88dd70ac96b1e8f0302098db42ee52901a1c",
+    ("ball", "--group", "I2(5)", "--kind", "XP", "--radius", "2", "--universe", "2"):
+        "838b024e446b9288d97d0d6304b813ca0e4be31ab56c7069ea98c54026a5ca6f",
+    ("ball", "--group", "A2", "--kind", "XNP", "--radius", "2", "--universe", "2"):
+        "27d94805ddca7c730e26e054bbb26cb88c96db60cdaf88b38d2c3e085b67e383",
+    ("ball", "--group", "A3", "--kind", "Simples", "--radius", "2", "--universe", "2"):
+        "16c954543d5b72f7f4f5f3898c0ea99cb702aec692b93c112875acb3c333d5e8",
+    ("cparab", "--group", "A3", "--p0", "std:s1", "--conj-len", "1", "--hops", "2"):
+        "9f2121f046d020136686737ab89920835dab825e16b77b46cfcd5ef6ea36fc0e",
+}
+
+
+def _wordlen(group, kind, word, universe):
+    return ("wordlen", "--group", group, "--kind", kind, "--word", word,
+            "--universe", universe)
+
+
+# command -> (exit code, sha256 of standard output)
+PRINTED = {
+    ("delta-estimate", "--group", "A3", "--len-bound", "2", "--sample", "200",
+     "--seed", "3"):
+        (0, "1b028e0051ac1613006e3242122becb87e57c7b649a7c63f18cea3004a31f847"),
+    _wordlen("I2(5)", "XP", "a^5", "8"):  # exact 1
+        (0, "e2f3934d917e41bdf28e76bf3575255e0e6ada522a51661107ada61468d41179"),
+    _wordlen("I2(5)", "XP", "a b", "6"):  # exact 2
+        (0, "d6fee5bdce5506edf0c1e9fc01ae77d44ba52f1cfe93791f8ae30afe1e4089bb"),
+    _wordlen("I2(5)", "XP", "a b a b", "2"):  # upper 4
+        (0, "a005046cb322ef4c18da084f36194897ac6b8c81a0c235eda5d405f50522e0f0"),
+    _wordlen("A2", "Simples", "a a a", "3"):  # exact 3
+        (0, "01f9740a476842799ee84ed786aeb0b10c8e9c44c2e602a4bc2c8dee54addad4"),
+    _wordlen("A2", "Simples", "a a a", "2"):  # upper 3
+        (0, "2b0d939a6fa487c158c8888cd1147222199ac933bcd56bd1915163490c78d929"),
+    _wordlen("A2", "Simples", "a a a a", "4"):  # exact 4
+        (0, "b374815ae061330084f3353dd625cffe108a2b852bf71ee666010d13ad1904e1"),
+    _wordlen("I2(5)", "Simples", "a^9", "3"):  # unknown
+        (3, "31294d1f5bd825ae68b9e795bae4d3bf384ba27611e28403021a1ea87a446257"),
+    _wordlen("I2(5)", "XP", "a b a^-1 b^3 a^2", "2"):  # unknown
+        (3, "4071a04bde543167a43d9a73e3ee2f15afe12f94e0f0a06c1cd4e09a9b97d949"),
+}
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    return code, buf.getvalue()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GRAPH_EXPORTS), ids=" ".join)
+def test_graph_export_digest(argv, tmp_path):
+    out = tmp_path / "graph.json"
+    code, _ = _run(argv + ("--out", str(out)))
+    assert code == 0
+    assert _sha(out.read_bytes()) == GRAPH_EXPORTS[argv]
+
+
+@pytest.mark.parametrize("argv", list(PRINTED), ids=" ".join)
+def test_printed_digest(argv):
+    code, text = _run(argv)
+    assert (code, _sha(text.encode())) == PRINTED[argv]
