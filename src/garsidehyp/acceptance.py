@@ -276,27 +276,21 @@ def criterion_9() -> AcceptanceResult:
             e = gd.generator_element(group, lab)
             steps.append(e)
             steps.append(gd.invert(e))
-        seen = {(0, ()): gd.identity_element(group)}
-        frontier = list(seen.values())
-        for _ in range(8):
-            nxt = []
-            for g in frontier:
-                for s in steps:
-                    h = gd.multiply(g, s)
-                    key = (h.power, h.factors)
-                    if key not in seen:
-                        seen[key] = h
-                        nxt.append(h)
-            frontier = nxt
+        ball: dict = {}
+        for radius, _ in enumerate(mt._bfs_layers(
+                ball, gd.identity_element(group),
+                lambda g: [gd.multiply(g, s) for s in steps])):
+            if radius == 8:
+                break
         exceptions = 0
         commuting = 0
-        for g in seen.values():
+        for g in ball:
             if gd.commute(g, a):
                 commuting += 1
                 if not _in_span(g, a, central):
                     exceptions += 1
         ok &= exceptions == 0
-        rows.append({"m": m, "ball": len(seen), "commuting": commuting,
+        rows.append({"m": m, "ball": len(ball), "commuting": commuting,
                      "exceptions": exceptions})
     return _result(9, "dihedral centralizer ball check", ok, t0, rows=rows)
 
@@ -439,8 +433,3 @@ CRITERIA = {
     5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
     9: criterion_9, 10: criterion_10, 11: criterion_11, 12: criterion_12,
 }
-
-
-def run(numbers=None) -> list[AcceptanceResult]:
-    numbers = sorted(CRITERIA) if numbers is None else list(numbers)
-    return [CRITERIA[n]() for n in numbers]

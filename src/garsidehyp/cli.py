@@ -3,8 +3,9 @@
 Every paper-facing check is reachable as a subcommand; outputs are JSON
 objects on stdout (stable key order).  Exit codes: 0 pass, 1 check failure,
 2 usage error, 3 inconclusive (a cap or truncation prevented a definite
-answer).  A flat key=value config file can pre-set any long option; explicit
-flags win.
+answer).  A flat key=value config file can pre-set the default of any long
+option of the chosen subcommand; explicit flags win, and a required option
+must still be given as a flag.
 """
 
 from __future__ import annotations
@@ -289,7 +290,8 @@ def cmd_props(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="garsidehyp",
         description="Garside arithmetic and candidate hyperbolic structures "
@@ -417,29 +419,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("props", cmd_props, help="diagram properties")
     p.add_argument("--group", required=True)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args: argparse.Namespace, path: str) -> None:
-    for line in open(path):
-        line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key, _, val = line.partition("=")
-        attr = key.strip().replace("-", "_")
-        val = val.strip()
-        if getattr(args, attr, None) is None and hasattr(args, attr):
-            try:
-                setattr(args, attr, int(val))
-            except ValueError:
-                setattr(args, attr, val)
+def _config_defaults(path: str, args: argparse.Namespace) -> dict:
+    """The key=value lines of a config file that name an option in `args`.
+
+    Values stay strings, which argparse converts with the option's type; a
+    flag (an option whose value is a bool) is set by 1, true or yes.
+    """
+    config = {}
+    with open(path) as fh:
+        for line in fh:
+            key, eq, val = line.partition("=")
+            key, val = key.strip().replace("-", "_"), val.strip()
+            if (not eq or key.startswith("#") or not hasattr(args, key)
+                    or key in ("command", "config", "func")):
+                continue
+            if isinstance(getattr(args, key), bool):
+                val = val.lower() in ("1", "true", "yes")
+            config[key] = val
+    return config
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        _apply_config(args, args.config)
+        # Config values become the subcommand's defaults, so explicit flags win.
+        commands[args.command].set_defaults(**_config_defaults(args.config, args))
+        args = parser.parse_args(argv)
     try:
         code = args.func(args)
     except GarsideHypError as exc:
@@ -451,10 +460,6 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         return EXIT_FAIL
     return code
-
-
-def console() -> None:  # console_scripts entry point
-    sys.exit(main())
 
 
 if __name__ == "__main__":

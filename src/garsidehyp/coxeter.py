@@ -26,7 +26,7 @@ the lexicographically least reduced word, so index equality is element
 equality and index 0 is the identity.
 
 A table refuses any group whose order (a closed form per classified family)
-exceeds a configured cap (default 52 000, large enough for E6), raising
+exceeds DEFAULT_ORDER_CAP (52 000, large enough for E6), raising
 OrderOverflow before enumerating anything.
 """
 
@@ -48,6 +48,9 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 52_000
+# Entries of a table's slide memo; it is emptied when full, so that its
+# memory stays bounded however many distinct pairs a long run meets.
+RENORM_MEMO_LIMIT = 8192
 
 LEFT = "left"
 RIGHT = "right"
@@ -174,8 +177,11 @@ class CoxeterGraph:
             order *= _family_order(fam)
         return order
 
-    def table(self, cap: int | None = None) -> "SimpleTable":
-        return _table_for(self, DEFAULT_ORDER_CAP if cap is None else cap)
+    def table(self) -> "SimpleTable":
+        tab = _tables.get(self)
+        if tab is None:
+            tab = _tables[self] = SimpleTable(self, DEFAULT_ORDER_CAP)
+        return tab
 
 
 def _family_order(fam: str) -> int:
@@ -544,7 +550,7 @@ class SimpleTable:
         self.tau = [self._fold(self._fold(self.w0, x), self.w0) for x in range(size)]
 
         self._mult_memo: dict[tuple[int, int], int] = {}
-        self._renorm_memo: dict[tuple[int, int], tuple[int, int]] = {}
+        self._renorm_memo: dict[int, tuple[int, int]] = {}  # key x*size+y
         self._follows_memo: dict[int, tuple[int, ...]] = {}
 
     def _fold(self, x: int, y: int) -> int:
@@ -570,7 +576,7 @@ class SimpleTable:
         Preserves the monoid product lift(x)lift(y); may return y = identity
         or x = w0.
         """
-        key = (x, y)
+        key = x * self.size + y
         got = self._renorm_memo.get(key)
         if got is None:
             a, b = x, y
@@ -582,6 +588,8 @@ class SimpleTable:
                 a = self.rmult[a][s]
                 b = self.lmult[b][s]
             got = (a, b)
+            if len(self._renorm_memo) >= RENORM_MEMO_LIMIT:
+                self._renorm_memo.clear()
             self._renorm_memo[key] = got
         return got
 
@@ -594,10 +602,6 @@ class SimpleTable:
                         if y != self.w0 and self.ldesc[y] & ~mask == 0)
             self._follows_memo[mask] = got
         return got
-
-    def nontrivial_simples(self) -> range:
-        """Indices of simples excluding the identity; w0 is the last index."""
-        return range(1, self.size)
 
     def mask_of(self, indices: Iterable[int]) -> int:
         mask = 0
@@ -617,14 +621,6 @@ class SimpleTable:
 
 
 _tables: dict[CoxeterGraph, SimpleTable] = {}
-
-
-def _table_for(graph: CoxeterGraph, cap: int) -> SimpleTable:
-    tab = _tables.get(graph)
-    if tab is None:
-        tab = SimpleTable(graph, cap)
-        _tables[graph] = tab
-    return tab
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,23 @@ every adjacent pair is left-weighted: the right descent set of x_i contains
 the left descent set of x_{i+1}.  Uniqueness of this form solves the word
 problem; sup = p + l and the canonical length is l.
 
-Normalization is the local sliding pass: while some generator s lies in
-L(x_{i+1}) but not in R(x_i), replace (x_i, x_{i+1}) by (x_i s, s x_{i+1}),
-combing backwards after each change.  Sliding preserves the monoid product of
-the positive lifts, so the result represents the same group element.  The
-per-pair slides are memoized in the group's SimpleTable.
+Normalization is one sliding loop, `_normalise(tab, seq, start)`: while
+some generator s lies in L(x_{i+1}) but not in R(x_i), replace
+(x_i, x_{i+1}) by (x_i s, s x_{i+1}), combing backwards after each change.
+Its contract is that seq[:start+1] is already normal, so the loop starts at
+the junction `start`; a slide that empties x_{i+1} deletes it, and leading
+w0 factors go into the Garside power.  Sliding preserves the monoid product
+of the positive lifts, so the result represents the same group element.
+The per-pair slides are memoized in the group's SimpleTable.  Products comb
+gh from the junction of the two normal forms; the other entry points call
+the same loop.
 
-Words compose left to right.  A negative letter s^-1 enters as
-D^-1 (w0 s^-1), using that the positive lifts satisfy
-lift(w0) = lift(w0 x^-1) lift(x); the D^-1 is commuted to the front through
-the tau automorphism x -> w0 x w0 (conjugation by the Garside element, an
-involution on simples because D^2 is central).
+Words fold into the normal form letter by letter, each letter combed in at
+the end.  A negative letter s^-1 enters as D^-1 (w0 s^-1), using that the
+positive lifts satisfy lift(w0) = lift(w0 x^-1) lift(x); the D^-1 is
+commuted to the front through the tau automorphism x -> w0 x w0
+(conjugation by the Garside element, an involution on simples because D^2
+is central).
 
 The canonical text rendering is "D^p | w1 | w2 | ..." where wi is the
 lexicographically least reduced word of the i-th factor.
@@ -29,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Iterator, Sequence
 
-from .coxeter import CoxeterGraph, SimpleElement, SimpleTable
+from .coxeter import CoxeterGraph, SimpleTable
 from .errors import (
     EmptySubset,
     GroupMismatch,
@@ -112,9 +118,6 @@ class GarsideElement:
     def is_identity(self) -> bool:
         return self.power == 0 and not self.factors
 
-    def factor_elements(self) -> tuple[SimpleElement, ...]:
-        return tuple(SimpleElement(self.group, f) for f in self.factors)
-
     def render(self) -> str:
         parts = [f"D^{self.power}"]
         tab = self.group.table()
@@ -126,67 +129,32 @@ class GarsideElement:
         return (len(self.factors), self.power, self.factors)
 
 
-def _normalise(tab: SimpleTable, seq: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Slide an arbitrary factor sequence into normal form.
+def _normalise(tab: SimpleTable, seq: Sequence[int],
+               start: int = 0) -> tuple[int, tuple[int, ...]]:
+    """Slide a factor sequence into normal form, combing from `start` on.
 
-    Returns (d, factors): d is the number of leading w0 factors absorbed into
-    the Garside power; identity factors are dropped.
+    `seq[:start + 1]` must already be normal.  Returns (d, factors): d is
+    the number of leading w0 factors absorbed into the Garside power;
+    identity factors are dropped.
     """
-    fs = [f for f in seq if f != 0]
-    i = 0
+    fs = [f for f in seq if f]
+    weighted, renorm = tab.is_left_weighted, tab.renorm
+    i = max(start, 0)
     while i < len(fs) - 1:
-        a, b = tab.renorm(fs[i], fs[i + 1])
-        if (a, b) == (fs[i], fs[i + 1]):
+        if weighted(fs[i], fs[i + 1]):
             i += 1
             continue
-        if b == 0:
+        a, b = renorm(fs[i], fs[i + 1])
+        if b:
+            fs[i], fs[i + 1] = a, b
+        else:
             fs[i] = a
             del fs[i + 1]
-        else:
-            fs[i], fs[i + 1] = a, b
         i = max(0, i - 1)
     d = 0
-    while fs and fs[0] == tab.w0:
+    while d < len(fs) and fs[d] == tab.w0:
         d += 1
-        fs.pop(0)
-    while fs and fs[-1] == 0:
-        fs.pop()
-    return d, tuple(fs)
-
-
-def _mul_normal(tab: SimpleTable, left: Sequence[int],
-                right: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Product of two already-normal factor sequences (junction comb).
-
-    Slides start at the junction and move forward, combing backwards after
-    every change; identity factors ride the forward wave to the end.  The
-    rare case of an interior identity left behind by a backward comb falls
-    back to the general pass.
-    """
-    if not left or not right or tab.is_left_weighted(left[-1], right[0]):
-        return 0, tuple(left) + tuple(right)
-    fs = list(left) + list(right)
-    for i in range(len(left) - 1, len(fs) - 1):
-        a, b = tab.renorm(fs[i], fs[i + 1])
-        if a == fs[i]:
-            break
-        fs[i], fs[i + 1] = a, b
-        for j in range(i - 1, -1, -1):
-            a, b = tab.renorm(fs[j], fs[j + 1])
-            if a == fs[j]:
-                break
-            fs[j], fs[j + 1] = a, b
-    d = 0
-    while fs and fs[0] == tab.w0:
-        d += 1
-        fs.pop(0)
-    while fs and fs[-1] == 0:
-        fs.pop()
-    if 0 in fs or tab.w0 in fs or any(
-            not tab.is_left_weighted(fs[k], fs[k + 1]) for k in range(len(fs) - 1)):
-        d2, tail = _normalise(tab, fs)
-        return d + d2, tail
-    return d, tuple(fs)
+    return d, tuple(fs[d:])
 
 
 def _make(group: CoxeterGraph, power: int, seq: Sequence[int]) -> GarsideElement:
@@ -202,11 +170,6 @@ def generator_element(group: CoxeterGraph, label: str) -> GarsideElement:
     return _make(group, 0, (group.table().rmult[0][group.gen_index(label)],))
 
 
-def positive_lift(simple: SimpleElement) -> GarsideElement:
-    """The canonical positive braid lift of an element of W."""
-    return _make(simple.group, 0, (simple.index,))
-
-
 def delta(group: CoxeterGraph) -> GarsideElement:
     return GarsideElement(group, 1, ())
 
@@ -215,24 +178,22 @@ def delta_pow(group: CoxeterGraph, k: int) -> GarsideElement:
     return GarsideElement(group, k, ())
 
 
-def _gen_inverse(group: CoxeterGraph, gen_idx: int) -> GarsideElement:
-    tab = group.table()
-    s = tab.rmult[0][gen_idx]
-    return _make(group, -1, (tab.left_comp[s],))
-
-
 def normal_form(word: LetterWord) -> GarsideElement:
     """Normal form of the element represented by a letter word."""
-    group = word.group
-    acc = identity_element(group)
+    tab = word.group.table()
+    p, fs = 0, ()
     for gen_idx, exp in word.letters:
-        if exp > 0:
-            step = generator_element(group, group.generators[gen_idx])
-        else:
-            step = _gen_inverse(group, gen_idx)
-        step_pow = power(step, abs(exp))
-        acc = multiply(acc, step_pow)
-    return acc
+        s = tab.rmult[0][gen_idx]
+        for _ in range(abs(exp)):
+            if exp < 0:
+                p -= 1
+                fs = tuple(tab.tau[x] for x in fs)
+                x = tab.left_comp[s]
+            else:
+                x = s
+            d, fs = _normalise(tab, fs + (x,), len(fs) - 1)
+            p += d
+    return GarsideElement(word.group, p, fs)
 
 
 def _check_group(g: GarsideElement, h: GarsideElement):
@@ -248,7 +209,7 @@ def multiply(g: GarsideElement, h: GarsideElement) -> GarsideElement:
         gf: tuple[int, ...] = tuple(tab.tau[x] for x in g.factors)
     else:
         gf = g.factors
-    d, fs = _mul_normal(tab, gf, h.factors)
+    d, fs = _normalise(tab, gf + h.factors, len(gf) - 1)
     return GarsideElement(g.group, g.power + h.power + d, fs)
 
 

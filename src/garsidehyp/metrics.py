@@ -110,40 +110,47 @@ def _delta_even_powers(group: CoxeterGraph, bound: int) -> list[GarsideElement]:
     return out
 
 
-def _subgroup_members(group: CoxeterGraph, labels: Sequence[str],
+def _subgroup_members(group: CoxeterGraph, subsets: Sequence[Sequence[str]],
                       bound: int) -> Iterator[GarsideElement]:
-    """Elements of the standard parabolic A_T inside the universe box.
+    """Elements of the standard parabolics A_T, T in `subsets`, in the box.
 
-    Enumerates the subgroup's own normal forms D_T^p x_1..x_k with
+    Enumerates each subgroup's own normal forms D_T^p x_1..x_k with
     |p| <= 2*bound + 2 and k <= 2*bound + 2 and filters by the ambient box;
-    tests validate this inner margin against direct enumeration.
+    tests validate this inner margin against direct enumeration.  The walk
+    is counted first and refused above XNP_BOX_LIMIT.
     """
-    indices = group.gen_indices(labels)
-    if len(indices) == group.rank:
-        raise GroupMismatch("proper subsets only")
     inner = 2 * bound + 2
-    sub = group.subgraph(indices)
-    subtab = sub.table()
-    delta_t = gd.delta_of(group, labels)
-    # Ambient simple index for each subgroup simple, via its reduced word.
+    subs = [group.subgraph(group.gen_indices(labels)) for labels in subsets]
+    if any(sub.rank == group.rank for sub in subs):
+        raise GroupMismatch("proper subsets only")
+    size = (2 * inner + 1) * sum(gd.count_positive_nf(sub, ell)
+                                 for sub in subs for ell in range(inner + 1))
+    if size > XNP_BOX_LIMIT:
+        raise CapExceeded(
+            f"XP enumeration would walk {size} subgroup elements for the box "
+            f"of bound {bound}, over the limit of {XNP_BOX_LIMIT}")
     tab = group.table()
-    amb = []
-    for f in range(subtab.size):
-        x = 0
-        for s_local in subtab.word[f]:
-            x = tab.rmult[x][group.gen_index(sub.generators[s_local])]
-        amb.append(x)
-    sub_positives = list(gd.iter_positive_elements(sub, inner))
-    for p in range(-inner, inner + 1):
-        base = gd.power(delta_t, p)
-        if not base.is_identity and in_universe(base, bound):
-            yield base
-        for sub_el in sub_positives:
-            el = base
-            for f in sub_el.factors:
-                el = gd.multiply(el, gd.GarsideElement(group, 0, (amb[f],)))
-            if in_universe(el, bound):
-                yield el
+    for labels, sub in zip(subsets, subs):
+        # Ambient simple index for each subgroup simple, via its reduced
+        # word; a subgroup normal form so mapped is an ambient normal form.
+        subtab = sub.table()
+        amb = []
+        for f in range(subtab.size):
+            x = 0
+            for s_local in subtab.word[f]:
+                x = tab.rmult[x][group.gen_index(sub.generators[s_local])]
+            amb.append(x)
+        positives = [gd.GarsideElement(group, 0, tuple(amb[f] for f in el.factors))
+                     for el in gd.iter_positive_elements(sub, inner)]
+        delta_t = gd.delta_of(group, labels)
+        for p in range(-inner, inner + 1):
+            base = gd.power(delta_t, p)
+            if not base.is_identity and in_universe(base, bound):
+                yield base
+            for pos in positives:
+                el = gd.multiply(base, pos)
+                if in_universe(el, bound):
+                    yield el
 
 
 def _xp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
@@ -155,9 +162,8 @@ def _xp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
 
     def enumerate_up_to(bound: int) -> list[GarsideElement]:
         seen: dict = {}
-        for labels in subsets:
-            for el in _subgroup_members(group, labels, bound):
-                seen.setdefault(_nf_key(el), el)
+        for el in _subgroup_members(group, subsets, bound):
+            seen.setdefault(_nf_key(el), el)
         for el in _delta_even_powers(group, bound):
             seen.setdefault(_nf_key(el), el)
         return sorted(seen.values(), key=lambda e: e.sort_key())
@@ -542,7 +548,7 @@ class QuotientCayleyUniverse:
         twisted = tuple(tau[x] for x in fs)
         for parity, sf in self._steps:
             base = twisted if parity else fs
-            _, res = gd._mul_normal(tab, base, sf)
+            _, res = gd._normalise(tab, base + sf, len(base) - 1)
             if len(res) > self.len_bound:
                 continue
             k = _coset_factors(tau, res)
@@ -578,15 +584,12 @@ def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
     universe = QuotientCayleyUniverse(group, len_bound)
     keys = {()} | {universe.key_of(el)
                    for el in gd.iter_positive_elements(group, len_bound)}
-    key_edges = []
-    for fs in keys:
-        a = _render_factors(group, fs)
-        for w in universe.neighbor_keys(fs):
-            key_edges.append((a, _render_factors(group, w)))
+    text = {fs: _render_factors(group, fs) for fs in keys}
+    key_edges = [(text[fs], text[w]) for fs in keys
+                 for w in universe.neighbor_keys(fs)]
     prov = {"group": group.family, "construction": "quotient-cayley",
             "len_bound": len_bound}
-    return _build_graph((_render_factors(group, fs) for fs in keys),
-                        key_edges, prov)
+    return _build_graph(text.values(), key_edges, prov)
 
 
 def build_cal_graph(group: CoxeterGraph, len_bound: int,

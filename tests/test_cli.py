@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -116,17 +117,40 @@ def test_usage_and_error_exit_codes(capsys):
     data = last_json(out)
     assert code == 3 and data["error"] == "CapExceeded"
     assert "2651623" in data["message"] and str(mt.XNP_BOX_LIMIT) in data["message"]
+    # the XP enumerator at the same step box would walk 3,801,001 subgroup
+    # elements; it is refused up front too
+    t0 = time.perf_counter()
+    code, out = run(capsys, "wordlen", "--group", "A3", "--kind", "XP",
+                    "--word", "s1 s3 s2 s1 s3", "--universe", "2")
+    data = last_json(out)
+    assert code == 3 and data["error"] == "CapExceeded"
+    assert "3801001" in data["message"] and str(mt.XNP_BOX_LIMIT) in data["message"]
+    assert time.perf_counter() - t0 < 1.0
     code, _out = run(capsys, "census", "--group", "I2(5)", "--sup-bound", "12")
     assert code == 0
 
 
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("subset=s1,s2\n# comment\n")
+    cfg.write_text("subset=s1,s2\n# comment\nconj-len=0\nhops=1\nhalf=yes\n")
     code, out = run(capsys, "--config", str(cfg), "member", "--group", "A3",
                     "--word", "s1", "--subset", "s1")
     # explicit flag wins over config
     assert code == 0 and last_json(out)["subset"] == ["s1"]
+    # config values replace defaults: std:s1 within conj-len 0 and 1 hop
+    # has 3 vertices (the defaults 1 and 2 give more)
+    code, out = run(capsys, "--config", str(cfg), "cparab", "--group", "A3",
+                    "--p0", "std:s1")
+    data = last_json(out)
+    assert code == 0 and data["vertices"] == 3
+    assert (data["provenance"]["conj_len"], data["provenance"]["hops"]) == (0, 1)
+    code, out = run(capsys, "--config", str(cfg), "cparab", "--group", "A3",
+                    "--p0", "std:s1", "--hops", "2")
+    assert code == 0 and last_json(out)["provenance"]["hops"] == 2
+    # a flag is set by yes
+    code, out = run(capsys, "--config", str(cfg), "arc-identity", "--n", "3",
+                    "--i", "2", "--k", "1")
+    assert code == 0 and last_json(out)["half"] is True
 
 
 def test_graph_export_roundtrip(tmp_path):

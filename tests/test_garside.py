@@ -2,9 +2,10 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from garsidehyp import garside as gd
-from garsidehyp.coxeter import parse_group_spec
+from garsidehyp.coxeter import CoxeterGraph, parse_group_spec
 from garsidehyp.errors import (
     EmptySubset,
     GroupMismatch,
@@ -232,3 +233,42 @@ def test_positive_nf_enumeration_counts():
             for tup in listed:
                 assert all(tab.is_left_weighted(tup[i], tup[i + 1])
                            for i in range(len(tup) - 1))
+
+
+# One group of each family the kernel meets, A1 (where s = w0 and w0 s^-1 is
+# the identity) and a reducible diagram.
+PROPERTY_GROUPS = {spec: parse_group_spec(spec) for spec in
+                   ("A1", "A3", "B3", "D4", "F4", "H3", "I2(5)", "I2(8)")}
+PROPERTY_GROUPS["A1xA2"] = CoxeterGraph(
+    ("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2")
+
+
+@st.composite
+def _group_and_two_words(draw):
+    group = PROPERTY_GROUPS[draw(st.sampled_from(sorted(PROPERTY_GROUPS)))]
+    letter = st.tuples(st.integers(0, group.rank - 1),
+                       st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    words = st.lists(letter, max_size=12).map(tuple)
+    return group, draw(words), draw(words)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_group_and_two_words())
+def test_kernel_laws_property(case):
+    """nf(u) nf(v) = nf(uv), inverses, left-weightedness, exponent sums."""
+    group, u, v = case
+    tab = group.table()
+    gu = gd.normal_form(gd.LetterWord(group, u))
+    gv = gd.normal_form(gd.LetterWord(group, v))
+    prod = gd.multiply(gu, gv)
+    assert gd.are_equal(prod, gd.normal_form(gd.LetterWord(group, u + v)))
+    for g in (gu, gv, prod):
+        fs = g.factors
+        assert all(0 < x < tab.w0 for x in fs)
+        assert all(tab.is_left_weighted(fs[i], fs[i + 1])
+                   for i in range(len(fs) - 1))
+        gi = gd.invert(g)
+        assert gd.are_equal(gd.invert(gi), g)
+        assert gd.multiply(g, gi).is_identity
+    assert gd.exponent_sum(gu) == gd.LetterWord(group, u).signed_letter_count()
+    assert gd.exponent_sum(prod) == gd.exponent_sum(gu) + gd.exponent_sum(gv)

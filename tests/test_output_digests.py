@@ -2,8 +2,9 @@
 
 Each graph command's `--out` file, and the standard output of each command
 that prints its result, is pinned by a sha256 digest.  A change in how the
-graphs are built or walked therefore cannot move a vertex, an edge, an
-exactness tag or a delta value unnoticed.  Update a digest only together
+graphs are built or walked, or in how normal forms are computed, therefore
+cannot move a vertex, an edge, an exactness tag, a delta value or a normal
+form unnoticed.  Update a digest only together
 with a stated reason for the changed output.
 """
 
@@ -59,6 +60,40 @@ PRINTED = {
         (3, "31294d1f5bd825ae68b9e795bae4d3bf384ba27611e28403021a1ea87a446257"),
     _wordlen("I2(5)", "XP", "a b a^-1 b^3 a^2", "2"):  # unknown
         (3, "4071a04bde543167a43d9a73e3ee2f15afe12f94e0f0a06c1cd4e09a9b97d949"),
+    # kernel: normal forms, products and inverses of long words, exponents
+    # up to +-3; in A1 the generator is D itself and w0 s^-1 is the identity
+    ("nf", "--group", "A1", "--word",
+     "s1^-2 s1^-2 s1^3 s1^2 s1^3 s1^-1 s1^2 s1^-1 s1^2 s1^3 s1^3 s1^3 s1^2 "
+     "s1 s1^-1 s1 s1^3 s1^-1 s1^-1 s1^-2 s1"):
+        (0, "bbf21c35bf90efbc71449cc1333d316d7656abf5c49427b2e0fabb36a87ee1db"),
+    ("nf", "--group", "A5", "--word",
+     "s4^-1 s5^-2 s4^-2 s2^-3 s2^-3 s3^2 s3^2 s4^2 s1^-1 s5^-2 s2 s3^-2 "
+     "s2^-1 s4^2 s2^-1 s4^2 s3^-1 s4^-2 s2^-1 s2^2 s1^-3 s2^-3 s2 s2^-1"):
+        (0, "5ca6e4f2d4f84e20c72c9e5f19035a4b9197fbd448c6b0935d37f8355c50e3e7"),
+    ("nf", "--group", "H3", "--word",
+     "s1^-3 s1^-1 s1^3 s2^2 s2 s3 s3 s1^-3 s2^-1 s2^-2 s3^3 s3^-1 s3^-3 "
+     "s2^-2 s1 s1^2 s1^-1 s2^3 s1^2 s3^2 s2^3 s3^3"):
+        (0, "f40b2a77f18e75b134fed7e926fbc1b86481e89a7e22bade302f3f9bb53b69d3"),
+    ("mul", "--group", "D5", "--left",
+     "s1^-3 s2^-3 s5^-2 s2^3 s5^-3 s5^-2 s2 s5^3 s2^-2 s1^-2 s5^-3 s5^2 "
+     "s5^3 s1^2 s1^2 s2^2 s3^-3 s1^-1 s1^-2 s1^-3", "--right",
+     "s5^3 s5^3 s2^2 s2^3 s2 s2 s3^-1 s4^3 s4^3 s2 s5 s4^2 s2^-2 s2^-1 "
+     "s4^-2 s2^-1 s4^3 s1^-3 s3^3 s1^-2"):
+        (0, "6cdc12b5ebf23ea60eac97b2636d4adc4acc4f6a70961a107e6d0612e28d8cc6"),
+    ("mul", "--group", "I2(7)", "--left",
+     "b^3 a^-2 b^2 b^2 a b^-3 b^2 b^3 a^-2 a a^-2 a^-3 b^-1 b a^-1 b b^2 "
+     "b^-2 a^-3 a^-1", "--right",
+     "b^3 a^2 a^-3 b^-3 b^-2 a^-1 a^-2 a a^2 b a^-2 a^2 a^-2 b^2 b a^3 a^2 "
+     "b^-1 b a b^-1"):
+        (0, "b575784c31d0d043c55c8daa98cad0fc2f9fddef7e0422f38a0030c5ca8e1442"),
+    ("inv", "--group", "F4", "--word",
+     "s3^2 s2^-2 s3^-2 s4 s3^-1 s2 s1^-1 s4^3 s2^-1 s4^2 s2^3 s3^-1 s2^-3 "
+     "s2 s3^-1 s2^3 s4^3 s3^-2 s4^-1 s1^2 s4^3 s1^3"):
+        (0, "6a2aea994d3b60f2fa9483e8f32d1bd94ad6ecb119d17f385e58fb5012070951"),
+    ("inv", "--group", "A1", "--word",
+     "s1^-3 s1^2 s1^-2 s1^2 s1^-3 s1^3 s1 s1^-2 s1^-1 s1 s1^-3 s1^-2 s1^2 "
+     "s1^-2 s1^-2 s1^3 s1^3 s1^3 s1^-2 s1"):
+        (0, "7238a23fa4fc8b49117af731665f7eae1b3693bf461330f15ae69e8536c72149"),
 }
 
 
