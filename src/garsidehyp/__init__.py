@@ -15,15 +15,18 @@ triangles), `braidtop` (braid-specific constructions), `metrics`
 `acceptance` (the checklist), `cli` (command line).
 """
 
-from . import (  # noqa: F401
-    absorbable,
-    acceptance,
-    braidtop,
-    coxeter,
-    garside,
-    graphio,
-    metrics,
-    parabolic,
-)
+import importlib
+
+from . import absorbable, coxeter, garside, parabolic  # noqa: F401
 
 __version__ = "0.1.0"
+
+# Loaded on first use, so that kernel work does not pay for the graph,
+# acceptance and command-line modules.
+_ON_DEMAND = ("acceptance", "braidtop", "cli", "graphio", "metrics")
+
+
+def __getattr__(name: str):
+    if name in _ON_DEMAND:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

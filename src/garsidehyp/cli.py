@@ -15,11 +15,7 @@ import json
 import sys
 
 from . import absorbable as ab
-from . import acceptance
-from . import braidtop as bt
 from . import garside as gd
-from . import graphio
-from . import metrics as mt
 from . import parabolic as pb
 from .coxeter import CoxeterGraph, graph_properties, parse_group_spec
 from .errors import (
@@ -43,6 +39,7 @@ def _emit(payload: dict) -> None:
 
 def _export(graph, args) -> None:
     if getattr(args, "out", None):
+        from . import graphio
         fmt = args.format or ("dot" if str(args.out).endswith(".dot") else "json")
         graphio.export_graph(graph, fmt, args.out)
 
@@ -130,6 +127,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_cparab(args) -> int:
+    from . import metrics as mt
     group = parse_group_spec(args.group)
     p0 = _parse_parabolic(group, args.p0)
     graph = mt.build_cparab_neighborhood(p0, args.conj_len, args.hops)
@@ -140,6 +138,7 @@ def cmd_cparab(args) -> int:
 
 
 def cmd_cal(args) -> int:
+    from . import metrics as mt
     group = parse_group_spec(args.group)
     graph = mt.build_cal_graph(group, args.len_bound, args.abs_bound,
                                args.witness_bound)
@@ -150,6 +149,7 @@ def cmd_cal(args) -> int:
 
 
 def cmd_quotient_cayley(args) -> int:
+    from . import metrics as mt
     group = parse_group_spec(args.group)
     graph = mt.quotient_cayley_graph(group, args.len_bound)
     _export(graph, args)
@@ -159,6 +159,7 @@ def cmd_quotient_cayley(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    from . import metrics as mt
     group = parse_group_spec(args.group)
     oracle = mt.genset_oracle(group, args.kind, args.witness_bound)
     graph = mt.bounded_ball_graph(oracle, args.radius, args.universe)
@@ -169,6 +170,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_wordlen(args) -> int:
+    from . import metrics as mt
     group = parse_group_spec(args.group)
     oracle = mt.genset_oracle(group, args.kind, args.witness_bound)
     g = gd.normal_form(gd.parse_word(group, args.word))
@@ -185,6 +187,7 @@ def cmd_fat_triangle(args) -> int:
     payload = {"L": tri.length, "x": tri.x.render(), "xy": tri.xy.render()}
     code = EXIT_PASS
     if args.check_distances:
+        from . import metrics as mt
         universe_len = args.universe if args.universe else tri.length + 2
         uni = mt.QuotientCayleyUniverse(group, universe_len)
         rep = mt.fat_triangle_distances(tri, uni)
@@ -203,12 +206,14 @@ def cmd_fat_triangle(args) -> int:
 
 
 def cmd_arc_identity(args) -> int:
+    from . import braidtop as bt
     ok = bt.arc_stabilizer_identity(args.n, args.i, args.k, half=args.half)
     _emit({"n": args.n, "i": args.i, "k": args.k, "half": args.half, "equal": ok})
     return EXIT_PASS if ok else EXIT_FAIL
 
 
 def cmd_double(args) -> int:
+    from . import braidtop as bt
     source = parse_group_spec(f"A{args.n - 1}")
     word = gd.parse_word(source, args.word)
     img = bt.double_first_strand(word, args.n)
@@ -217,6 +222,7 @@ def cmd_double(args) -> int:
 
 
 def cmd_delta_factor(args) -> int:
+    from . import braidtop as bt
     group = parse_group_spec(args.group)
     fact = bt.delta_three_parabolic_factorization(group)
     prod = gd.identity_element(group)
@@ -230,6 +236,7 @@ def cmd_delta_factor(args) -> int:
 
 
 def cmd_qi_constants(args) -> int:
+    from . import metrics as mt
     group = parse_group_spec(args.group)
     stds = [pb.standard_parabolic(group, t)
             for t in pb.proper_irreducible_subsets(group)]
@@ -250,6 +257,7 @@ def cmd_qi_constants(args) -> int:
 
 
 def cmd_delta_estimate(args) -> int:
+    from . import metrics as mt
     group = parse_group_spec(args.group)
     if args.construction == "cal":
         graph = mt.build_cal_graph(group, args.len_bound)
@@ -265,6 +273,7 @@ def cmd_delta_estimate(args) -> int:
 
 
 def cmd_accept(args) -> int:
+    from . import acceptance
     if args.criterion == "all":
         numbers = sorted(acceptance.CRITERIA)
     else:
@@ -292,6 +301,7 @@ def cmd_props(args) -> int:
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name."""
+    from . import metrics as mt
     parser = argparse.ArgumentParser(
         prog="garsidehyp",
         description="Garside arithmetic and candidate hyperbolic structures "

@@ -48,9 +48,6 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 52_000
-# Entries of a table's slide memo; it is emptied when full, so that its
-# memory stays bounded however many distinct pairs a long run meets.
-RENORM_MEMO_LIMIT = 8192
 
 LEFT = "left"
 RIGHT = "right"
@@ -178,10 +175,16 @@ class CoxeterGraph:
         return order
 
     def table(self) -> "SimpleTable":
-        tab = _tables.get(self)
-        if tab is None:
-            tab = _tables[self] = SimpleTable(self, DEFAULT_ORDER_CAP)
-        return tab
+        # Kept on the instance too: hashing the matrix on every call costs
+        # more than the table lookups of a short product.
+        try:
+            return self._table
+        except AttributeError:
+            tab = _tables.get(self)
+            if tab is None:
+                tab = _tables[self] = SimpleTable(self, DEFAULT_ORDER_CAP)
+            object.__setattr__(self, "_table", tab)
+            return tab
 
 
 def _family_order(fam: str) -> int:
@@ -546,26 +549,16 @@ class SimpleTable:
 
         # left_comp[x] = w0 x^{-1}  (the simple completing x to w0 on the left)
         # tau[x]       = w0 x w0    (conjugation by the Garside element)
-        self.left_comp = [self._fold(self.w0, self.inverse[x]) for x in range(size)]
-        self.tau = [self._fold(self._fold(self.w0, x), self.w0) for x in range(size)]
+        self.left_comp = [self.mult(self.w0, self.inverse[x]) for x in range(size)]
+        self.tau = [self.mult(self.mult(self.w0, x), self.w0) for x in range(size)]
 
-        self._mult_memo: dict[tuple[int, int], int] = {}
-        self._renorm_memo: dict[int, tuple[int, int]] = {}  # key x*size+y
         self._follows_memo: dict[int, tuple[int, ...]] = {}
-
-    def _fold(self, x: int, y: int) -> int:
-        for s in self.word[y]:
-            x = self.rmult[x][s]
-        return x
 
     def mult(self, x: int, y: int) -> int:
         """Product in W (not the monoid product of lifts)."""
-        key = (x, y)
-        got = self._mult_memo.get(key)
-        if got is None:
-            got = self._fold(x, y)
-            self._mult_memo[key] = got
-        return got
+        for s in self.word[y]:
+            x = self.rmult[x][s]
+        return x
 
     def is_left_weighted(self, x: int, y: int) -> bool:
         return self.ldesc[y] & ~self.rdesc[x] == 0
@@ -576,22 +569,14 @@ class SimpleTable:
         Preserves the monoid product lift(x)lift(y); may return y = identity
         or x = w0.
         """
-        key = x * self.size + y
-        got = self._renorm_memo.get(key)
-        if got is None:
-            a, b = x, y
-            while True:
-                free = self.ldesc[b] & ~self.rdesc[a]
-                if not free:
-                    break
-                s = (free & -free).bit_length() - 1
-                a = self.rmult[a][s]
-                b = self.lmult[b][s]
-            got = (a, b)
-            if len(self._renorm_memo) >= RENORM_MEMO_LIMIT:
-                self._renorm_memo.clear()
-            self._renorm_memo[key] = got
-        return got
+        ldesc, rdesc, rmult, lmult = self.ldesc, self.rdesc, self.rmult, self.lmult
+        while True:
+            free = ldesc[y] & ~rdesc[x]
+            if not free:
+                return x, y
+            s = (free & -free).bit_length() - 1
+            x = rmult[x][s]
+            y = lmult[y][s]
 
     def follows(self, x: int) -> tuple[int, ...]:
         """All y (nontrivial, not w0) with (x, y) left-weighted, index order."""

@@ -15,9 +15,10 @@ Its contract is that seq[:start+1] is already normal, so the loop starts at
 the junction `start`; a slide that empties x_{i+1} deletes it, and leading
 w0 factors go into the Garside power.  Sliding preserves the monoid product
 of the positive lifts, so the result represents the same group element.
-The per-pair slides are memoized in the group's SimpleTable.  Products comb
-gh from the junction of the two normal forms; the other entry points call
-the same loop.
+A slide costs one table lookup per letter moved and is not memoized, so
+memory does not grow with the number of products.  Products comb gh from
+the junction of the two normal forms; the other entry points call the same
+loop.
 
 Words fold into the normal form letter by letter, each letter combed in at
 the end.  A negative letter s^-1 enters as D^-1 (w0 s^-1), using that the
@@ -88,7 +89,7 @@ def parse_word(group: CoxeterGraph, text: str) -> LetterWord:
 # Normal forms
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class GarsideElement:
     """A group element in left-greedy normal form D^power factors."""
 
@@ -138,19 +139,21 @@ def _normalise(tab: SimpleTable, seq: Sequence[int],
     identity factors are dropped.
     """
     fs = [f for f in seq if f]
-    weighted, renorm = tab.is_left_weighted, tab.renorm
-    i = max(start, 0)
+    ldesc, rdesc, renorm = tab.ldesc, tab.rdesc, tab.renorm
+    i = start if start > 0 else 0
     while i < len(fs) - 1:
-        if weighted(fs[i], fs[i + 1]):
+        x, y = fs[i], fs[i + 1]
+        if not ldesc[y] & ~rdesc[x]:   # tab.is_left_weighted(x, y), inlined
             i += 1
             continue
-        a, b = renorm(fs[i], fs[i + 1])
+        a, b = renorm(x, y)
         if b:
             fs[i], fs[i + 1] = a, b
         else:
             fs[i] = a
             del fs[i + 1]
-        i = max(0, i - 1)
+        if i:
+            i -= 1
     d = 0
     while d < len(fs) and fs[d] == tab.w0:
         d += 1
@@ -197,7 +200,7 @@ def normal_form(word: LetterWord) -> GarsideElement:
 
 
 def _check_group(g: GarsideElement, h: GarsideElement):
-    if g.group != h.group:
+    if g.group is not h.group and g.group != h.group:
         raise GroupMismatch("elements live in different groups")
 
 
