@@ -455,12 +455,22 @@ def _config_defaults(path: str, args: argparse.Namespace) -> dict:
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    sub = commands[args.command]
     if args.config:
-        # Config values become the subcommand's defaults, so explicit flags win.
-        commands[args.command].set_defaults(**_config_defaults(args.config, args))
+        # Config values become defaults, so flags win; argparse checks no default's choices.
+        config = _config_defaults(args.config, args)
+        for action in sub._actions:
+            if action.dest in config and action.choices is not None:
+                try:
+                    sub._check_value(action, config[action.dest])
+                except argparse.ArgumentError as exc:
+                    sub.error(str(exc))
+        sub.set_defaults(**config)
         args = parser.parse_args(argv)
     try:
         code = args.func(args)
+    except argparse.ArgumentTypeError as exc:   # a literal parsed by a handler
+        sub.error(str(exc))
     except GarsideHypError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         if isinstance(exc, (CapExceeded, OrderOverflow)):

@@ -2,7 +2,7 @@
 
 Output is bit-stable for identical inputs: vertices are already sorted in
 the graph, JSON is dumped with sorted keys, and DOT lines follow vertex and
-edge order.
+edge order.  The JSON export streams into the open file.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ JSON_SCHEMA_VERSION = 1
 def graph_to_json_dict(graph: MetricGraph) -> dict:
     return {
         "schema": JSON_SCHEMA_VERSION,
-        "vertices": list(graph.vertices),
-        "edges": [list(e) for e in graph.edges],
+        "vertices": graph.vertices,   # tuples encode as JSON arrays
+        "edges": graph.edges,
         "provenance": graph.provenance,
     }
 
@@ -31,8 +31,9 @@ def graph_from_json_dict(data: dict) -> MetricGraph:
 
 
 def export_json(graph: MetricGraph, path) -> None:
-    text = json.dumps(graph_to_json_dict(graph), sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n")
+    with open(path, "w") as fh:
+        json.dump(graph_to_json_dict(graph), fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def import_json(path) -> MetricGraph:

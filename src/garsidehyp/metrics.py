@@ -23,6 +23,14 @@ step from one box vertex to another may use any member of the generating
 set.  `_box_step_generators` lists every such member.  The target of
 `word_length_bound` ends the search wherever it lies; every vertex the search
 expands stays in the box.
+
+Graph builders work on normal-form keys (power, factors), multiply them
+with `_key_product` and render each vertex once.  `quotient_cayley_graph`
+steps by positive simples only: the edge {C, C x^-1} is the edge {C', C' x}
+with C' = C x^-1, seen from its other end.  `bounded_ball_graph` keeps each
+expanded vertex's products for its edge pass.  `estimate_delta` keeps a
+distance row as one byte per vertex, 255 when unreached, and refuses a
+distance above 254 (`CapExceeded`) rather than wrap it.
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ KIND_SIMPLES = "Simples"
 KIND_FINITE = "FiniteS_plus_Delta2"
 KINDS = (KIND_XP, KIND_XNP, KIND_XABS, KIND_SIMPLES, KIND_FINITE)
 
+UNREACHED = 255   # the distance-row byte of a vertex not reached
+
 # The XNP enumerator tests every element of its box for membership, at about
 # 0.1 ms each; a box above this many elements is refused rather than filtered.
 XNP_BOX_LIMIT = 100_000
@@ -63,8 +73,22 @@ def _nf_key(g: GarsideElement) -> tuple[int, tuple[int, ...]]:
     return (g.power, g.factors)
 
 
+def _key_product(tab, key, u) -> tuple[int, tuple[int, ...]]:
+    """Key of key * u, formed as `gd.multiply` forms it, with no element built."""
+    p, fs = key
+    q, us = u
+    if q % 2:
+        fs = tuple(tab.tau[x] for x in fs)
+    d, res = gd._normalise(tab, fs + us, len(fs) - 1)
+    return p + q + d, res
+
+
+def _in_box(key, bound: int) -> bool:
+    return abs(key[0]) <= bound and len(key[1]) <= bound
+
+
 def in_universe(g: GarsideElement, bound: int) -> bool:
-    return abs(g.power) <= bound and g.canonical_length <= bound
+    return _in_box(_nf_key(g), bound)
 
 
 def is_central_even_delta_power(g: GarsideElement) -> bool:
@@ -357,21 +381,17 @@ class MetricGraph:
         return len(self.bfs_distances(0)) == len(self.vertices)
 
 
-def _build_graph(keys: Iterable[str], key_edges: Iterable[tuple[str, str]],
-                 provenance: dict) -> MetricGraph:
-    vertices = tuple(sorted(set(keys)))
-    index = {k: i for i, k in enumerate(vertices)}
+def _build_graph(text: dict, key_edges: Iterable[tuple], provenance: dict) -> MetricGraph:
+    """The graph that `key_edges` induce on the keys of `text`, a map from
+    vertex key to text key; vertices are sorted by text, loops dropped."""
+    order = sorted(text, key=text.__getitem__)
+    index = {k: i for i, k in enumerate(order)}
     edges = set()
     for a, b in key_edges:
-        i, j = index[a], index[b]
-        if i == j:
-            continue
-        edges.add((min(i, j), max(i, j)))
-    return MetricGraph(vertices, tuple(sorted(edges)), provenance)
-
-
-def element_key(g: GarsideElement) -> str:
-    return g.render()
+        i, j = index.get(a), index.get(b)
+        if i is not None and j is not None and i != j:
+            edges.add((i, j) if i < j else (j, i))
+    return MetricGraph(tuple(text[k] for k in order), tuple(sorted(edges)), provenance)
 
 
 def _coset_factors(tau: Sequence[int], factors: tuple[int, ...]) -> tuple[int, ...]:
@@ -383,12 +403,12 @@ def _coset_factors(tau: Sequence[int], factors: tuple[int, ...]) -> tuple[int, .
     return min(factors, tuple(tau[x] for x in factors))
 
 
-def _render_factors(group: CoxeterGraph, fs: tuple[int, ...]) -> str:
-    return gd.GarsideElement(group, 0, fs).render()
+def _render_key(group: CoxeterGraph, key) -> str:
+    return gd.GarsideElement(group, *key).render()
 
 
 def coset_key(g: GarsideElement) -> str:
-    return _render_factors(g.group, _coset_factors(g.group.table().tau, g.factors))
+    return _render_key(g.group, (0, _coset_factors(g.group.table().tau, g.factors)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,42 +438,40 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
     if radius < 0:
         raise UniverseTooSmall("radius must be >= 0")
     group = oracle.group
-    gens = _box_step_generators(oracle, universe_len) if radius else []
+    tab = group.table()
+    gens = [_nf_key(u) for u in _box_step_generators(oracle, universe_len)] if radius else []
     clipped = False
+    products: dict = {}   # expanded vertex -> its products with every generator
 
     def step(key):
         nonlocal clipped
-        g = gd.GarsideElement(group, *key)
-        out = []
-        for u in gens:
-            h = gd.multiply(g, u)
-            if in_universe(h, universe_len):
-                out.append(_nf_key(h))
-            else:
-                clipped = True
+        prods = products[key] = [_key_product(tab, key, u) for u in gens]
+        out = [h for h in prods if _in_box(h, universe_len)]
+        clipped = clipped or len(out) < len(prods)
         return out
 
     dist: dict = {}
-    for d, _ in enumerate(_bfs_layers(dist, _nf_key(gd.identity_element(group)), step)):
+    for d, _ in enumerate(_bfs_layers(dist, (0, ()), step)):
         if d == radius:
             break
     else:
         if clipped and d + 1 < radius:
             raise UniverseTooSmall(
                 f"ball expansion stalled at radius {d + 1} < {radius}")
-    elems = [gd.GarsideElement(group, *key) for key in dist]
-    key_edges = []
-    for g in elems:
-        for u in gens:
-            h = gd.multiply(g, u)
-            k = _nf_key(h)
-            if k in dist and k != _nf_key(g):
-                key_edges.append((element_key(g), element_key(h)))
+
+    def key_edges():
+        for k in dist:
+            prods = products.get(k)
+            if prods is None:   # the last layer, never expanded
+                prods = [_key_product(tab, k, u) for u in gens]
+            for h in prods:
+                yield k, h
+
     prov = {"group": group.family, "construction": f"ball[{oracle.kind}]",
             "radius": radius, "universe_len": universe_len}
     if oracle.notes:
         prov["notes"] = oracle.notes
-    return _build_graph((element_key(g) for g in elems), key_edges, prov)
+    return _build_graph({k: _render_key(group, k) for k in dist}, key_edges(), prov)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -475,8 +493,8 @@ def word_length_bound(g: GarsideElement, oracle: GeneratingSetOracle,
         return WordLengthResult("exact", 0, universe_len)
     if oracle.membership(g):
         return WordLengthResult("exact", 1, universe_len)
-    group = oracle.group
-    gens = _box_step_generators(oracle, universe_len)
+    tab = oracle.group.table()
+    gens = [_nf_key(u) for u in _box_step_generators(oracle, universe_len)]
     target = _nf_key(g)
     clipped = found = False
 
@@ -486,21 +504,19 @@ def word_length_bound(g: GarsideElement, oracle: GeneratingSetOracle,
         nonlocal clipped, found
         if found:
             return ()
-        v = gd.GarsideElement(group, *key)
         out = []
         for u in gens:
-            h = gd.multiply(v, u)
-            k = _nf_key(h)
+            k = _key_product(tab, key, u)
             if k == target:
                 found = True
                 return (k,)
-            if in_universe(h, universe_len):
+            if _in_box(k, universe_len):
                 out.append(k)
             else:
                 clipped = True
         return out
 
-    for d, _ in enumerate(_bfs_layers({}, _nf_key(gd.identity_element(group)), step)):
+    for d, _ in enumerate(_bfs_layers({}, (0, ()), step)):
         if found:
             exact = d <= 2 or (oracle.step_local and not clipped)
             return WordLengthResult("exact" if exact else "upper", d, universe_len)
@@ -528,27 +544,23 @@ class QuotientCayleyUniverse:
         self.len_bound = len_bound
         tab = group.table()
         self.tab = tab
-        # Steps as (tau-parity, factor tuple): a simple x contributes
-        # (0, (x,)), its inverse D^-1 lift(w0 x^-1) contributes (1, (c,)).
-        self._steps: list[tuple[int, tuple[int, ...]]] = []
-        for x in range(1, tab.size):
-            if x != tab.w0:
-                self._steps.append((0, (x,)))
-                c = tab.left_comp[x]
-                self._steps.append((1, (c,) if c else ()))
+        # Steps as normal-form keys: a simple x is (0, (x,)), its inverse
+        # D^-1 lift(w0 x^-1) is (-1, (c,)).
+        simples = [x for x in range(1, tab.size) if x != tab.w0]
+        self.positive_steps = [(0, (x,)) for x in simples]
+        self._steps = self.positive_steps + [(-1, (tab.left_comp[x],)) for x in simples]
 
     def key_of(self, g: GarsideElement) -> tuple[int, ...]:
         return _coset_factors(self.tab.tau, g.factors)
 
-    def neighbor_keys(self, fs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    def neighbor_keys(self, fs: tuple[int, ...], steps=None) -> list[tuple[int, ...]]:
+        """Keys of the cosets one step from fs, by `steps` (default: all)."""
         tab = self.tab
         tau = tab.tau
         out = []
         seen = {fs}
-        twisted = tuple(tau[x] for x in fs)
-        for parity, sf in self._steps:
-            base = twisted if parity else fs
-            _, res = gd._normalise(tab, base + sf, len(base) - 1)
+        for u in self._steps if steps is None else steps:
+            _, res = _key_product(tab, (0, fs), u)
             if len(res) > self.len_bound:
                 continue
             k = _coset_factors(tau, res)
@@ -582,14 +594,14 @@ def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
     """Materialized Cay(A)/<D> truncation: cosets of canonical length <= bound,
     edges between cosets differing by one nontrivial simple."""
     universe = QuotientCayleyUniverse(group, len_bound)
-    keys = {()} | {universe.key_of(el)
-                   for el in gd.iter_positive_elements(group, len_bound)}
-    text = {fs: _render_factors(group, fs) for fs in keys}
-    key_edges = [(text[fs], text[w]) for fs in keys
-                 for w in universe.neighbor_keys(fs)]
+    keys = {_coset_factors(universe.tab.tau, fs) for ell in range(len_bound + 1)
+            for fs in gd.iter_positive_factor_tuples(group, ell)}
+    key_edges = ((fs, w) for fs in keys
+                 for w in universe.neighbor_keys(fs, universe.positive_steps))
     prov = {"group": group.family, "construction": "quotient-cayley",
             "len_bound": len_bound}
-    return _build_graph(text.values(), key_edges, prov)
+    return _build_graph({fs: _render_key(group, (0, fs)) for fs in keys},
+                        key_edges, prov)
 
 
 def build_cal_graph(group: CoxeterGraph, len_bound: int,
@@ -601,22 +613,24 @@ def build_cal_graph(group: CoxeterGraph, len_bound: int,
     abs_bound = len_bound if abs_sup_bound is None else abs_sup_bound
     # The nontrivial simples and their inverses; the D^{+-1} steps listed
     # with them never join two distinct cosets.
-    steps = {_nf_key(el): el for el in _simples_oracle(group).enumerate_up_to(1)}
-    for el in ab.enumerate_absorbable(group, abs_bound, witness_bound):
-        steps.setdefault(_nf_key(el), el)
-    reps = [gd.identity_element(group), *gd.iter_positive_elements(group, len_bound)]
-    keys = {coset_key(r) for r in reps}
-    key_edges = []
-    for rep in reps:
-        a = coset_key(rep)
-        for u in steps.values():
-            b = coset_key(gd.multiply(rep, u))
-            if b != a and b in keys:
-                key_edges.append((a, b))
+    steps = {_nf_key(el) for el in _simples_oracle(group).enumerate_up_to(1)}
+    steps.update(_nf_key(el)
+                 for el in ab.enumerate_absorbable(group, abs_bound, witness_bound))
+    tab = group.table()
+    reps = [fs for ell in range(len_bound + 1)
+            for fs in gd.iter_positive_factor_tuples(group, ell)]
+
+    def key_edges():
+        for fs in reps:
+            a = _coset_factors(tab.tau, fs)
+            for u in steps:
+                yield a, _coset_factors(tab.tau, _key_product(tab, (0, fs), u)[1])
+
     prov = {"group": group.family, "construction": "additional-length",
             "len_bound": len_bound, "abs_sup_bound": abs_bound,
             "notes": "absorbable edges from bounded census (lower approximation)"}
-    return _build_graph(keys, key_edges, prov)
+    text = {k: _render_key(group, (0, k)) for k in {_coset_factors(tab.tau, fs) for fs in reps}}
+    return _build_graph(text, key_edges(), prov)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +675,7 @@ def build_cparab_neighborhood(p0: ParabolicSubgroup, conj_len: int,
                  for b in kept_keys[i + 1:] if adjacent(a, b)]
     prov = {"group": group.family, "construction": "cparab",
             "p0": p0.key(), "conj_len": conj_len, "hops": hops}
-    return _build_graph(kept_keys, key_edges, prov)
+    return _build_graph({k: k for k in kept_keys}, key_edges, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -819,34 +833,39 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0,
         return Fraction(0)
     if not graph.is_connected() and not per_component:
         raise DisconnectedInput("graph is disconnected")
-    dist_rows: dict[int, dict[int, int]] = {}
+    rows: dict[int, bytearray] = {}
 
-    def dist(i: int, j: int) -> int | None:
-        if i not in dist_rows:
-            dist_rows[i] = graph.bfs_distances(i)
-        return dist_rows[i].get(j)
+    def row(i: int) -> bytearray:
+        if i not in rows:
+            dist = graph.bfs_distances(i)
+            if max(dist.values()) >= UNREACHED:
+                raise CapExceeded(f"a graph distance is over the row limit of {UNREACHED - 1}")
+            rows[i] = r = bytearray([UNREACHED]) * n
+            for j, d in dist.items():
+                r[j] = d
+        return rows[i]
 
-    def defect(a, b, c, d) -> Fraction:
-        pairs = [(dist(a, b), dist(c, d)), (dist(a, c), dist(b, d)),
-                 (dist(a, d), dist(b, c))]
-        if any(x is None or y is None for x, y in pairs):
-            return Fraction(0)  # different components; skip
-        sums = sorted(x + y for x, y in pairs)
-        return Fraction(sums[2] - sums[1], 2)
+    def defect(a, b, c, d) -> int:   # twice the four-point defect
+        ra, rb, rc = row(a), row(b), row(c)
+        ds = (ra[b], rc[d], ra[c], rb[d], ra[d], rb[c])
+        if UNREACHED in ds:
+            return 0  # different components; skip
+        sums = sorted((ds[0] + ds[1], ds[2] + ds[3], ds[4] + ds[5]))
+        return sums[2] - sums[1]
 
-    best = Fraction(0)
+    best = 0
     total = n * (n - 1) * (n - 2) * (n - 3) // 24 if n >= 4 else 0
     if total and sample >= total:
         for quad in itertools.combinations(range(n), 4):
             best = max(best, defect(*quad))
-        return best
+        return Fraction(best, 2)
     rng = _random.Random(seed)
     if n < 4:
         return Fraction(0)
     for _ in range(sample):
         quad = rng.sample(range(n), 4)
         best = max(best, defect(*quad))
-    return best
+    return Fraction(best, 2)
 
 
 # ---------------------------------------------------------------------------

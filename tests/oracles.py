@@ -12,11 +12,21 @@ element models or tables:
   finite level by level).
 - `greedy_nf_oracle` computes the left-greedy normal form of a positive word
   by brute-force maximal simple prefixes over the positive closure.
+
+The reference graph builders at the end are the exception: they are the
+plain forms of the builders in `garsidehyp.metrics`, on the library's
+kernel.  They multiply elements with `garside.multiply` wherever a product
+is needed, key vertices by their rendered text and hold each delta row as a
+dict, and the tests require the library's builders to give the same graphs,
+delta values and exported bytes.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import random
+from fractions import Fraction
 
 
 def pi_word(s, t, m):
@@ -172,3 +182,87 @@ def greedy_nf_oracle(oracle: WordOracle, word):
     while factors and factors[-1] == 0:
         factors.pop()
     return power, factors
+
+
+# ---------------------------------------------------------------------------
+# Reference graph builders
+# ---------------------------------------------------------------------------
+
+def reference_graph(keys, key_edges):
+    """(vertices, edges) on text keys: sorted vertices, index pairs i < j."""
+    vertices = tuple(sorted(set(keys)))
+    index = {k: i for i, k in enumerate(vertices)}
+    edges = {tuple(sorted((index[a], index[b]))) for a, b in key_edges if a != b}
+    return vertices, tuple(sorted(edges))
+
+
+def reference_quotient_cayley(group, len_bound):
+    """Cay(A)/<D> truncation, stepping from every coset by every nontrivial
+    simple and by its inverse."""
+    from garsidehyp import garside as gd, metrics as mt
+    universe = mt.QuotientCayleyUniverse(group, len_bound)
+    keys = {()} | {universe.key_of(el)
+                   for el in gd.iter_positive_elements(group, len_bound)}
+    text = {fs: gd.GarsideElement(group, 0, fs).render() for fs in keys}
+    return reference_graph(text.values(), [(text[fs], text[w]) for fs in keys
+                                           for w in universe.neighbor_keys(fs)])
+
+
+def reference_ball(oracle, radius, universe_len):
+    """Word-metric ball whose edge pass multiplies every vertex by every
+    step generator again."""
+    from garsidehyp import garside as gd, metrics as mt
+    group = oracle.group
+    gens = mt._box_step_generators(oracle, universe_len) if radius else []
+    one = gd.identity_element(group)
+    layers = [{one.render(): one}]
+    seen = dict(layers[0])
+    for _ in range(radius):
+        nxt = {}
+        for g in layers[-1].values():
+            for u in gens:
+                h = gd.multiply(g, u)
+                if mt.in_universe(h, universe_len) and h.render() not in seen:
+                    nxt[h.render()] = seen[h.render()] = h
+        layers.append(nxt)
+    edges = [(key, gd.multiply(g, u).render())
+             for key, g in seen.items() for u in gens]
+    return reference_graph(seen, [(a, b) for a, b in edges if b in seen])
+
+
+def reference_delta(graph, sample, seed=0):
+    """Four-point delta with one distance dict per row; the sampler is the
+    library's, so the same 4-tuples are drawn.  Different components count
+    as defect 0."""
+    n = len(graph.vertices)
+    rows = {}
+
+    def dist(i, j):
+        if i not in rows:
+            rows[i] = graph.bfs_distances(i)
+        return rows[i].get(j)
+
+    def defect(a, b, c, d):
+        pairs = [(dist(a, b), dist(c, d)), (dist(a, c), dist(b, d)),
+                 (dist(a, d), dist(b, c))]
+        if any(x is None or y is None for x, y in pairs):
+            return Fraction(0)
+        sums = sorted(x + y for x, y in pairs)
+        return Fraction(sums[2] - sums[1], 2)
+
+    if n < 4:
+        return Fraction(0)
+    if sample >= n * (n - 1) * (n - 2) * (n - 3) // 24:
+        quads = itertools.combinations(range(n), 4)
+    else:
+        rng = random.Random(seed)
+        quads = (rng.sample(range(n), 4) for _ in range(sample))
+    return max((defect(*q) for q in quads), default=Fraction(0))
+
+
+def reference_json_text(graph):
+    """The JSON export of a graph, built whole in memory with list values."""
+    data = {"schema": 1, "vertices": list(graph.vertices),
+            "edges": [list(e) for e in graph.edges],
+            "provenance": graph.provenance}
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"

@@ -128,6 +128,11 @@ def test_usage_and_error_exit_codes(capsys):
     assert time.perf_counter() - t0 < 1.0
     code, _out = run(capsys, "census", "--group", "I2(5)", "--sup-bound", "12")
     assert code == 0
+    # a malformed parabolic literal is a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cparab", "--group", "A3", "--p0", "s1,s2"])
+    assert exc.value.code == 2
+    assert "bad parabolic literal 's1,s2'" in capsys.readouterr().err
 
 
 def test_config_file(capsys, tmp_path):
@@ -151,6 +156,15 @@ def test_config_file(capsys, tmp_path):
     code, out = run(capsys, "--config", str(cfg), "arc-identity", "--n", "3",
                     "--i", "2", "--k", "1")
     assert code == 0 and last_json(out)["half"] is True
+    # a config value is checked against the option's choices
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("format=xml\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(bad), "quotient-cayley", "--group", "A2",
+                  "--len-bound", "1", "--out", str(tmp_path / "f")])
+    assert exc.value.code == 2
+    assert "argument --format: invalid choice: 'xml'" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
 
 
 def test_graph_export_roundtrip(tmp_path):

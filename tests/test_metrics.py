@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,11 +8,18 @@ from garsidehyp import absorbable as ab
 from garsidehyp import garside as gd
 from garsidehyp import metrics as mt
 from garsidehyp import parabolic as pb
-from garsidehyp.coxeter import parse_group_spec
+from garsidehyp.coxeter import CoxeterGraph, parse_group_spec
 from garsidehyp.errors import (
+    CapExceeded,
     DisconnectedInput,
     RepresentativeMissing,
     UniverseTooSmall,
+)
+from oracles import (
+    reference_ball,
+    reference_delta,
+    reference_json_text,
+    reference_quotient_cayley,
 )
 
 A3 = parse_group_spec("A3")
@@ -347,3 +355,99 @@ def test_lipschitz_check_passes():
     base = pb.standard_parabolic(A3, ("s1",))
     rep = mt.lipschitz_path_check(A3, base, samples=60, seed=10)
     assert rep.all_pass and rep.m1 == 2
+
+
+# --- builders against the references in oracles.py -----------------------------
+
+A1XA2 = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2")
+EQUIV_GROUPS = {"A2": I3, "A3": A3, "B3": parse_group_spec("B3"), "I2(5)": I5,
+                "A1xA2": A1XA2}
+
+
+def _pair(graph):
+    return graph.vertices, graph.edges
+
+
+@pytest.mark.parametrize("spec,bound", [("A2", 3), ("A3", 3), ("B3", 2),
+                                        ("I2(5)", 3), ("A1xA2", 3)])
+def test_quotient_cayley_matches_two_direction_reference(spec, bound):
+    group = EQUIV_GROUPS[spec]
+    graph = mt.quotient_cayley_graph(group, bound)
+    assert _pair(graph) == reference_quotient_cayley(group, bound)
+    # the dict-row delta draws the same 4-tuples and finds the same defect
+    for seed in (1, 2):
+        assert mt.estimate_delta(graph, 300, seed) == \
+            reference_delta(graph, 300, seed)
+
+
+@pytest.mark.parametrize("spec,kind,radius,universe", [
+    ("A2", mt.KIND_SIMPLES, 3, 2), ("A3", mt.KIND_SIMPLES, 3, 2),
+    ("B3", mt.KIND_SIMPLES, 2, 1), ("I2(5)", mt.KIND_SIMPLES, 3, 2),
+    ("A1xA2", mt.KIND_SIMPLES, 3, 2), ("A2", mt.KIND_FINITE, 3, 3),
+    ("A1xA2", mt.KIND_FINITE, 2, 2), ("I2(5)", mt.KIND_XP, 2, 2),
+    ("A2", mt.KIND_XABS, 2, 2), ("A2", mt.KIND_XNP, 2, 2),
+    ("A2", mt.KIND_SIMPLES, 0, 2),
+])
+def test_ball_matches_reference(spec, kind, radius, universe):
+    oracle = mt.genset_oracle(EQUIV_GROUPS[spec], kind)
+    graph = mt.bounded_ball_graph(oracle, radius, universe)
+    assert _pair(graph) == reference_ball(oracle, radius, universe)
+    assert mt.estimate_delta(graph, 200, 5) == reference_delta(graph, 200, 5)
+
+
+def test_ball_with_every_vertex_expanded():
+    # the BFS runs out after its last layer, so no vertex is multiplied again
+    oracle = mt.genset_oracle(I3, mt.KIND_SIMPLES)
+    full = mt.bounded_ball_graph(oracle, 2, 1)
+    dist = full.bfs_distances(full.index_of("D^0"))
+    radius = max(dist.values()) + 1
+    graph = mt.bounded_ball_graph(oracle, radius, 1)
+    assert _pair(graph) == reference_ball(oracle, radius, 1) == _pair(full)
+
+
+def test_exhaustive_delta_matches_reference():
+    graph = mt.quotient_cayley_graph(I3, 2)
+    n = len(graph.vertices)
+    quads = n * (n - 1) * (n - 2) * (n - 3) // 24
+    assert 4 <= n and quads <= 5000
+    assert mt.estimate_delta(graph, quads) == reference_delta(graph, quads)
+    cal = mt.build_cal_graph(I3, 3)
+    assert mt.estimate_delta(cal, 10**6) == reference_delta(cal, 10**6)
+
+
+def test_delta_row_refuses_distance_over_a_byte():
+    n = 300
+    path = mt.MetricGraph(tuple(f"v{i:03d}" for i in range(n)),
+                          tuple((i, i + 1) for i in range(n - 1)), {})
+    with pytest.raises(CapExceeded, match="254"):
+        mt.estimate_delta(path, 50, seed=1)
+    short = mt.MetricGraph(path.vertices[:255], path.edges[:254], {})
+    assert mt.estimate_delta(short, 50, seed=1) == 0   # distance 254 fits
+
+
+def test_per_component_delta_skips_unreached_pairs():
+    # unreached pairs read 255 and the 4-tuple counts as defect 0: two
+    # 4-cycles have delta 1, and a path of 8 beside an edge (a forest) has 0
+    cycles = mt.MetricGraph(tuple("abcdefgh"),
+                            ((0, 1), (0, 3), (1, 2), (2, 3),
+                             (4, 5), (4, 7), (5, 6), (6, 7)), {})
+    forest = mt.MetricGraph(tuple("abcdefghij"),
+                            tuple((i, i + 1) for i in range(7)) + ((8, 9),), {})
+    with pytest.raises(DisconnectedInput):
+        mt.estimate_delta(cycles, 100)
+    for graph, want in ((cycles, 1), (forest, 0)):
+        for sample in (40, 10**4):
+            got = mt.estimate_delta(graph, sample, seed=2, per_component=True)
+            assert got == reference_delta(graph, sample, seed=2) == want
+
+
+def test_export_json_streams_the_same_bytes(tmp_path):
+    from garsidehyp import graphio
+    graphs = [mt.quotient_cayley_graph(A3, 2), mt.build_cal_graph(I5, 2),
+              mt.MetricGraph((), (), {"construction": "empty"})]
+    for graph in graphs:
+        path = tmp_path / "g.json"
+        graphio.export_json(graph, path)
+        want = json.dumps(graphio.graph_to_json_dict(graph), sort_keys=True,
+                          indent=1) + "\n"
+        assert path.read_text() == want == reference_json_text(graph)

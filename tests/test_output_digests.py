@@ -21,6 +21,8 @@ GRAPH_EXPORTS = {
         "b99ff7c5ac2228eefac0e00042a518e7944f5def8351b6b3af0919b550edd923",
     ("cal", "--group", "I2(5)", "--len-bound", "3"):
         "ae84bb2a3fdea9add8cfa6708971c8f476de211e2abdef419579b36ab6bc6904",
+    ("cal", "--group", "A3", "--len-bound", "2"):
+        "8ad979cb2921a72e11c10e7644ec5febb833bf594d7d8c6b3a88e1a6c3c3b837",
     ("ball", "--group", "A2", "--kind", "Xabs", "--radius", "2", "--universe", "2"):
         "875c8b7e24a32d99862b9178119e88dd70ac96b1e8f0302098db42ee52901a1c",
     ("ball", "--group", "I2(5)", "--kind", "XP", "--radius", "2", "--universe", "2"):
