@@ -1,14 +1,17 @@
 """DOT and JSON export of metric graphs; JSON import round-trips exactly.
 
 Output is bit-stable for identical inputs: vertices are already sorted in
-the graph, JSON is dumped with sorted keys, and DOT lines follow vertex and
-edge order.  The JSON export streams into the open file.
+the graph, and DOT lines follow vertex and edge order.  The JSON export
+writes, one item at a time into the open file, the bytes of
+`json.dump(graph_to_json_dict(graph), fh, sort_keys=True, indent=1)`
+followed by a newline, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterator
 
 from .metrics import MetricGraph
 
@@ -25,15 +28,33 @@ def graph_to_json_dict(graph: MetricGraph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> MetricGraph:
+    """The graph of a JSON dict; its edges may come in any order."""
     return MetricGraph(tuple(data["vertices"]),
-                       tuple((int(i), int(j)) for i, j in data["edges"]),
+                       tuple(sorted((int(i), int(j)) for i, j in data["edges"])),
                        dict(data.get("provenance", {})))
 
 
+def _write_list(fh, items: Iterator[str]) -> None:
+    """A JSON list at indent level 1 whose items are already encoded."""
+    first = next(items, None)
+    if first is None:
+        fh.write("[]")
+        return
+    fh.write("[\n")
+    fh.write(first)
+    fh.writelines(",\n" + item for item in items)
+    fh.write("\n ]")
+
+
 def export_json(graph: MetricGraph, path) -> None:
+    prov = json.dumps(graph.provenance, sort_keys=True, indent=1)
     with open(path, "w") as fh:
-        json.dump(graph_to_json_dict(graph), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write('{\n "edges": ')
+        _write_list(fh, (f"  [\n   {i},\n   {j}\n  ]" for i, j in graph.edges))
+        fh.write(',\n "provenance": ' + prov.replace("\n", "\n "))
+        fh.write(f',\n "schema": {JSON_SCHEMA_VERSION},\n "vertices": ')
+        _write_list(fh, ("  " + json.dumps(v) for v in graph.vertices))
+        fh.write("\n}\n")
 
 
 def import_json(path) -> MetricGraph:

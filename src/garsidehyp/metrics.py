@@ -27,16 +27,33 @@ expands stays in the box.
 Graph builders work on normal-form keys (power, factors), multiply them
 with `_key_product` and render each vertex once.  `quotient_cayley_graph`
 steps by positive simples only: the edge {C, C x^-1} is the edge {C', C' x}
-with C' = C x^-1, seen from its other end.  `bounded_ball_graph` keeps each
-expanded vertex's products for its edge pass.  `estimate_delta` keeps a
-distance row as one byte per vertex, 255 when unreached, and refuses a
-distance above 254 (`CapExceeded`) rather than wrap it.
+with C' = C x^-1, seen from its other end.  Keys of the maximal length L
+step only by the simples x that their last factor x_L absorbs (x_L x
+simple); the boundary lemma at `quotient_cayley_graph` shows that every
+other product leaves the box or repeats an edge found from its other end.
+`bounded_ball_graph` keeps each expanded vertex's products for its edge
+pass.
+
+Distances among chosen vertices (the pairs of sampled 4-tuples, the
+representatives of M1, a projected triangle) come from one bit-parallel
+breadth-first pass, `_pair_distances`: a vertex's mask has bit k set once
+source k has reached it, and each layer ORs every vertex's mask with its
+neighbours' masks, so all sources advance together and only the wanted
+pairs are read.  Sources run in batches of `SOURCE_BATCH`, which bounds the
+masks' memory whatever the number of pairs.  `_bfs_layers` remains the one
+breadth-first search for walks that discover their vertices.
+
+X_NP enumeration uses Delta^2 parity: D^2 is central, so D^p x commutes
+with Omega_T exactly when D^(p mod 2) x does.  Membership is tested twice
+per positive factor tuple and every power of a passing parity is emitted.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import operator
 import random as _random
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -62,11 +79,15 @@ KIND_SIMPLES = "Simples"
 KIND_FINITE = "FiniteS_plus_Delta2"
 KINDS = (KIND_XP, KIND_XNP, KIND_XABS, KIND_SIMPLES, KIND_FINITE)
 
-UNREACHED = 255   # the distance-row byte of a vertex not reached
-
-# The XNP enumerator tests every element of its box for membership, at about
-# 0.1 ms each; a box above this many elements is refused rather than filtered.
+# The XNP enumerator tests two elements per positive factor tuple of its box
+# for membership, about 0.1 ms each, so a box of bound 3 costs about 0.03 ms
+# per element (A3 and B3, 2 vCPUs, Python 3.11); a box above this many
+# elements is refused rather than filtered.
 XNP_BOX_LIMIT = 100_000
+
+# Sources per bit-parallel distance pass, so each vertex mask has at most
+# this many bits.
+SOURCE_BATCH = 1024
 
 
 def _nf_key(g: GarsideElement) -> tuple[int, tuple[int, ...]]:
@@ -196,16 +217,6 @@ def _xp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
                                step_local=False)
 
 
-def _universe_elements(group: CoxeterGraph, bound: int) -> Iterator[GarsideElement]:
-    """Every nonidentity element of the box of the given bound."""
-    for p in range(-bound, bound + 1):
-        if p:
-            yield gd.delta_pow(group, p)
-    for el in gd.iter_positive_elements(group, bound):
-        for p in range(-bound, bound + 1):
-            yield gd.GarsideElement(group, p, el.factors)
-
-
 def _xnp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
     subsets = pb.proper_irreducible_subsets(group)
     omegas = [gd.omega_of(group, labels).element for labels in subsets]
@@ -214,13 +225,22 @@ def _xnp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
         return any(gd.commute(g, om) for om in omegas)
 
     def enumerate_up_to(bound: int) -> list[GarsideElement]:
+        """The nonidentity members of the box, by Delta^2 parity (module
+        docstring): D^p x is a member exactly when D^(p mod 2) x is."""
         size = (2 * bound + 1) * sum(gd.count_positive_nf(group, ell)
                                      for ell in range(bound + 1))
         if size > XNP_BOX_LIMIT:
             raise CapExceeded(
                 f"XNP enumeration would filter the box of bound {bound}, "
                 f"{size} elements, over the limit of {XNP_BOX_LIMIT}")
-        out = [el for el in _universe_elements(group, bound) if membership(el)]
+        out = []
+        for ell in range(bound + 1):
+            for fs in gd.iter_positive_factor_tuples(group, ell):
+                for parity in (0, 1):
+                    if membership(gd.GarsideElement(group, parity, fs)):
+                        out.extend(gd.GarsideElement(group, p, fs)
+                                   for p in range(-bound, bound + 1)
+                                   if p % 2 == parity and (p or fs))
         out.sort(key=lambda e: e.sort_key())
         return out
 
@@ -330,8 +350,9 @@ class MetricGraph:
     """Finite truncation of one of the infinite graphs.
 
     Vertices are canonical text keys; edges are index pairs (i < j) into the
-    sorted vertex tuple.  Provenance records group, construction and
-    truncation parameters.
+    sorted vertex tuple, in strictly increasing order, which also rules out
+    duplicates.  Provenance records group, construction and truncation
+    parameters.
     """
 
     vertices: tuple[str, ...]
@@ -340,11 +361,12 @@ class MetricGraph:
 
     def __post_init__(self):
         n = len(self.vertices)
-        assert len(set(self.vertices)) == n, "duplicate vertex keys"
+        self._index = {k: i for i, k in enumerate(self.vertices)}
+        assert len(self._index) == n, "duplicate vertex keys"
         for i, j in self.edges:
             assert 0 <= i < j < n, "edge endpoints must be valid and distinct"
-        assert len(set(self.edges)) == len(self.edges), "duplicate edges"
-        self._index = {k: i for i, k in enumerate(self.vertices)}
+        assert all(e < f for e, f in itertools.pairwise(self.edges)), \
+            "edges must be strictly increasing"
         self._adj: list[list[int]] | None = None
 
     def index_of(self, key: str) -> int:
@@ -375,10 +397,49 @@ class MetricGraph:
         da = self.bfs_distances(self.index_of(key_a))
         return da.get(self.index_of(key_b))
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return len(self.bfs_distances(0)) == len(self.vertices)
+
+def _pair_distances(adj: Sequence[Sequence[int]], pairs: Iterable[tuple[int, int]]
+                    ) -> tuple[dict[tuple[int, int], int], bool]:
+    """Distances d(a, b) for the pairs (a, b), by bit-parallel breadth-first
+    passes from the sources a, `SOURCE_BATCH` sources at a time.
+
+    Returns the distances of the reachable pairs (an unreached pair is
+    absent) and whether the first pair's source reaches every vertex.
+    Mask bit k of a vertex is set once source k of the batch has reached it;
+    each layer ORs every vertex's mask with its neighbours' masks, and a
+    batch ends when no mask changes.
+    """
+    wanted: dict[int, list[int]] = {}
+    for a, b in pairs:
+        wanted.setdefault(a, []).append(b)
+    sources = list(wanted)
+    n = len(adj)
+    dist: dict[tuple[int, int], int] = {}
+    spans = True
+    for lo in range(0, len(sources), SOURCE_BATCH):
+        batch = sources[lo:lo + SOURCE_BATCH]
+        masks = [0] * n
+        want: dict[int, int] = {}   # target -> bits of the sources it is paired with
+        for k, a in enumerate(batch):
+            masks[a] |= 1 << k
+            for b in wanted[a]:
+                want[b] = want.get(b, 0) | 1 << k
+        old = [0] * n
+        d = 0
+        while masks != old:
+            for b, bits in want.items():
+                fresh = (masks[b] & ~old[b]) & bits
+                while fresh:
+                    low = fresh & -fresh
+                    dist[batch[low.bit_length() - 1], b] = d
+                    fresh ^= low
+            old = masks
+            masks = [functools.reduce(operator.or_, map(old.__getitem__, nbrs), m)
+                     for m, nbrs in zip(old, adj)]
+            d += 1
+        if not lo:
+            spans = all(m & 1 for m in masks)
+    return dist, spans
 
 
 def _build_graph(text: dict, key_edges: Iterable[tuple], provenance: dict) -> MetricGraph:
@@ -391,7 +452,8 @@ def _build_graph(text: dict, key_edges: Iterable[tuple], provenance: dict) -> Me
         i, j = index.get(a), index.get(b)
         if i is not None and j is not None and i != j:
             edges.add((i, j) if i < j else (j, i))
-    return MetricGraph(tuple(text[k] for k in order), tuple(sorted(edges)), provenance)
+    edges = sorted(edges)   # the set is freed before the tuple is built
+    return MetricGraph(tuple(text[k] for k in order), tuple(edges), provenance)
 
 
 def _coset_factors(tau: Sequence[int], factors: tuple[int, ...]) -> tuple[int, ...]:
@@ -590,14 +652,49 @@ class QuotientCayleyUniverse:
         return dist
 
 
+def _coset_keys(group: CoxeterGraph, len_bound: int) -> set[tuple[int, ...]]:
+    """Canonical keys of the <D>-cosets of canonical length <= len_bound."""
+    tau = group.table().tau
+    return {_coset_factors(tau, fs) for ell in range(len_bound + 1)
+            for fs in gd.iter_positive_factor_tuples(group, ell)}
+
+
 def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
     """Materialized Cay(A)/<D> truncation: cosets of canonical length <= bound,
-    edges between cosets differing by one nontrivial simple."""
+    edges between cosets differing by one nontrivial simple.
+
+    Keys step by positive simples (see the module docstring), and a key of
+    the maximal length L only by the simples x that its last factor x_L
+    absorbs.  Boundary lemma: let a = x_1..x_L be left-weighted and x simple.
+    Then a^-1 D^L = d(x_L) t(d(x_(L-1))) .. is left-weighted, with d(y) =
+    y^-1 D the complement and t the twist (Charney 1992), so a simple x is a
+    prefix of a^-1 D^L exactly when it is a prefix of d(x_L), that is when
+    x_L x is simple.  Hence:
+    - if x_L x is simple, a x has sup <= L and stays in the box;
+    - otherwise a x has sup L+1, so it leaves the box unless its inf is 1,
+      a x = D r with r of length L.  Then r d(x) = D^-1 a D = t(a), of the
+      coset of a, and since r d(x) has sup L the last factor of r absorbs
+      d(x) (and the key t(r) the step t(d(x))): the edge is found from the
+      other end.
+    """
     universe = QuotientCayleyUniverse(group, len_bound)
-    keys = {_coset_factors(universe.tab.tau, fs) for ell in range(len_bound + 1)
-            for fs in gd.iter_positive_factor_tuples(group, ell)}
+    tab = universe.tab
+    steps = universe.positive_steps
+    absorbed: dict[int, list] = {}   # last factor -> the steps it absorbs
+
+    def steps_of(fs):
+        if len(fs) < len_bound or not fs:   # () has no last factor (L = 0)
+            return steps
+        last = fs[-1]
+        if last not in absorbed:
+            n = tab.length[last]
+            absorbed[last] = [(0, (x,)) for _, (x,) in steps
+                              if tab.length[tab.mult(last, x)] == n + tab.length[x]]
+        return absorbed[last]
+
+    keys = _coset_keys(group, len_bound)
     key_edges = ((fs, w) for fs in keys
-                 for w in universe.neighbor_keys(fs, universe.positive_steps))
+                 for w in universe.neighbor_keys(fs, steps_of(fs)))
     prov = {"group": group.family, "construction": "quotient-cayley",
             "len_bound": len_bound}
     return _build_graph({fs: _render_key(group, (0, fs)) for fs in keys},
@@ -609,7 +706,14 @@ def build_cal_graph(group: CoxeterGraph, len_bound: int,
                     witness_bound: int | None = None) -> MetricGraph:
     """Additional-length graph truncation: <D>-cosets with simple-or-absorbable
     edges.  Absorbable steps come from the bounded census, so missing edges
-    only make distances larger (a lower approximation of the true graph)."""
+    only make distances larger (a lower approximation of the true graph).
+
+    Only the canonical key of each coset is expanded.  The step set is
+    tau-closed (tau preserves inf and sup, so it maps the simples, their
+    inverses and the absorbable census onto themselves), and the other
+    inf-0 form t(a) of a coset steps by u to the coset that a reaches by
+    t(u).
+    """
     abs_bound = len_bound if abs_sup_bound is None else abs_sup_bound
     # The nontrivial simples and their inverses; the D^{+-1} steps listed
     # with them never join two distinct cosets.
@@ -617,20 +721,13 @@ def build_cal_graph(group: CoxeterGraph, len_bound: int,
     steps.update(_nf_key(el)
                  for el in ab.enumerate_absorbable(group, abs_bound, witness_bound))
     tab = group.table()
-    reps = [fs for ell in range(len_bound + 1)
-            for fs in gd.iter_positive_factor_tuples(group, ell)]
-
-    def key_edges():
-        for fs in reps:
-            a = _coset_factors(tab.tau, fs)
-            for u in steps:
-                yield a, _coset_factors(tab.tau, _key_product(tab, (0, fs), u)[1])
-
+    keys = _coset_keys(group, len_bound)
+    key_edges = ((fs, _coset_factors(tab.tau, _key_product(tab, (0, fs), u)[1]))
+                 for fs in keys for u in steps)
     prov = {"group": group.family, "construction": "additional-length",
             "len_bound": len_bound, "abs_sup_bound": abs_bound,
             "notes": "absorbable edges from bounded census (lower approximation)"}
-    text = {k: _render_key(group, (0, k)) for k in {_coset_factors(tab.tau, fs) for fs in reps}}
-    return _build_graph(text, key_edges(), prov)
+    return _build_graph({k: _render_key(group, (0, k)) for k in keys}, key_edges, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -802,19 +899,14 @@ def cparab_image_diameter(triangle: ab.FatTriangle, conj_len: int) -> ImageDiame
         return ImageDiameterReport(0, len(projs), conj_len)
     base = projs[0]
     graph = build_cparab_neighborhood(base, conj_len, hops=2 * conj_len + 4)
-    diam = 0
-    for i, a in enumerate(projs):
-        if not graph.has_vertex(a.key()):
-            return ImageDiameterReport(None, len(projs), conj_len)
-        dists = graph.bfs_distances(graph.index_of(a.key()))
-        for b in projs[i + 1:]:
-            if not graph.has_vertex(b.key()):
-                return ImageDiameterReport(None, len(projs), conj_len)
-            got = dists.get(graph.index_of(b.key()))
-            if got is None:
-                return ImageDiameterReport(None, len(projs), conj_len)
-            diam = max(diam, got)
-    return ImageDiameterReport(diam, len(projs), conj_len)
+    if not all(graph.has_vertex(p.key()) for p in projs):
+        return ImageDiameterReport(None, len(projs), conj_len)
+    ids = [graph.index_of(p.key()) for p in projs]
+    pairs = list(itertools.combinations(ids, 2))
+    dist, _ = _pair_distances(graph.adjacency(), pairs)
+    if len(dist) < len(pairs):
+        return ImageDiameterReport(None, len(projs), conj_len)
+    return ImageDiameterReport(max(dist.values()), len(projs), conj_len)
 
 
 # ---------------------------------------------------------------------------
@@ -826,45 +918,44 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0,
     """Four-point-condition defect, maximized over sampled 4-tuples.
 
     Exact when `sample` is at least the number of 4-subsets.  The sampler is
-    seeded and recorded by callers in provenance.
+    seeded and recorded by callers in provenance.  The 4-tuples are drawn
+    twice from the same seed: once to collect the pairs they need, whose
+    distances come from one `_pair_distances` pass, and once to read them.
+    A 4-tuple with an unreached pair (per component) has defect 0.
     """
     n = len(graph.vertices)
     if n == 0:
         return Fraction(0)
-    if not graph.is_connected() and not per_component:
-        raise DisconnectedInput("graph is disconnected")
-    rows: dict[int, bytearray] = {}
-
-    def row(i: int) -> bytearray:
-        if i not in rows:
-            dist = graph.bfs_distances(i)
-            if max(dist.values()) >= UNREACHED:
-                raise CapExceeded(f"a graph distance is over the row limit of {UNREACHED - 1}")
-            rows[i] = r = bytearray([UNREACHED]) * n
-            for j, d in dist.items():
-                r[j] = d
-        return rows[i]
-
-    def defect(a, b, c, d) -> int:   # twice the four-point defect
-        ra, rb, rc = row(a), row(b), row(c)
-        ds = (ra[b], rc[d], ra[c], rb[d], ra[d], rb[c])
-        if UNREACHED in ds:
-            return 0  # different components; skip
-        sums = sorted((ds[0] + ds[1], ds[2] + ds[3], ds[4] + ds[5]))
-        return sums[2] - sums[1]
-
-    best = 0
     total = n * (n - 1) * (n - 2) * (n - 3) // 24 if n >= 4 else 0
-    if total and sample >= total:
-        for quad in itertools.combinations(range(n), 4):
-            best = max(best, defect(*quad))
-        return Fraction(best, 2)
-    rng = _random.Random(seed)
-    if n < 4:
-        return Fraction(0)
-    for _ in range(sample):
-        quad = rng.sample(range(n), 4)
-        best = max(best, defect(*quad))
+    exhaustive = total and sample >= total
+
+    def quads():   # each 4-tuple sorted, so every pair (i, j) has i < j
+        if exhaustive:
+            return itertools.combinations(range(n), 4)
+        if n < 4:
+            return ()
+        rng = _random.Random(seed)
+        return (sorted(rng.sample(range(n), 4)) for _ in range(sample))
+
+    if exhaustive:
+        needed = itertools.combinations(range(n), 2)
+    else:
+        needed = (p for a, b, c, d in quads()
+                  for p in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)))
+    # Vertex 0 is the first source, so the pass also tells connectedness.
+    dist, connected = _pair_distances(graph.adjacency(),
+                                      itertools.chain([(0, 0)], needed))
+    if not connected and not per_component:
+        raise DisconnectedInput("graph is disconnected")
+
+    best = 0   # twice the four-point defect
+    for a, b, c, d in quads():
+        try:
+            sums = sorted((dist[a, b] + dist[c, d], dist[a, c] + dist[b, d],
+                           dist[a, d] + dist[b, c]))
+        except KeyError:
+            continue   # different components
+        best = max(best, sums[2] - sums[1])
     return Fraction(best, 2)
 
 
@@ -900,18 +991,14 @@ def qi_constants(graph: MetricGraph, orbit_reps: Sequence[str],
     for a, b in edge_reps:
         if not graph.has_vertex(a) or not graph.has_vertex(b):
             raise RepresentativeMissing("edge representative endpoint missing")
-    m1 = 0
-    exact = True
-    for key in orbit_reps:
-        dists = graph.bfs_distances(graph.index_of(key))
-        for other in orbit_reps:
-            got = dists.get(graph.index_of(other))
-            if got is None:
-                raise RepresentativeMissing(
-                    "representatives are disconnected inside the truncation")
-            m1 = max(m1, got)
-            if got > 2:
-                exact = False  # only an upper bound within this truncation
+    ids = [graph.index_of(key) for key in orbit_reps]
+    pairs = set(itertools.product(ids, ids))
+    dist, _ = _pair_distances(graph.adjacency(), pairs)
+    if len(dist) < len(pairs):
+        raise RepresentativeMissing(
+            "representatives are disconnected inside the truncation")
+    m1 = max(dist.values(), default=0)
+    exact = m1 <= 2   # past 2, only an upper bound within this truncation
     m2 = max(mover_bounds.values(), default=0) if mover_bounds else 0
     m3 = 0
     if edge_mover_bounds:

@@ -16,9 +16,10 @@ element models or tables:
 The reference graph builders at the end are the exception: they are the
 plain forms of the builders in `garsidehyp.metrics`, on the library's
 kernel.  They multiply elements with `garside.multiply` wherever a product
-is needed, key vertices by their rendered text and hold each delta row as a
-dict, and the tests require the library's builders to give the same graphs,
-delta values and exported bytes.
+is needed, filter the whole box for generating-set members, key vertices by
+their rendered text and hold each delta row as a dict, and the tests require
+the library's builders to give the same generators, graphs, delta values and
+exported bytes.
 """
 
 from __future__ import annotations
@@ -206,6 +207,20 @@ def reference_quotient_cayley(group, len_bound):
     text = {fs: gd.GarsideElement(group, 0, fs).render() for fs in keys}
     return reference_graph(text.values(), [(text[fs], text[w]) for fs in keys
                                            for w in universe.neighbor_keys(fs)])
+
+
+def reference_box_members(oracle, bound):
+    """The generating-set members in the box of the given bound, sorted as
+    the enumerators sort them: every nonidentity element of the box is
+    tested for membership."""
+    from garsidehyp import garside as gd
+    group = oracle.group
+    box = [gd.delta_pow(group, p) for p in range(-bound, bound + 1) if p]
+    box += [gd.GarsideElement(group, p, el.factors)
+            for el in gd.iter_positive_elements(group, bound)
+            for p in range(-bound, bound + 1)]
+    return sorted((el for el in box if oracle.membership(el)),
+                  key=lambda e: e.sort_key())
 
 
 def reference_ball(oracle, radius, universe_len):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -10,13 +11,13 @@ from garsidehyp import metrics as mt
 from garsidehyp import parabolic as pb
 from garsidehyp.coxeter import CoxeterGraph, parse_group_spec
 from garsidehyp.errors import (
-    CapExceeded,
     DisconnectedInput,
     RepresentativeMissing,
     UniverseTooSmall,
 )
 from oracles import (
     reference_ball,
+    reference_box_members,
     reference_delta,
     reference_json_text,
     reference_quotient_cayley,
@@ -82,9 +83,7 @@ def test_xp_enumeration_matches_naive_filter():
     for group, bound in ((A3, 1), (I5, 3)):
         oracle = mt.genset_oracle(group, mt.KIND_XP)
         smart = {(e.power, e.factors) for e in oracle.enumerate_up_to(bound)}
-        naive = {(e.power, e.factors)
-                 for e in mt._universe_elements(group, bound)
-                 if oracle.membership(e)}
+        naive = {(e.power, e.factors) for e in reference_box_members(oracle, bound)}
         assert smart == naive
 
 
@@ -318,7 +317,7 @@ def test_estimate_delta_trees_and_cycles():
     path = mt.MetricGraph(("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 3)), {})
     assert mt.estimate_delta(path, 10) == 0
     cyc = mt.MetricGraph(("a", "b", "c", "d"),
-                         ((0, 1), (1, 2), (2, 3), (0, 3)), {})
+                         ((0, 1), (0, 3), (1, 2), (2, 3)), {})
     assert mt.estimate_delta(cyc, 10) == Fraction(1)
     two = mt.MetricGraph(("a", "b"), (), {})
     with pytest.raises(DisconnectedInput):
@@ -361,7 +360,8 @@ def test_lipschitz_check_passes():
 
 A1XA2 = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2")
 EQUIV_GROUPS = {"A2": I3, "A3": A3, "B3": parse_group_spec("B3"), "I2(5)": I5,
-                "A1xA2": A1XA2}
+                "A1xA2": A1XA2, "I2(6)": parse_group_spec("I2(6)"),
+                "A4": parse_group_spec("A4")}
 
 
 def _pair(graph):
@@ -369,7 +369,8 @@ def _pair(graph):
 
 
 @pytest.mark.parametrize("spec,bound", [("A2", 3), ("A3", 3), ("B3", 2),
-                                        ("I2(5)", 3), ("A1xA2", 3)])
+                                        ("I2(5)", 3), ("A1xA2", 3), ("A2", 4),
+                                        ("I2(6)", 4), ("A4", 2), ("A1xA2", 4)])
 def test_quotient_cayley_matches_two_direction_reference(spec, bound):
     group = EQUIV_GROUPS[spec]
     graph = mt.quotient_cayley_graph(group, bound)
@@ -415,19 +416,36 @@ def test_exhaustive_delta_matches_reference():
     assert mt.estimate_delta(cal, 10**6) == reference_delta(cal, 10**6)
 
 
-def test_delta_row_refuses_distance_over_a_byte():
+def test_delta_with_distances_past_a_byte():
+    # distances up to 299: a path is a tree, so delta 0; a cycle matches the
+    # dict-row reference
     n = 300
-    path = mt.MetricGraph(tuple(f"v{i:03d}" for i in range(n)),
-                          tuple((i, i + 1) for i in range(n - 1)), {})
-    with pytest.raises(CapExceeded, match="254"):
-        mt.estimate_delta(path, 50, seed=1)
-    short = mt.MetricGraph(path.vertices[:255], path.edges[:254], {})
-    assert mt.estimate_delta(short, 50, seed=1) == 0   # distance 254 fits
+    names = tuple(f"v{i:03d}" for i in range(n))
+    path = mt.MetricGraph(names, tuple((i, i + 1) for i in range(n - 1)), {})
+    assert mt.estimate_delta(path, 50, seed=1) == 0
+    cycle = mt.MetricGraph(names, path.edges[:1] + ((0, n - 1),) + path.edges[1:], {})
+    got = mt.estimate_delta(cycle, 50, seed=1)
+    assert got == reference_delta(cycle, 50, seed=1) and got > 0
+
+
+@pytest.mark.parametrize("batch", [1, 3, 1024])
+def test_pair_distances_match_bfs_in_every_batch_size(batch, monkeypatch):
+    monkeypatch.setattr(mt, "SOURCE_BATCH", batch)
+    graph = mt.quotient_cayley_graph(I3, 3)
+    adj = graph.adjacency()
+    rng = random.Random(6)
+    n = len(graph.vertices)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(60)] + [(0, 0)]
+    dist, spans = mt._pair_distances(adj, pairs)
+    assert spans and dist == {(a, b): graph.bfs_distances(a)[b] for a, b in pairs}
+    two = mt.MetricGraph(tuple("abcd"), ((0, 1), (2, 3)), {})
+    dist, spans = mt._pair_distances(two.adjacency(), [(1, 0), (1, 3), (2, 3)])
+    assert not spans and dist == {(1, 0): 1, (2, 3): 1}
 
 
 def test_per_component_delta_skips_unreached_pairs():
-    # unreached pairs read 255 and the 4-tuple counts as defect 0: two
-    # 4-cycles have delta 1, and a path of 8 beside an edge (a forest) has 0
+    # unreached pairs have no distance and the 4-tuple counts as defect 0:
+    # two 4-cycles have delta 1, and a path of 8 beside an edge (a forest) has 0
     cycles = mt.MetricGraph(tuple("abcdefgh"),
                             ((0, 1), (0, 3), (1, 2), (2, 3),
                              (4, 5), (4, 7), (5, 6), (6, 7)), {})
@@ -444,10 +462,50 @@ def test_per_component_delta_skips_unreached_pairs():
 def test_export_json_streams_the_same_bytes(tmp_path):
     from garsidehyp import graphio
     graphs = [mt.quotient_cayley_graph(A3, 2), mt.build_cal_graph(I5, 2),
-              mt.MetricGraph((), (), {"construction": "empty"})]
+              mt.MetricGraph((), (), {"construction": "empty"}),
+              mt.MetricGraph(("a", "b\u00e9\"q"), (), {}),
+              mt.MetricGraph(("x", "y", "z"), ((0, 2), (1, 2)),
+                             {"notes": "two\nlines, a \"quote\" and \u03b4",
+                              "nested": {"k": [1, 2], "e": []}, "t": True})]
     for graph in graphs:
         path = tmp_path / "g.json"
         graphio.export_json(graph, path)
         want = json.dumps(graphio.graph_to_json_dict(graph), sort_keys=True,
                           indent=1) + "\n"
         assert path.read_text() == want == reference_json_text(graph)
+
+
+def test_graph_from_json_dict_sorts_edges_and_refuses_duplicates():
+    from garsidehyp import graphio
+    data = {"vertices": ["a", "b", "c"], "edges": [[1, 2], [0, 2], [0, 1]]}
+    graph = graphio.graph_from_json_dict(data)
+    assert graph.edges == ((0, 1), (0, 2), (1, 2))
+    data["edges"].append([0, 2])
+    with pytest.raises(AssertionError, match="strictly increasing"):
+        graphio.graph_from_json_dict(data)
+
+
+@pytest.mark.parametrize("spec,bound", [("A2", 2), ("A3", 1), ("I2(5)", 1),
+                                        ("A1xA2", 1)])
+def test_xnp_generators_match_box_filter(spec, bound):
+    oracle = mt.genset_oracle(EQUIV_GROUPS[spec], mt.KIND_XNP)
+    assert [(e.power, e.factors) for e in oracle.enumerate_up_to(bound)] == \
+        [(e.power, e.factors) for e in reference_box_members(oracle, bound)]
+
+
+@pytest.mark.parametrize("spec,bound", [("A3", 3), ("B3", 2)])
+def test_estimate_delta_matches_reference_for_seeds(spec, bound):
+    graph = mt.quotient_cayley_graph(EQUIV_GROUPS[spec], bound)
+    for seed in (1, 2, 3, 4):
+        assert mt.estimate_delta(graph, 100, seed) == reference_delta(graph, 100, seed)
+
+
+def test_b3_quotient_graph_gives_the_benchmark_answers():
+    # the figures the graphs workload checks (perfbench/golden.json)
+    graph = mt.quotient_cayley_graph(EQUIV_GROUPS["B3"], 3)
+    assert (len(graph.vertices), len(graph.edges)) == (10413, 102928)
+    digest = hashlib.sha256(json.dumps([graph.vertices, graph.edges]).encode())
+    assert digest.hexdigest() == \
+        "65f099c72052d9ce50f42b5263d46d127a5823f1a7c9ff1f7f0ef848f6f9ea34"
+    got = [str(mt.estimate_delta(graph, 50, seed)) for seed in (1, 2, 3, 4)]
+    assert got == ["1", "1/2", "1/2", "1/2"]

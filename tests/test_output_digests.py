@@ -19,6 +19,8 @@ from garsidehyp import cli
 GRAPH_EXPORTS = {
     ("quotient-cayley", "--group", "A3", "--len-bound", "2"):
         "b99ff7c5ac2228eefac0e00042a518e7944f5def8351b6b3af0919b550edd923",
+    ("quotient-cayley", "--group", "A3", "--len-bound", "3"):
+        "22206da201ee3941a9f50aa9883de08d5730ab6b79d1e57e5597be97b2a54638",
     ("cal", "--group", "I2(5)", "--len-bound", "3"):
         "ae84bb2a3fdea9add8cfa6708971c8f476de211e2abdef419579b36ab6bc6904",
     ("cal", "--group", "A3", "--len-bound", "2"):
@@ -29,6 +31,8 @@ GRAPH_EXPORTS = {
         "838b024e446b9288d97d0d6304b813ca0e4be31ab56c7069ea98c54026a5ca6f",
     ("ball", "--group", "A2", "--kind", "XNP", "--radius", "2", "--universe", "2"):
         "27d94805ddca7c730e26e054bbb26cb88c96db60cdaf88b38d2c3e085b67e383",
+    ("ball", "--group", "A3", "--kind", "XNP", "--radius", "2", "--universe", "1"):
+        "c1b135d8de3344c00b98145a55dc4fa0fc8d7f0698e4f9f252d363087e11ef8e",
     ("ball", "--group", "A3", "--kind", "Simples", "--radius", "2", "--universe", "2"):
         "16c954543d5b72f7f4f5f3898c0ea99cb702aec692b93c112875acb3c333d5e8",
     ("cparab", "--group", "A3", "--p0", "std:s1", "--conj-len", "1", "--hops", "2"):
