@@ -267,8 +267,11 @@ def cmd_delta_estimate(args) -> int:
     graph.provenance["sample"] = args.sample
     delta = mt.estimate_delta(graph, args.sample, seed=args.seed)
     _export(graph, args)
-    _emit({"delta_estimate": str(delta), "vertices": len(graph.vertices),
-           "provenance": graph.provenance})
+    examined, total = mt.delta_quadruples(len(graph.vertices), args.sample)
+    exactness = "exact for the truncation" if examined == total else "sampled lower bound"
+    _emit({"delta_estimate": str(delta), "delta_exactness": exactness,
+           "quadruples_examined": examined, "quadruples_total": total,
+           "vertices": len(graph.vertices), "provenance": graph.provenance})
     return EXIT_PASS
 
 

@@ -24,15 +24,38 @@ set.  `_box_step_generators` lists every such member.  The target of
 `word_length_bound` ends the search wherever it lies; every vertex the search
 expands stays in the box.
 
-Graph builders work on normal-form keys (power, factors), multiply them
-with `_key_product` and render each vertex once.  `quotient_cayley_graph`
-steps by positive simples only: the edge {C, C x^-1} is the edge {C', C' x}
-with C' = C x^-1, seen from its other end.  Keys of the maximal length L
-step only by the simples x that their last factor x_L absorbs (x_L x
-simple); the boundary lemma at `quotient_cayley_graph` shows that every
-other product leaves the box or repeats an edge found from its other end.
-`bounded_ball_graph` keeps each expanded vertex's products for its edge
-pass.
+Graph builders work on normal-form keys (power, factors) and render each
+vertex once.  Products by a simple come from one table, `_ProductRows`: it
+numbers every inf-0 normal form of length <= L and holds, for each form a
+shorter than L and each simple x, the D-power and the id of a x in flat int
+rows.  Prefix recurrence: with a = a' y and renorm(y, x) = (p, q), that is
+y x = p q with (p, q) left-weighted, a x = (a' p) q, and a' p is the row of
+the shorter a' at p.  Appending q keeps the form normal when the last factor
+of a' p and q are left-weighted, which the domino rule of Garside normal
+forms guarantees (right multiplication by a simple is one right-to-left
+pass of renorms; Charney 1992); the junction is combed with the kernel's
+loop only if they are not.  A form of length L gets its products the same
+way on demand, and a product longer than L is off the table.
+
+`quotient_cayley_graph` steps by positive simples only: the edge
+{C, C x^-1} is the edge {C', C' x} with C' = C x^-1, seen from its other
+end.  Keys of the maximal length L step only by the simples x that their
+last factor x_L absorbs (x_L x simple); the boundary lemma at
+`quotient_cayley_graph` shows that every other product leaves the box or
+repeats an edge found from its other end.
+
+`bounded_ball_graph` reads each step of at most one factor from the table
+after the D-twist (D^r a D^q y = D^(r+q) t^q(a) y), forms longer steps with
+`_key_product`, and forms no product that one of three box inequalities
+puts outside the box.  For elements a and u, using that inf is
+superadditive, sup subadditive and inf(a^-1) = -sup a:
+- len(a u) >= len u - len a: u = a^-1 (a u), and len = sup - inf is
+  subadditive with len(a^-1) = len a;
+- inf(a u) >= inf a + inf u: superadditivity of inf;
+- inf(a u) <= min(sup a + inf u, inf a + sup u): inf u >= inf(a^-1) +
+  inf(a u) and inf a >= inf(a u) + inf(u^-1).
+A product so skipped lies outside the box, so it counts as clipped.  Each
+expanded vertex keeps its products in the box for the edge pass.
 
 Distances among chosen vertices (the pairs of sampled 4-tuples, the
 representatives of M1, a projected triangle) come from one bit-parallel
@@ -53,8 +76,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import operator
 import random as _random
+from array import array
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -85,6 +110,15 @@ KINDS = (KIND_XP, KIND_XNP, KIND_XABS, KIND_SIMPLES, KIND_FINITE)
 # elements is refused rather than filtered.
 XNP_BOX_LIMIT = 100_000
 
+# A `_ProductRows` table costs about 2 us and 170 bytes per normal form and
+# 0.4 us and 8 bytes per row entry, but the quotient-Cayley graph on it costs
+# far more: A4 to length 3 (423,720 row entries) has 805,388 edges and takes
+# about 1 s, A5 to length 2 (518,400) has 2,953,660 edges, 3.9 s and 635 MB,
+# and F4 to length 2 (1,325,952) has 24.6 M edges, 35 s and 5 GB (2 vCPUs,
+# Python 3.11).  A table of more row entries than this is refused rather than
+# built.
+TABLE_LIMIT = 500_000
+
 # Sources per bit-parallel distance pass, so each vertex mask has at most
 # this many bits.
 SOURCE_BATCH = 1024
@@ -92,6 +126,126 @@ SOURCE_BATCH = 1024
 
 def _nf_key(g: GarsideElement) -> tuple[int, tuple[int, ...]]:
     return (g.power, g.factors)
+
+
+class _ProductRows:
+    """Every inf-0 normal form of length <= L under an integer id, with the
+    product of each form shorter than L by every simple (module docstring).
+
+    Forms are numbered level by level and each level in factor-tuple order,
+    so the ids of one length compare as their tuples do.  `prefix[i]` is
+    the id of forms[i][:-1] and `tau[i]` the id of the tau-twisted form.
+    For a form i shorter than L (i < `below`), `row[i*n + x]` is
+    2 id(c) + d where forms[i] x = D^d c; d is 0 or 1 because
+    inf(a x) <= inf a + sup x.  `first[i]` and `slot[i][y]` give the id
+    forms[i] + (y,) of a left-weighted extension.
+
+    A table of more than TABLE_LIMIT row entries is refused while its forms
+    are listed, level by level, before the level past the limit.  A form of
+    length L extends a shorter one by one of the n - 2 simples other than 1
+    and D, so there are fewer forms than row entries and the limit bounds
+    both.
+    """
+
+    def __init__(self, group: CoxeterGraph, length: int):
+        tab = self.tab = group.table()
+        n = self.n = tab.size
+        self.length = length
+        ldesc, rdesc = tab.ldesc, tab.rdesc
+        full = (1 << group.rank) - 1
+        slots: dict[int, list[int]] = {}   # mask -> simple -> position among followers
+
+        def slot_of(m):
+            if m not in slots:
+                got = slots[m] = [-1] * n
+                for pos, y in enumerate(y for y in range(1, n - 1)
+                                        if not ldesc[y] & ~m):
+                    got[y] = pos
+            return slots[m]
+
+        forms = self.forms = [()]
+        prefix = self.prefix = array("l", [0])
+        tau = self.tau = array("l", [0])
+        first = self.first = array("l")
+        slot = self.slot = []
+        lo, hi = 0, 1
+        for _ in range(length):
+            if len(forms) * n > TABLE_LIMIT:   # every form so far is shorter than L
+                raise CapExceeded(
+                    f"a product table to length {length} would hold at least "
+                    f"{len(forms) * n} row entries, over the limit of {TABLE_LIMIT}")
+            for i in range(lo, hi):
+                fs = forms[i]
+                sl = slot_of(rdesc[fs[-1]] if fs else full)
+                first.append(len(forms))
+                slot.append(sl)
+                forms.extend(fs + (y,) for y, pos in enumerate(sl) if pos >= 0)
+                prefix.extend([i] * (len(forms) - len(prefix)))
+            for i in range(hi, len(forms)):
+                t = tau[prefix[i]]
+                y = tab.tau[forms[i][-1]]
+                tau.append(first[t] + slot[t][y])
+            lo, hi = hi, len(forms)
+        self.below = below = lo
+        self._renorm: dict[int, list[tuple[int, int]]] = {}
+        row = self.row = array("l")
+        if not below:
+            return
+        row.extend(2 * (first[0] + slot[0][x]) for x in range(n))
+        row[0], row[n - 1] = 0, 1   # the identity, and D
+        for i in range(1, below):
+            base = prefix[i] * n
+            for p, q in self._renorm_row(forms[i][-1]):
+                v = row[base + p]
+                if q:   # the inlined fast path of _append
+                    t = v >> 1
+                    pos = slot[t][q]
+                    v = 2 * (first[t] + pos) + (v & 1) if pos >= 0 else self._append(v, q)
+                row.append(v)
+
+    def _renorm_row(self, y: int) -> list[tuple[int, int]]:
+        """renorm(y, x) for every simple x: y x = p q with (p, q) left-weighted."""
+        got = self._renorm.get(y)
+        if got is None:
+            renorm = self.tab.renorm
+            got = self._renorm[y] = [renorm(y, x) for x in range(self.n)]
+        return got
+
+    def _append(self, v: int, q: int) -> int | None:
+        """The entry of (D^d c) q for the entry v = 2 id(c) + d and a simple q
+        other than 1 and D, or None when the product is longer than L."""
+        t = v >> 1
+        tf = self.forms[t]
+        tab = self.tab
+        if t < self.below:
+            pos = self.slot[t][q]
+            if pos >= 0:
+                return 2 * (self.first[t] + pos) + (v & 1)
+        elif not tab.ldesc[q] & ~tab.rdesc[tf[-1]]:
+            return None   # tf + (q,), of length L + 1
+        d, res = gd._normalise(tab, tf + (q,), len(tf) - 1)
+        k = self.id_of(res)
+        return None if k is None else 2 * k + (v & 1) + d
+
+    def id_of(self, fs: Sequence[int]) -> int | None:
+        """Id of a normal form, or None when it is longer than L."""
+        if len(fs) > self.length:
+            return None
+        i = 0
+        for y in fs:
+            i = self.first[i] + self.slot[i][y]
+        return i
+
+    def product(self, i: int, x: int) -> int | None:
+        """Entry of forms[i] x for a simple x other than 1 and D (see the
+        class docstring); None when the product is longer than L."""
+        if i < self.below:
+            return self.row[i * self.n + x]
+        if not i:   # L = 0
+            return None
+        p, q = self._renorm_row(self.forms[i][-1])[x]
+        v = self.row[self.prefix[i] * self.n + p]
+        return self._append(v, q) if q else v
 
 
 def _key_product(tab, key, u) -> tuple[int, tuple[int, ...]]:
@@ -442,17 +596,24 @@ def _pair_distances(adj: Sequence[Sequence[int]], pairs: Iterable[tuple[int, int
     return dist, spans
 
 
-def _build_graph(text: dict, key_edges: Iterable[tuple], provenance: dict) -> MetricGraph:
-    """The graph that `key_edges` induce on the keys of `text`, a map from
-    vertex key to text key; vertices are sorted by text, loops dropped."""
+def _build_graph(text: dict, adjacency: Iterable[tuple], provenance: dict) -> MetricGraph:
+    """The graph on the keys of `text`, a map from vertex key to text key,
+    with the edges {a, b} for the pairs (a, neighbours of a) of `adjacency`;
+    a is a vertex, and neighbours that are not vertices are dropped.
+    Vertices are sorted by text, loops dropped."""
     order = sorted(text, key=text.__getitem__)
-    index = {k: i for i, k in enumerate(order)}
-    edges = set()
-    for a, b in key_edges:
-        i, j = index.get(a), index.get(b)
-        if i is not None and j is not None and i != j:
-            edges.add((i, j) if i < j else (j, i))
-    edges = sorted(edges)   # the set is freed before the tuple is built
+    n = len(order)
+    ids = list(range(n))   # every edge pair refers to these int objects
+    index = dict(zip(order, ids))
+    get = index.get
+    edges: set[int] = set()   # {i, j} with i < j as i*n + j
+    for a, nbrs in adjacency:
+        i = index[a]
+        edges.update([i * n + j if i < j else j * n + i
+                      for j in map(get, nbrs) if j is not None and j != i])
+    edges = sorted(edges)   # the set is freed before the pairs are built
+    for k, e in enumerate(edges):   # in place, each code freed as its pair is made
+        edges[k] = (ids[e // n], ids[e % n])
     return MetricGraph(tuple(text[k] for k in order), tuple(edges), provenance)
 
 
@@ -465,12 +626,16 @@ def _coset_factors(tau: Sequence[int], factors: tuple[int, ...]) -> tuple[int, .
     return min(factors, tuple(tau[x] for x in factors))
 
 
-def _render_key(group: CoxeterGraph, key) -> str:
-    return gd.GarsideElement(group, *key).render()
+def _renderer(group: CoxeterGraph) -> Callable[[int, Sequence[int]], str]:
+    """text(power, factors): the text of `GarsideElement.render`, with no
+    element built."""
+    gens = group.generators
+    words = ["".join(gens[s] for s in w) for w in group.table().word]
+    return lambda p, fs: " | ".join([f"D^{p}", *map(words.__getitem__, fs)])
 
 
 def coset_key(g: GarsideElement) -> str:
-    return _render_key(g.group, (0, _coset_factors(g.group.table().tau, g.factors)))
+    return GarsideElement(g.group, 0, _coset_factors(g.group.table().tau, g.factors)).render()
 
 
 # ---------------------------------------------------------------------------
@@ -496,20 +661,69 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
     the box; edges join every vertex pair differing by a generating-set
     member, whether or not that member lies in the box (see the module
     docstring).  Distances in the result are upper bounds for d_X.
+
+    A step of at most one factor is read from a `_ProductRows` table after
+    the D-twist, a longer one is formed by `_key_product`, and a step whose
+    product the box inequalities (module docstring) put outside the box is
+    not formed at all.  Each product outside the box, formed or not, counts
+    as clipped.
     """
     if radius < 0:
         raise UniverseTooSmall("radius must be >= 0")
     group = oracle.group
     tab = group.table()
-    gens = [_nf_key(u) for u in _box_step_generators(oracle, universe_len)] if radius else []
+    bound = universe_len
+    gens = [_nf_key(u) for u in _box_step_generators(oracle, bound)] if radius else []
+    short = [(q, us[0] if us else 0) for q, us in gens if len(us) <= 1]
+    long = [u for u in gens if len(u[1]) > 1]
+    # A step of at most one factor changes the length by at most one, so
+    # with no longer step every vertex has length <= radius: the table to
+    # that length holds every product of a vertex the search expands, and a
+    # product off it in the edge pass is no vertex.
+    rows = _ProductRows(group, bound if long else min(bound, radius))
+    forms, tau = rows.forms, rows.tau
+    box_steps: dict = {}   # (inf, length) of a vertex -> the steps that may stay in the box
+
+    def steps(p, ell):
+        if (p, ell) not in box_steps:
+            def fits(q, m):   # the box inequalities for a step of inf q and length m
+                return m - ell <= bound and p + q <= bound and p + q + min(ell, m) >= -bound
+            kept_short = [(q, y) for q, y in short if fits(q, 1 if y else 0)]
+            kept_long = [u for u in long if fits(u[0], len(u[1]))]
+            box_steps[p, ell] = (kept_short, kept_long,
+                                 len(kept_short) + len(kept_long) < len(gens))
+        return box_steps[p, ell]
+
+    def products(key):
+        """The products of `key` by every step that lie in the box, and
+        whether some product leaves it."""
+        p, fs = key
+        kept_short, kept_long, clip = steps(p, len(fs))
+        i = rows.id_of(fs)
+        out = []
+        for q, y in kept_short:
+            j = tau[i] if q % 2 else i
+            v = rows.product(j, y) if y else 2 * j
+            if v is None or abs(p + q + (v & 1)) > bound:
+                clip = True
+            else:
+                out.append((p + q + (v & 1), forms[v >> 1]))
+        for u in kept_long:
+            h = _key_product(tab, key, u)
+            if _in_box(h, bound):
+                out.append(h)
+            else:
+                clip = True
+        return out, clip
+
     clipped = False
-    products: dict = {}   # expanded vertex -> its products with every generator
+    kept: dict = {}   # expanded vertex -> its products in the box
 
     def step(key):
         nonlocal clipped
-        prods = products[key] = [_key_product(tab, key, u) for u in gens]
-        out = [h for h in prods if _in_box(h, universe_len)]
-        clipped = clipped or len(out) < len(prods)
+        out, clip = products(key)
+        kept[key] = out
+        clipped = clipped or clip
         return out
 
     dist: dict = {}
@@ -521,19 +735,15 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
             raise UniverseTooSmall(
                 f"ball expansion stalled at radius {d + 1} < {radius}")
 
-    def key_edges():
-        for k in dist:
-            prods = products.get(k)
-            if prods is None:   # the last layer, never expanded
-                prods = [_key_product(tab, k, u) for u in gens]
-            for h in prods:
-                yield k, h
+    # the last layer was never expanded
+    adjacency = ((k, kept[k] if k in kept else products(k)[0]) for k in dist)
 
     prov = {"group": group.family, "construction": f"ball[{oracle.kind}]",
             "radius": radius, "universe_len": universe_len}
     if oracle.notes:
         prov["notes"] = oracle.notes
-    return _build_graph({k: _render_key(group, k) for k in dist}, key_edges(), prov)
+    text = _renderer(group)
+    return _build_graph({k: text(*k) for k in dist}, adjacency, prov)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -608,20 +818,20 @@ class QuotientCayleyUniverse:
         self.tab = tab
         # Steps as normal-form keys: a simple x is (0, (x,)), its inverse
         # D^-1 lift(w0 x^-1) is (-1, (c,)).
-        simples = [x for x in range(1, tab.size) if x != tab.w0]
-        self.positive_steps = [(0, (x,)) for x in simples]
-        self._steps = self.positive_steps + [(-1, (tab.left_comp[x],)) for x in simples]
+        simples = range(1, tab.w0)
+        self._steps = [(0, (x,)) for x in simples] + \
+            [(-1, (tab.left_comp[x],)) for x in simples]
 
     def key_of(self, g: GarsideElement) -> tuple[int, ...]:
         return _coset_factors(self.tab.tau, g.factors)
 
-    def neighbor_keys(self, fs: tuple[int, ...], steps=None) -> list[tuple[int, ...]]:
-        """Keys of the cosets one step from fs, by `steps` (default: all)."""
+    def neighbor_keys(self, fs: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Keys of the cosets one step from fs."""
         tab = self.tab
         tau = tab.tau
         out = []
         seen = {fs}
-        for u in self._steps if steps is None else steps:
+        for u in self._steps:
             _, res = _key_product(tab, (0, fs), u)
             if len(res) > self.len_bound:
                 continue
@@ -663,42 +873,46 @@ def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
     """Materialized Cay(A)/<D> truncation: cosets of canonical length <= bound,
     edges between cosets differing by one nontrivial simple.
 
-    Keys step by positive simples (see the module docstring), and a key of
-    the maximal length L only by the simples x that its last factor x_L
-    absorbs.  Boundary lemma: let a = x_1..x_L be left-weighted and x simple.
-    Then a^-1 D^L = d(x_L) t(d(x_(L-1))) .. is left-weighted, with d(y) =
-    y^-1 D the complement and t the twist (Charney 1992), so a simple x is a
-    prefix of a^-1 D^L exactly when it is a prefix of d(x_L), that is when
-    x_L x is simple.  Hence:
-    - if x_L x is simple, a x has sup <= L and stays in the box;
+    Works on the ids of a `_ProductRows` table to length L = len_bound; a
+    coset's id is the least id of its two inf-0 forms a and t(a), which is
+    its canonical key.  Keys step by positive simples (see the module
+    docstring), and a key of length L only by the simples x that its last
+    factor x_L absorbs.  Boundary lemma: let a = x_1..x_L be left-weighted
+    and x simple.  Then a^-1 D^L = d(x_L) t(d(x_(L-1))) .. is left-weighted,
+    with d(y) = y^-1 D the complement and t the twist (Charney 1992), so a
+    simple x is a prefix of a^-1 D^L exactly when it is a prefix of d(x_L),
+    that is when x_L x is simple.  Hence:
+    - if x_L x is simple, a x = x_1..x_(L-1) (x_L x) has sup <= L and stays
+      in the box; it is read from the row of the prefix at x_L x;
     - otherwise a x has sup L+1, so it leaves the box unless its inf is 1,
       a x = D r with r of length L.  Then r d(x) = D^-1 a D = t(a), of the
       coset of a, and since r d(x) has sup L the last factor of r absorbs
       d(x) (and the key t(r) the step t(d(x))): the edge is found from the
       other end.
     """
-    universe = QuotientCayleyUniverse(group, len_bound)
-    tab = universe.tab
-    steps = universe.positive_steps
-    absorbed: dict[int, list] = {}   # last factor -> the steps it absorbs
+    rows = _ProductRows(group, len_bound)
+    tab, n, row = rows.tab, rows.n, rows.row
+    canon = [min(i, t) for i, t in enumerate(rows.tau)]   # id -> its coset's key
+    keys = [i for i, c in enumerate(canon) if i == c]
+    absorbed: dict[int, list[int]] = {}   # last factor y -> y x for the x it absorbs
 
-    def steps_of(fs):
-        if len(fs) < len_bound or not fs:   # () has no last factor (L = 0)
-            return steps
-        last = fs[-1]
-        if last not in absorbed:
-            n = tab.length[last]
-            absorbed[last] = [(0, (x,)) for _, (x,) in steps
-                              if tab.length[tab.mult(last, x)] == n + tab.length[x]]
-        return absorbed[last]
+    def neighbours(i):
+        if i < rows.below:
+            return [canon[v >> 1] for v in row[i * n + 1:i * n + n - 1]]
+        if not i:   # L = 0
+            return ()
+        y = rows.forms[i][-1]
+        if y not in absorbed:
+            absorbed[y] = [tab.mult(y, x) for x in range(1, n - 1)
+                           if tab.length[tab.mult(y, x)] == tab.length[y] + tab.length[x]]
+        base = rows.prefix[i] * n
+        return [canon[row[base + c] >> 1] for c in absorbed[y]]
 
-    keys = _coset_keys(group, len_bound)
-    key_edges = ((fs, w) for fs in keys
-                 for w in universe.neighbor_keys(fs, steps_of(fs)))
+    text = _renderer(group)
     prov = {"group": group.family, "construction": "quotient-cayley",
             "len_bound": len_bound}
-    return _build_graph({fs: _render_key(group, (0, fs)) for fs in keys},
-                        key_edges, prov)
+    return _build_graph({i: text(0, rows.forms[i]) for i in keys},
+                        ((i, neighbours(i)) for i in keys), prov)
 
 
 def build_cal_graph(group: CoxeterGraph, len_bound: int,
@@ -722,12 +936,13 @@ def build_cal_graph(group: CoxeterGraph, len_bound: int,
                  for el in ab.enumerate_absorbable(group, abs_bound, witness_bound))
     tab = group.table()
     keys = _coset_keys(group, len_bound)
-    key_edges = ((fs, _coset_factors(tab.tau, _key_product(tab, (0, fs), u)[1]))
-                 for fs in keys for u in steps)
+    adjacency = ((fs, [_coset_factors(tab.tau, _key_product(tab, (0, fs), u)[1])
+                       for u in steps]) for fs in keys)
     prov = {"group": group.family, "construction": "additional-length",
             "len_bound": len_bound, "abs_sup_bound": abs_bound,
             "notes": "absorbable edges from bounded census (lower approximation)"}
-    return _build_graph({k: _render_key(group, (0, k)) for k in keys}, key_edges, prov)
+    text = _renderer(group)
+    return _build_graph({k: text(0, k) for k in keys}, adjacency, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -768,11 +983,11 @@ def build_cparab_neighborhood(p0: ParabolicSubgroup, conj_len: int,
         if d == hops:
             break
     kept_keys = list(kept)
-    key_edges = [(a, b) for i, a in enumerate(kept_keys)
-                 for b in kept_keys[i + 1:] if adjacent(a, b)]
+    adjacency = ((a, [b for b in kept_keys[i + 1:] if adjacent(a, b)])
+                 for i, a in enumerate(kept_keys))
     prov = {"group": group.family, "construction": "cparab",
             "p0": p0.key(), "conj_len": conj_len, "hops": hops}
-    return _build_graph({k: k for k in kept_keys}, key_edges, prov)
+    return _build_graph({k: k for k in kept_keys}, adjacency, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -913,6 +1128,13 @@ def cparab_image_diameter(triangle: ab.FatTriangle, conj_len: int) -> ImageDiame
 # Hyperbolicity estimate
 # ---------------------------------------------------------------------------
 
+def delta_quadruples(n: int, sample: int) -> tuple[int, int]:
+    """(4-tuples `estimate_delta` examines, C(n, 4)) for n vertices: every
+    4-subset when `sample` reaches C(n, 4), else `sample` drawn ones."""
+    total = math.comb(n, 4)
+    return (total if sample >= total else max(sample, 0)), total
+
+
 def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0,
                    per_component: bool = False) -> Fraction:
     """Four-point-condition defect, maximized over sampled 4-tuples.
@@ -926,8 +1148,8 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0,
     n = len(graph.vertices)
     if n == 0:
         return Fraction(0)
-    total = n * (n - 1) * (n - 2) * (n - 3) // 24 if n >= 4 else 0
-    exhaustive = total and sample >= total
+    examined, total = delta_quadruples(n, sample)
+    exhaustive = total and examined == total
 
     def quads():   # each 4-tuple sorted, so every pair (i, j) has i < j
         if exhaustive:

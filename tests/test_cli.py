@@ -100,6 +100,39 @@ def test_delta_estimate(capsys, tmp_path):
     assert code == 0
     assert data["provenance"]["seed"] == 7
     assert out_file.exists()
+    # 400 of C(n, 4) 4-tuples drawn: a lower bound on delta of the truncation
+    n = data["vertices"]
+    assert data["quadruples_total"] == n * (n - 1) * (n - 2) * (n - 3) // 24 > 400
+    assert data["quadruples_examined"] == 400
+    assert data["delta_exactness"] == "sampled lower bound"
+    # every 4-subset examined: exact for the truncation
+    code, out = run(capsys, "delta-estimate", "--group", "A2", "--len-bound", "2",
+                    "--sample", "35")
+    data = last_json(out)
+    assert code == 0 and data["vertices"] == 7
+    assert data["quadruples_examined"] == data["quadruples_total"] == 35
+    assert data["delta_exactness"] == "exact for the truncation"
+    code, out = run(capsys, "delta-estimate", "--group", "A2", "--len-bound", "2",
+                    "--sample", "34")
+    assert last_json(out)["delta_exactness"] == "sampled lower bound"
+
+
+@pytest.mark.parametrize("argv", [
+    ("quotient-cayley", "--group", "F4", "--len-bound", "3"),
+    ("quotient-cayley", "--group", "H4", "--len-bound", "2"),
+    ("delta-estimate", "--group", "A5", "--len-bound", "2"),
+    ("ball", "--group", "F4", "--kind", "Simples", "--radius", "3", "--universe", "3"),
+])
+def test_oversized_product_tables_are_refused(capsys, argv):
+    # F4 to length 3 would have 77 M normal forms, H4 to length 2 50 M; the
+    # forms are listed only up to the level before the limit is passed
+    parse_group_spec(argv[2]).table()   # the table of W is built once per group
+    t0 = time.perf_counter()
+    code, out = run(capsys, *argv)
+    data = last_json(out)
+    assert code == 3 and data["error"] == "CapExceeded"
+    assert str(mt.TABLE_LIMIT) in data["message"]
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_usage_and_error_exit_codes(capsys):

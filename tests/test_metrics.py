@@ -361,16 +361,41 @@ def test_lipschitz_check_passes():
 A1XA2 = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2")
 EQUIV_GROUPS = {"A2": I3, "A3": A3, "B3": parse_group_spec("B3"), "I2(5)": I5,
                 "A1xA2": A1XA2, "I2(6)": parse_group_spec("I2(6)"),
-                "A4": parse_group_spec("A4")}
+                "A4": parse_group_spec("A4"), "D4": parse_group_spec("D4"),
+                "H3": parse_group_spec("H3"), "A1": parse_group_spec("A1")}
 
 
 def _pair(graph):
     return graph.vertices, graph.edges
 
 
+@pytest.mark.parametrize("spec,bound", [("A3", 3), ("B3", 2), ("I2(5)", 4),
+                                        ("A1xA2", 3), ("D4", 2), ("A2", 0)])
+def test_product_rows_match_key_product(spec, bound):
+    group = EQUIV_GROUPS[spec]
+    tab = group.table()
+    rows = mt._ProductRows(group, bound)
+    assert rows.forms == [fs for ell in range(bound + 1)
+                          for fs in gd.iter_positive_factor_tuples(group, ell)]
+    for i, fs in enumerate(rows.forms):
+        assert rows.id_of(fs) == i
+        assert rows.forms[rows.tau[i]] == tuple(tab.tau[x] for x in fs)
+        if fs:
+            assert rows.forms[rows.prefix[i]] == fs[:-1]
+        for x in range(1, tab.w0):
+            d, res = mt._key_product(tab, (0, fs), (0, (x,)))
+            want = 2 * rows.id_of(res) + d if len(res) <= bound else None
+            assert rows.product(i, x) == want
+        if i < rows.below:   # the columns of 1 and D
+            assert rows.row[i * tab.size] == 2 * i
+            assert rows.row[i * tab.size + tab.w0] == 2 * rows.tau[i] + 1
+    assert rows.below == len(rows.forms) - gd.count_positive_nf(group, bound)
+
+
 @pytest.mark.parametrize("spec,bound", [("A2", 3), ("A3", 3), ("B3", 2),
                                         ("I2(5)", 3), ("A1xA2", 3), ("A2", 4),
-                                        ("I2(6)", 4), ("A4", 2), ("A1xA2", 4)])
+                                        ("I2(6)", 4), ("A4", 2), ("A1xA2", 4),
+                                        ("A2", 0)])
 def test_quotient_cayley_matches_two_direction_reference(spec, bound):
     group = EQUIV_GROUPS[spec]
     graph = mt.quotient_cayley_graph(group, bound)
@@ -381,19 +406,47 @@ def test_quotient_cayley_matches_two_direction_reference(spec, bound):
             reference_delta(graph, 300, seed)
 
 
+@pytest.mark.parametrize("spec", ["D4", "H3"])
+def test_quotient_cayley_matches_reference_on_d4_and_h3(spec):
+    group = EQUIV_GROUPS[spec]
+    graph = mt.quotient_cayley_graph(group, 2)
+    assert _pair(graph) == reference_quotient_cayley(group, 2)
+
+
 @pytest.mark.parametrize("spec,kind,radius,universe", [
     ("A2", mt.KIND_SIMPLES, 3, 2), ("A3", mt.KIND_SIMPLES, 3, 2),
     ("B3", mt.KIND_SIMPLES, 2, 1), ("I2(5)", mt.KIND_SIMPLES, 3, 2),
-    ("A1xA2", mt.KIND_SIMPLES, 3, 2), ("A2", mt.KIND_FINITE, 3, 3),
-    ("A1xA2", mt.KIND_FINITE, 2, 2), ("I2(5)", mt.KIND_XP, 2, 2),
-    ("A2", mt.KIND_XABS, 2, 2), ("A2", mt.KIND_XNP, 2, 2),
-    ("A2", mt.KIND_SIMPLES, 0, 2),
+    ("A1xA2", mt.KIND_SIMPLES, 3, 2), ("I2(5)", mt.KIND_SIMPLES, 5, 3),
+    ("A2", mt.KIND_SIMPLES, 2, 0), ("A2", mt.KIND_FINITE, 3, 3),
+    ("A1xA2", mt.KIND_FINITE, 2, 2), ("A3", mt.KIND_FINITE, 4, 2),
+    ("I2(5)", mt.KIND_XP, 2, 2), ("A2", mt.KIND_XP, 3, 2), ("A3", mt.KIND_XP, 2, 1),
+    ("A1xA2", mt.KIND_XP, 2, 1), ("A2", mt.KIND_XP, 4, 1), ("A2", mt.KIND_XABS, 2, 2),
+    ("A3", mt.KIND_XABS, 1, 1), ("I2(5)", mt.KIND_XABS, 2, 1),
+    ("A1xA2", mt.KIND_XABS, 1, 1), ("A2", mt.KIND_XNP, 2, 2),
+    ("A3", mt.KIND_XNP, 2, 1), ("I2(5)", mt.KIND_XNP, 2, 1),
+    ("A1xA2", mt.KIND_XNP, 2, 1), ("A2", mt.KIND_SIMPLES, 0, 2),
 ])
 def test_ball_matches_reference(spec, kind, radius, universe):
     oracle = mt.genset_oracle(EQUIV_GROUPS[spec], kind)
     graph = mt.bounded_ball_graph(oracle, radius, universe)
     assert _pair(graph) == reference_ball(oracle, radius, universe)
     assert mt.estimate_delta(graph, 200, 5) == reference_delta(graph, 200, 5)
+
+
+@pytest.mark.parametrize("spec,kind,radius,universe", [
+    ("A2", mt.KIND_SIMPLES, 6, 2), ("A2", mt.KIND_FINITE, 6, 1),
+    ("A2", mt.KIND_XP, 6, 1), ("I2(5)", mt.KIND_XABS, 4, 1),
+    ("A1", mt.KIND_SIMPLES, 8, 2), ("A1", mt.KIND_FINITE, 3, 1),
+    ("A2", mt.KIND_XABS, 2, 0),
+])
+def test_ball_stall_is_refused_as_by_the_reference(spec, kind, radius, universe):
+    # products the box inequalities skip still count as clipped; in A1 every
+    # step is a power of D, and every one that leaves the box is skipped
+    oracle = mt.genset_oracle(EQUIV_GROUPS[spec], kind)
+    with pytest.raises(UniverseTooSmall, match="stalled"):
+        reference_ball(oracle, radius, universe)
+    with pytest.raises(UniverseTooSmall, match="stalled"):
+        mt.bounded_ball_graph(oracle, radius, universe)
 
 
 def test_ball_with_every_vertex_expanded():

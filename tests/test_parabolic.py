@@ -1,6 +1,8 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from garsidehyp import garside as gd
 from garsidehyp import parabolic as pb
@@ -34,6 +36,59 @@ def test_standard_membership_examples():
     assert pb.standard_membership(nf(A3, "s1 s2 s1"), ("s1", "s2"))
     assert not pb.standard_membership(nf(A3, "s3"), ("s1", "s2"))
     assert not pb.standard_membership(gd.delta_pow(A3, 2), ("s1", "s2"))
+
+
+BOX = 2
+MEMBERSHIP_SUBSETS = [("A2", ("a",)), ("A3", ("s2",)), ("A3", ("s1", "s2")),
+                      ("A3", ("s1", "s3")), ("B3", ("s2", "s3")), ("I2(5)", ("b",))]
+
+
+@functools.cache
+def _box_members(spec, labels):
+    """The factor tuples of the box |inf| <= BOX, length <= BOX, and the keys
+    (inf, factors) of its members of A_T, by brute force: the products
+    a^-1 c of positive T-words a, c of at most BOX l(w0_T) letters.
+
+    Every member is one: its np form a^-1 c (a, c positive, no common left
+    divisor) has a, c in A_T^+, sup a = -inf g <= BOX, and c = g when inf g
+    >= 0, where inf g = 0 since D is not in A_T; each factor of an element
+    of A_T^+ lies in W_T, so sup <= BOX means at most BOX l(w0_T) letters.
+    """
+    group = parse_group_spec(spec)
+    tab = group.table()
+    idx = group.gen_indices(labels)
+    gens = [gd.GarsideElement(group, 0, (tab.rmult[0][i],)) for i in idx]
+    letters = BOX * tab.length[tab.longest_in(tab.mask_of(idx))]
+    level = {(0, ()): gd.identity_element(group)}
+    positives = dict(level)
+    for _ in range(letters):
+        level = {(h.power, h.factors): h for g in level.values() for u in gens
+                 for h in [gd.multiply(g, u)]}
+        positives.update(level)
+    members = set()
+    for a in positives.values():
+        a_inv = gd.invert(a)
+        for c in positives.values():
+            g = gd.multiply(a_inv, c)
+            if abs(g.power) <= BOX and len(g.factors) <= BOX:
+                members.add((g.power, g.factors))
+    forms = [fs for ell in range(BOX + 1) for fs in gd.iter_positive_factor_tuples(group, ell)]
+    return forms, sorted(members)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_standard_membership_matches_box_enumeration(data):
+    """Members drawn from the brute-force list and elements drawn from the
+    whole box, inf from -BOX to BOX."""
+    spec, labels = data.draw(st.sampled_from(MEMBERSHIP_SUBSETS))
+    forms, members = _box_members(spec, labels)
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(members))
+    else:
+        key = (data.draw(st.integers(-BOX, BOX)), data.draw(st.sampled_from(forms)))
+    g = gd.GarsideElement(parse_group_spec(spec), *key)
+    assert pb.standard_membership(g, labels) == (key in members)
 
 
 @pytest.mark.parametrize("spec,subsets", [
