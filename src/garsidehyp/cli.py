@@ -267,7 +267,7 @@ def cmd_delta_estimate(args) -> int:
     graph.provenance["sample"] = args.sample
     delta = mt.estimate_delta(graph, args.sample, seed=args.seed)
     _export(graph, args)
-    examined, total = mt.delta_quadruples(len(graph.vertices), args.sample)
+    examined, total = mt.delta_quadruples(len(graph.vertices), args.sample, args.seed)
     exactness = "exact for the truncation" if examined == total else "sampled lower bound"
     _emit({"delta_estimate": str(delta), "delta_exactness": exactness,
            "quadruples_examined": examined, "quadruples_total": total,

@@ -25,17 +25,19 @@ set.  `_box_step_generators` lists every such member.  The target of
 expands stays in the box.
 
 Graph builders work on normal-form keys (power, factors) and render each
-vertex once.  Products by a simple come from one table, `_ProductRows`: it
-numbers every inf-0 normal form of length <= L and holds, for each form a
-shorter than L and each simple x, the D-power and the id of a x in flat int
-rows.  Prefix recurrence: with a = a' y and renorm(y, x) = (p, q), that is
+vertex once.  Products by a simple come from one prefix recurrence.  The
+table of `quotient_cayley_graph`, `_ProductRows`, numbers every inf-0
+normal form of length <= L and holds, for each form a shorter than L and
+each simple x, the D-power and the id of a x in flat int rows.  Prefix
+recurrence: with a = a' y and renorm(y, x) = (p, q), that is
 y x = p q with (p, q) left-weighted, a x = (a' p) q, and a' p is the row of
-the shorter a' at p.  Appending q keeps the form normal when the last factor
-of a' p and q are left-weighted, which the domino rule of Garside normal
-forms guarantees (right multiplication by a simple is one right-to-left
-pass of renorms; Charney 1992); the junction is combed with the kernel's
-loop only if they are not.  A form of length L gets its products the same
-way on demand, and a product longer than L is off the table.
+the shorter a' at p.  Appending q keeps the form normal: a' p = D^d c with c
+normal, and the last factor of c and q are left-weighted by the domino rule
+of Garside normal forms (right multiplication by a simple is one
+right-to-left pass of renorms, each leaving a left-weighted pair behind it;
+Charney 1992).  So the form of a x is c + (q,), looked up without combing.
+A form of length L gets its products the same way on demand, and a
+product longer than L is off the table.
 
 `quotient_cayley_graph` steps by positive simples only: the edge
 {C, C x^-1} is the edge {C', C' x} with C' = C x^-1, seen from its other
@@ -44,8 +46,12 @@ last factor x_L absorbs (x_L x simple); the boundary lemma at
 `quotient_cayley_graph` shows that every other product leaves the box or
 repeats an edge found from its other end.
 
-`bounded_ball_graph` reads each step of at most one factor from the table
-after the D-twist (D^r a D^q y = D^(r+q) t^q(a) y), forms longer steps with
+`bounded_ball_graph` needs the products of the few forms its ball visits,
+often by a few simples only, so it forms them with the same recurrence in a
+`_ProductMemo`, which keeps only the products of prefixes: its cost follows
+the ball, where a table to length L would cost |W|^L whatever the ball.  It
+forms each step of at most one factor there after the D-twist
+(D^r a D^q y = D^(r+q) t^q(a) y), forms longer steps with
 `_key_product`, and forms no product that one of three box inequalities
 puts outside the box.  For elements a and u, using that inf is
 superadditive, sup subadditive and inf(a^-1) = -sup a:
@@ -118,6 +124,11 @@ XNP_BOX_LIMIT = 100_000
 # Python 3.11).  A table of more row entries than this is refused rather than
 # built.
 TABLE_LIMIT = 500_000
+
+# Renorms a `_ProductMemo` keeps, at about 130 bytes each (8 MB when full,
+# F4, Python 3.11); its cache is emptied when full.  The n^2 pairs of A3 or
+# B3 fit, those of F4 (1.3 M) do not.
+RENORM_CACHE = 1 << 16
 
 # Sources per bit-parallel distance pass, so each vertex mask has at most
 # this many bits.
@@ -197,11 +208,7 @@ class _ProductRows:
             base = prefix[i] * n
             for p, q in self._renorm_row(forms[i][-1]):
                 v = row[base + p]
-                if q:   # the inlined fast path of _append
-                    t = v >> 1
-                    pos = slot[t][q]
-                    v = 2 * (first[t] + pos) + (v & 1) if pos >= 0 else self._append(v, q)
-                row.append(v)
+                row.append(self._append(v, q) if q else v)
 
     def _renorm_row(self, y: int) -> list[tuple[int, int]]:
         """renorm(y, x) for every simple x: y x = p q with (p, q) left-weighted."""
@@ -212,20 +219,13 @@ class _ProductRows:
         return got
 
     def _append(self, v: int, q: int) -> int | None:
-        """The entry of (D^d c) q for the entry v = 2 id(c) + d and a simple q
-        other than 1 and D, or None when the product is longer than L."""
+        """The entry of (D^d c) q for the entry v = 2 id(c) + d of a product
+        a' p of the recurrence and its q, or None when the product is longer
+        than L; (c, q) is left-weighted (module docstring)."""
         t = v >> 1
-        tf = self.forms[t]
-        tab = self.tab
-        if t < self.below:
-            pos = self.slot[t][q]
-            if pos >= 0:
-                return 2 * (self.first[t] + pos) + (v & 1)
-        elif not tab.ldesc[q] & ~tab.rdesc[tf[-1]]:
-            return None   # tf + (q,), of length L + 1
-        d, res = gd._normalise(tab, tf + (q,), len(tf) - 1)
-        k = self.id_of(res)
-        return None if k is None else 2 * k + (v & 1) + d
+        if t >= self.below:
+            return None
+        return 2 * (self.first[t] + self.slot[t][q]) + (v & 1)
 
     def id_of(self, fs: Sequence[int]) -> int | None:
         """Id of a normal form, or None when it is longer than L."""
@@ -246,6 +246,62 @@ class _ProductRows:
         p, q = self._renorm_row(self.forms[i][-1])[x]
         v = self.row[self.prefix[i] * self.n + p]
         return self._append(v, q) if q else v
+
+
+class _ProductMemo:
+    """Products of inf-0 normal forms by simples, formed only when asked for.
+
+    `times(i, x)` is (d, c) with forms[i] x = D^d c, formed from the
+    prefix's product by the recurrence of `_ProductRows`.  Only the products
+    that recurrence reads, those of prefixes, are kept, as `product(i, x)` =
+    2 id(c) + d, and only their forms and the forms asked about by `id_of`
+    get ids.  So the cost and memory follow the forms a search visits, not
+    |W|^L, and no length bounds the forms.
+    """
+
+    def __init__(self, group: CoxeterGraph):
+        self.tab = group.table()
+        self.n = self.tab.size
+        self.forms: list[tuple[int, ...]] = [()]
+        self.prefix = [0]
+        self._ids = {(): 0}
+        self._memo: dict[int, int] = {}   # i*n + x -> product(i, x)
+        self._renorm: dict[int, tuple[int, int]] = {}   # y*n + x -> renorm(y, x)
+
+    def id_of(self, fs: tuple[int, ...]) -> int:
+        i = self._ids.get(fs)
+        if i is None:
+            p = self.id_of(fs[:-1])
+            i = self._ids[fs] = len(self.forms)
+            self.forms.append(fs)
+            self.prefix.append(p)
+        return i
+
+    def times(self, i: int, x: int) -> tuple[int, tuple[int, ...]]:
+        n = self.n
+        if not i:
+            return (0, ()) if not x else (1, ()) if x == n - 1 else (0, (x,))
+        k = self.forms[i][-1] * n + x
+        pq = self._renorm.get(k)
+        if pq is None:
+            if len(self._renorm) >= RENORM_CACHE:
+                self._renorm.clear()
+            pq = self._renorm[k] = self.tab.renorm(k // n, x)
+        p, q = pq
+        v = self.product(self.prefix[i], p)
+        c = self.forms[v >> 1]
+        return v & 1, (c + (q,) if q else c)   # c q is normal (module docstring)
+
+    def product(self, i: int, x: int) -> int:
+        v = self._memo.get(i * self.n + x)
+        if v is None:
+            d, c = self.times(i, x)
+            v = self._memo[i * self.n + x] = 2 * self.id_of(c) + d
+        return v
+
+    def twist(self, i: int) -> int:
+        """Id of the tau-twisted form: forms[i] D = D t(forms[i])."""
+        return self.product(i, self.n - 1) >> 1
 
 
 def _key_product(tab, key, u) -> tuple[int, tuple[int, ...]]:
@@ -628,9 +684,16 @@ def _coset_factors(tau: Sequence[int], factors: tuple[int, ...]) -> tuple[int, .
 
 def _renderer(group: CoxeterGraph) -> Callable[[int, Sequence[int]], str]:
     """text(power, factors): the text of `GarsideElement.render`, with no
-    element built."""
+    element built; each simple's word is spelled once, when first met."""
     gens = group.generators
-    words = ["".join(gens[s] for s in w) for w in group.table().word]
+    word = group.table().word
+
+    class Words(dict):
+        def __missing__(self, x):
+            got = self[x] = "".join([gens[s] for s in word[x]])
+            return got
+
+    words = Words()
     return lambda p, fs: " | ".join([f"D^{p}", *map(words.__getitem__, fs)])
 
 
@@ -662,11 +725,10 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
     member, whether or not that member lies in the box (see the module
     docstring).  Distances in the result are upper bounds for d_X.
 
-    A step of at most one factor is read from a `_ProductRows` table after
-    the D-twist, a longer one is formed by `_key_product`, and a step whose
-    product the box inequalities (module docstring) put outside the box is
-    not formed at all.  Each product outside the box, formed or not, counts
-    as clipped.
+    A step of at most one factor is formed by a `_ProductMemo` after the
+    D-twist, a longer one by `_key_product`, and a step whose product the
+    box inequalities (module docstring) put outside the box is not formed at
+    all.  Each product outside the box, formed or not, counts as clipped.
     """
     if radius < 0:
         raise UniverseTooSmall("radius must be >= 0")
@@ -676,12 +738,7 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
     gens = [_nf_key(u) for u in _box_step_generators(oracle, bound)] if radius else []
     short = [(q, us[0] if us else 0) for q, us in gens if len(us) <= 1]
     long = [u for u in gens if len(u[1]) > 1]
-    # A step of at most one factor changes the length by at most one, so
-    # with no longer step every vertex has length <= radius: the table to
-    # that length holds every product of a vertex the search expands, and a
-    # product off it in the edge pass is no vertex.
-    rows = _ProductRows(group, bound if long else min(bound, radius))
-    forms, tau = rows.forms, rows.tau
+    rows = _ProductMemo(group)
     box_steps: dict = {}   # (inf, length) of a vertex -> the steps that may stay in the box
 
     def steps(p, ell):
@@ -700,14 +757,15 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
         p, fs = key
         kept_short, kept_long, clip = steps(p, len(fs))
         i = rows.id_of(fs)
+        ids = (i, rows.twist(i))   # the form, and the form after an odd D-power
         out = []
         for q, y in kept_short:
-            j = tau[i] if q % 2 else i
-            v = rows.product(j, y) if y else 2 * j
-            if v is None or abs(p + q + (v & 1)) > bound:
+            j = ids[q & 1]
+            d, c = rows.times(j, y)
+            if abs(p + q + d) > bound or len(c) > bound:
                 clip = True
             else:
-                out.append((p + q + (v & 1), forms[v >> 1]))
+                out.append((p + q + d, c))
         for u in kept_long:
             h = _key_product(tab, key, u)
             if _in_box(h, bound):
@@ -1128,11 +1186,23 @@ def cparab_image_diameter(triangle: ab.FatTriangle, conj_len: int) -> ImageDiame
 # Hyperbolicity estimate
 # ---------------------------------------------------------------------------
 
-def delta_quadruples(n: int, sample: int) -> tuple[int, int]:
-    """(4-tuples `estimate_delta` examines, C(n, 4)) for n vertices: every
-    4-subset when `sample` reaches C(n, 4), else `sample` drawn ones."""
+def _quadruples(n: int, sample: int, seed: int) -> Iterable[Sequence[int]]:
+    """The 4-tuples of vertices `estimate_delta` reads, each sorted: every
+    4-subset when `sample` reaches C(n, 4), else `sample` draws of four
+    distinct vertices, which may repeat."""
+    if sample >= math.comb(n, 4):
+        return itertools.combinations(range(n), 4)
+    rng = _random.Random(seed)
+    return (sorted(rng.sample(range(n), 4)) for _ in range(sample))
+
+
+def delta_quadruples(n: int, sample: int, seed: int = 0) -> tuple[int, int]:
+    """(distinct 4-subsets `estimate_delta` examines, C(n, 4)) for n
+    vertices; the two are equal exactly when every 4-subset is examined."""
     total = math.comb(n, 4)
-    return (total if sample >= total else max(sample, 0)), total
+    if sample >= total:
+        return total, total
+    return len({tuple(q) for q in _quadruples(n, sample, seed)}), total
 
 
 def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0,
@@ -1148,16 +1218,9 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0,
     n = len(graph.vertices)
     if n == 0:
         return Fraction(0)
-    examined, total = delta_quadruples(n, sample)
-    exhaustive = total and examined == total
-
-    def quads():   # each 4-tuple sorted, so every pair (i, j) has i < j
-        if exhaustive:
-            return itertools.combinations(range(n), 4)
-        if n < 4:
-            return ()
-        rng = _random.Random(seed)
-        return (sorted(rng.sample(range(n), 4)) for _ in range(sample))
+    exhaustive = sample >= math.comb(n, 4)
+    # each 4-tuple sorted, so every pair (i, j) has i < j
+    quads = functools.partial(_quadruples, n, sample, seed)
 
     if exhaustive:
         needed = itertools.combinations(range(n), 2)

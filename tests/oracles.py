@@ -16,11 +16,10 @@ element models or tables:
 The reference graph builders at the end are the exception: they are the
 plain forms of the builders in `garsidehyp.metrics`, on the library's
 kernel.  They form every product they need, with `garside.multiply` or the
-key-level `metrics._key_product` (the same normalisation loop) and never
-from a product table, filter the whole box for generating-set members, key
-vertices by their rendered text and hold each delta row as a dict, and the
-tests require
-the library's builders to give the same generators, graphs, delta values and
+key-level `metrics._key_product`, and never from a product table, filter
+the whole box for generating-set members, key vertices by their rendered
+text and hold each delta row as a dict, and the tests require the library's
+builders to give the same generators, graphs, delta values and
 exported bytes.
 """
 
@@ -226,44 +225,37 @@ def reference_box_members(oracle, bound):
 
 
 def reference_ball(oracle, radius, universe_len):
-    """The word-metric ball as the library built it before its product
-    table and box pruning: every vertex the search expands is multiplied by
-    every step generator with `_key_product`, the edge pass multiplies the
-    last layer again, and a search that stalls inside the box raises
-    UniverseTooSmall."""
+    """The word-metric ball with no product table and no box pruning: every
+    vertex the search expands is multiplied by every step generator with
+    `garside.multiply`, the edge pass multiplies the last layer again, and a
+    search that stalls inside the box raises UniverseTooSmall."""
     from garsidehyp import garside as gd, metrics as mt
     from garsidehyp.errors import UniverseTooSmall
     if radius < 0:
         raise UniverseTooSmall("radius must be >= 0")
-    group = oracle.group
-    tab = group.table()
-    gens = [mt._nf_key(u) for u in mt._box_step_generators(oracle, universe_len)] \
-        if radius else []
+    gens = mt._box_step_generators(oracle, universe_len) if radius else []
+    one = gd.identity_element(oracle.group)
+    layers = [{one.render(): one}]
+    seen = dict(layers[0])
     clipped = False
-    products = {}   # expanded vertex -> its products with every generator
-
-    def step(key):
-        nonlocal clipped
-        prods = products[key] = [mt._key_product(tab, key, u) for u in gens]
-        out = [h for h in prods if mt._in_box(h, universe_len)]
-        clipped = clipped or len(out) < len(prods)
-        return out
-
-    dist = {}
-    for d, _ in enumerate(mt._bfs_layers(dist, (0, ()), step)):
-        if d == radius:
+    for _ in range(radius):
+        nxt = {}
+        for g in layers[-1].values():
+            for u in gens:
+                h = gd.multiply(g, u)
+                if not mt.in_universe(h, universe_len):
+                    clipped = True
+                elif h.render() not in seen:
+                    nxt[h.render()] = seen[h.render()] = h
+        if not nxt:
+            if clipped and len(layers) < radius:
+                raise UniverseTooSmall(
+                    f"ball expansion stalled at radius {len(layers)} < {radius}")
             break
-    else:
-        if clipped and d + 1 < radius:
-            raise UniverseTooSmall(
-                f"ball expansion stalled at radius {d + 1} < {radius}")
-    text = {k: gd.GarsideElement(group, *k).render() for k in dist}
-    edges = []
-    for k in dist:
-        prods = products[k] if k in products else \
-            [mt._key_product(tab, k, u) for u in gens]
-        edges.extend((text[k], text[h]) for h in prods if h in text)
-    return reference_graph(text.values(), edges)
+        layers.append(nxt)
+    edges = [(key, gd.multiply(g, u).render())
+             for key, g in seen.items() for u in gens]
+    return reference_graph(seen, [(a, b) for a, b in edges if b in seen])
 
 
 def reference_delta(graph, sample, seed=0):

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -103,7 +104,9 @@ def test_delta_estimate(capsys, tmp_path):
     # 400 of C(n, 4) 4-tuples drawn: a lower bound on delta of the truncation
     n = data["vertices"]
     assert data["quadruples_total"] == n * (n - 1) * (n - 2) * (n - 3) // 24 > 400
-    assert data["quadruples_examined"] == 400
+    rng = random.Random(7)   # the sampler of estimate_delta; draws may repeat
+    drawn = {tuple(sorted(rng.sample(range(n), 4))) for _ in range(400)}
+    assert data["quadruples_examined"] == len(drawn)
     assert data["delta_exactness"] == "sampled lower bound"
     # every 4-subset examined: exact for the truncation
     code, out = run(capsys, "delta-estimate", "--group", "A2", "--len-bound", "2",
@@ -112,16 +115,18 @@ def test_delta_estimate(capsys, tmp_path):
     assert code == 0 and data["vertices"] == 7
     assert data["quadruples_examined"] == data["quadruples_total"] == 35
     assert data["delta_exactness"] == "exact for the truncation"
+    # 34 draws of the 35 4-subsets repeat some and examine 23 distinct ones
     code, out = run(capsys, "delta-estimate", "--group", "A2", "--len-bound", "2",
                     "--sample", "34")
-    assert last_json(out)["delta_exactness"] == "sampled lower bound"
+    data = last_json(out)
+    assert data["delta_exactness"] == "sampled lower bound"
+    assert data["quadruples_examined"] == 23
 
 
 @pytest.mark.parametrize("argv", [
     ("quotient-cayley", "--group", "F4", "--len-bound", "3"),
     ("quotient-cayley", "--group", "H4", "--len-bound", "2"),
     ("delta-estimate", "--group", "A5", "--len-bound", "2"),
-    ("ball", "--group", "F4", "--kind", "Simples", "--radius", "3", "--universe", "3"),
 ])
 def test_oversized_product_tables_are_refused(capsys, argv):
     # F4 to length 3 would have 77 M normal forms, H4 to length 2 50 M; the
@@ -133,6 +138,15 @@ def test_oversized_product_tables_are_refused(capsys, argv):
     assert code == 3 and data["error"] == "CapExceeded"
     assert str(mt.TABLE_LIMIT) in data["message"]
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("spec,radius", [("A5", 2), ("D4", 3), ("F4", 2), ("E6", 2)])
+def test_finite_balls_in_large_groups_are_built(capsys, spec, radius):
+    # a ball forms the products of the forms it visits, so its cost follows
+    # the ball (a few hundred vertices), not |W|^L
+    code, out = run(capsys, "ball", "--group", spec, "--kind", "FiniteS_plus_Delta2",
+                    "--radius", str(radius), "--universe", str(radius))
+    assert code == 0 and last_json(out)["vertices"] > 60
 
 
 def test_usage_and_error_exit_codes(capsys):

@@ -392,6 +392,53 @@ def test_product_rows_match_key_product(spec, bound):
     assert rows.below == len(rows.forms) - gd.count_positive_nf(group, bound)
 
 
+@pytest.mark.parametrize("spec,bound", [("A3", 3), ("B3", 2), ("I2(5)", 4),
+                                        ("A1xA2", 3), ("D4", 1)])
+def test_product_memo_matches_key_product(spec, bound):
+    group = EQUIV_GROUPS[spec]
+    tab = group.table()
+    memo = mt._ProductMemo(group)
+    forms = [fs for ell in range(bound + 1)
+             for fs in gd.iter_positive_factor_tuples(group, ell)]
+    random.Random(0).shuffle(forms)   # ids in no particular order
+    for fs in forms:
+        i = memo.id_of(fs)
+        assert memo.forms[memo.twist(i)] == tuple(tab.tau[x] for x in fs)
+        for x in range(tab.size):
+            want = mt._key_product(tab, (0, fs), (0, (x,) if x else ()))
+            assert memo.times(i, x) == want
+            if x % 2:
+                v = memo.product(i, x)
+                assert (v & 1, memo.forms[v >> 1]) == want
+    assert all(memo.forms[memo.prefix[i]] == fs[:-1]
+               for i, fs in enumerate(memo.forms) if fs)
+
+
+@pytest.mark.parametrize("spec", ["A2", "A3", "I2(5)", "A1xA2"])
+def test_key_product_matches_multiply(spec):
+    """The key-level product the ball forms its long steps with, on the box
+    of bound 1 and the step generators of every kind there."""
+    group = EQUIV_GROUPS[spec]
+    tab = group.table()
+    gens = {mt._nf_key(u): u for kind in mt.KINDS
+            for u in mt._box_step_generators(mt.genset_oracle(group, kind), 1)}
+    box = [gd.GarsideElement(group, p, fs) for p in (-1, 0, 1)
+           for ell in (0, 1) for fs in gd.iter_positive_factor_tuples(group, ell)]
+    pairs = [(g, u) for g in box for u in gens.values()]
+    for g, u in random.Random(0).sample(pairs, min(len(pairs), 3000)):
+        assert mt._key_product(tab, mt._nf_key(g), mt._nf_key(u)) == \
+            mt._nf_key(gd.multiply(g, u))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "I2(5)", "D4"])
+def test_renderer_matches_element_render(spec):
+    group = EQUIV_GROUPS[spec]
+    text = mt._renderer(group)
+    for p in (-2, 0, 1):
+        for fs in mt._ProductRows(group, 2).forms:
+            assert text(p, fs) == gd.GarsideElement(group, p, fs).render()
+
+
 @pytest.mark.parametrize("spec,bound", [("A2", 3), ("A3", 3), ("B3", 2),
                                         ("I2(5)", 3), ("A1xA2", 3), ("A2", 4),
                                         ("I2(6)", 4), ("A4", 2), ("A1xA2", 4),
@@ -425,6 +472,7 @@ def test_quotient_cayley_matches_reference_on_d4_and_h3(spec):
     ("A1xA2", mt.KIND_XABS, 1, 1), ("A2", mt.KIND_XNP, 2, 2),
     ("A3", mt.KIND_XNP, 2, 1), ("I2(5)", mt.KIND_XNP, 2, 1),
     ("A1xA2", mt.KIND_XNP, 2, 1), ("A2", mt.KIND_SIMPLES, 0, 2),
+    ("D4", mt.KIND_FINITE, 3, 3),
 ])
 def test_ball_matches_reference(spec, kind, radius, universe):
     oracle = mt.genset_oracle(EQUIV_GROUPS[spec], kind)
