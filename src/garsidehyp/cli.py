@@ -33,6 +33,17 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+def _size(text: str) -> int:
+    """The type of a size option: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, default=str))
 
@@ -346,37 +357,37 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = add("census", cmd_census, help="absorbable census")
     p.add_argument("--group", required=True)
-    p.add_argument("--sup-bound", type=int, required=True)
-    p.add_argument("--witness-bound", type=int, default=None)
+    p.add_argument("--sup-bound", type=_size, required=True)
+    p.add_argument("--witness-bound", type=_size, default=None)
 
     p = add("cparab", cmd_cparab, help="parabolic-graph neighborhood")
     p.add_argument("--group", required=True)
     p.add_argument("--p0", required=True, help="std:s1,s2 or conj:(word):s1,s2")
-    p.add_argument("--conj-len", type=int, default=1)
-    p.add_argument("--hops", type=int, default=2)
+    p.add_argument("--conj-len", type=_size, default=1)
+    p.add_argument("--hops", type=_size, default=2)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("dot", "json"), default=None)
 
     p = add("cal", cmd_cal, help="additional-length graph truncation")
     p.add_argument("--group", required=True)
-    p.add_argument("--len-bound", type=int, required=True)
-    p.add_argument("--abs-bound", type=int, default=None)
-    p.add_argument("--witness-bound", type=int, default=None)
+    p.add_argument("--len-bound", type=_size, required=True)
+    p.add_argument("--abs-bound", type=_size, default=None)
+    p.add_argument("--witness-bound", type=_size, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("dot", "json"), default=None)
 
     p = add("quotient-cayley", cmd_quotient_cayley, help="Cay(A)/<D> truncation")
     p.add_argument("--group", required=True)
-    p.add_argument("--len-bound", type=int, required=True)
+    p.add_argument("--len-bound", type=_size, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("dot", "json"), default=None)
 
     p = add("ball", cmd_ball, help="bounded word-metric ball")
     p.add_argument("--group", required=True)
     p.add_argument("--kind", choices=mt.KINDS, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--universe", type=int, required=True)
-    p.add_argument("--witness-bound", type=int, default=None)
+    p.add_argument("--radius", type=_size, required=True)
+    p.add_argument("--universe", type=_size, required=True)
+    p.add_argument("--witness-bound", type=_size, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("dot", "json"), default=None)
 
@@ -384,8 +395,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--group", required=True)
     p.add_argument("--kind", choices=mt.KINDS, required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--universe", type=int, required=True)
-    p.add_argument("--witness-bound", type=int, default=None)
+    p.add_argument("--universe", type=_size, required=True)
+    p.add_argument("--witness-bound", type=_size, default=None)
 
     p = add("fat-triangle", cmd_fat_triangle, help="fat-triangle certificate")
     p.add_argument("--group", required=True)
@@ -393,7 +404,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--y", required=True)
     p.add_argument("--check-distances", action="store_true")
     p.add_argument("--check-symmetry", action="store_true")
-    p.add_argument("--universe", type=int, default=None)
+    p.add_argument("--universe", type=_size, default=None)
 
     p = add("arc-identity", cmd_arc_identity, help="tubular word identity")
     p.add_argument("--n", type=int, required=True)
@@ -411,15 +422,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = add("qi-constants", cmd_qi_constants, help="cocompact-lemma constants")
     p.add_argument("--group", required=True)
-    p.add_argument("--conj-len", type=int, default=1)
-    p.add_argument("--hops", type=int, default=3)
+    p.add_argument("--conj-len", type=_size, default=1)
+    p.add_argument("--hops", type=_size, default=3)
     p.add_argument("--lipschitz-samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("delta-estimate", cmd_delta_estimate, help="four-point delta")
     p.add_argument("--group", required=True)
-    p.add_argument("--len-bound", type=int, required=True)
-    p.add_argument("--sample", type=int, default=10_000)
+    p.add_argument("--len-bound", type=_size, required=True)
+    p.add_argument("--sample", type=_size, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--construction", choices=("quotient-cayley", "cal"),
                    default="quotient-cayley")

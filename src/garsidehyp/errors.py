@@ -85,6 +85,10 @@ class RepresentativeMissing(GarsideHypError):
     """An orbit or edge representative is not a vertex of the supplied graph."""
 
 
+class MalformedGraph(GarsideHypError):
+    """Graph data names a duplicate vertex or an invalid, looped or repeated edge."""
+
+
 # --- Braid topology ----------------------------------------------------------
 
 class RankTooSmall(GarsideHypError):

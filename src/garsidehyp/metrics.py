@@ -49,19 +49,35 @@ repeats an edge found from its other end.
 `bounded_ball_graph` needs the products of the few forms its ball visits,
 often by a few simples only, so it forms them with the same recurrence in a
 `_ProductMemo`, which keeps only the products of prefixes: its cost follows
-the ball, where a table to length L would cost |W|^L whatever the ball.  It
-forms each step of at most one factor there after the D-twist
-(D^r a D^q y = D^(r+q) t^q(a) y), forms longer steps with
-`_key_product`, and forms no product that one of three box inequalities
-puts outside the box.  For elements a and u, using that inf is
-superadditive, sup subadditive and inf(a^-1) = -sup a:
+the ball, where a table to length L would cost |W|^L whatever the ball.  A
+vertex D^p a is the code i W + p + B (W = 2B + 1) of its power p and the
+memo id i of a, and a step D^q u reaches D^p a D^q u = D^(p+q) t^q(a) u.
+So the product depends on p only through p + q: each form id keeps one
+`array('l')` row with an entry per distinct factor tuple u of the steps,
+2^s id(c) + d when a u = D^d c (s bits hold any d), and a vertex reads the
+row of i, or of its twist t(a) when q is odd, and tests only
+|p + q + d| <= B.  A step of one factor is one memo product; a longer step
+chains the memo's products factor by factor, each partial product kept as
+the id of its prefix and its last factor, so that no partial product gets
+an id.  The entry is CLIPPED when c is longer than B, for then the product
+is outside the box whatever the power.  Memory rule: only the breadth-first
+expansion gives forms new ids.  The edge pass over the unexpanded last
+layer only looks ids up, and its entry for a form with no id is CLIPPED
+too, since such a form is no vertex; its rows are cached like the others,
+because the forms of a layer repeat under several powers.  No product is
+read that one of three box inequalities puts outside the box.  For elements
+a and u, using that inf is superadditive, sup subadditive and inf(a^-1) =
+-sup a:
 - len(a u) >= len u - len a: u = a^-1 (a u), and len = sup - inf is
   subadditive with len(a^-1) = len a;
 - inf(a u) >= inf a + inf u: superadditivity of inf;
 - inf(a u) <= min(sup a + inf u, inf a + sup u): inf u >= inf(a^-1) +
   inf(a u) and inf a >= inf(a u) + inf(u^-1).
 A product so skipped lies outside the box, so it counts as clipped.  Each
-expanded vertex keeps its products in the box for the edge pass.
+expanded vertex keeps its products in the box for the edge pass.  The
+products a layer, and then the edge pass, would read (vertices times kept
+steps) are counted before any is read, and a ball past
+BALL_PRODUCT_LIMIT is refused.
 
 Distances among chosen vertices (the pairs of sampled 4-tuples, the
 representatives of M1, a projected triangle) come from one bit-parallel
@@ -69,12 +85,33 @@ breadth-first pass, `_pair_distances`: a vertex's mask has bit k set once
 source k has reached it, and each layer ORs every vertex's mask with its
 neighbours' masks, so all sources advance together and only the wanted
 pairs are read.  Sources run in batches of `SOURCE_BATCH`, which bounds the
-masks' memory whatever the number of pairs.  `_bfs_layers` remains the one
-breadth-first search for walks that discover their vertices.
+masks' memory whatever the number of pairs, and a batch stops at the layer
+that resolves its last pair (in the first batch, not before source 0 has
+reached every vertex, which tells connectedness).  `_bfs_layers` remains the
+one breadth-first search for walks that discover their vertices.
 
 X_NP enumeration uses Delta^2 parity: D^2 is central, so D^p x commutes
-with Omega_T exactly when D^(p mod 2) x does.  Membership is tested twice
-per positive factor tuple and every power of a passing parity is emitted.
+with Omega_T exactly when D^(p mod 2) x does, and every power of a passing
+parity is emitted.  Commutation identity: for positive x, D^p x commutes
+with Omega_T exactly when x Omega_T = t^p(Omega_T) x.  Proof: D^p x Omega_T
+= Omega_T D^p x holds exactly when x Omega_T = D^-p Omega_T D^p x, and D^-p
+Omega_T D^p = t^p(Omega_T) because t, conjugation by D, is an involution.
+The enumerator walks the positive factor tuples of the box depth first on
+memo ids: x Omega_T is chained from the id of x's prefix and x's last
+factor by the factors of Omega_T, and t^p(Omega_T) x from the parent
+tuple's t^p(Omega_T) x' by one more factor, so each test is a few memo
+lookups and one comparison.  The tuples of the maximal length, most of the
+box, and their products get no ids.  `membership` keeps `garside.commute`.
+
+C_parab works on ids.  Omega_T is formed once per subset T; each candidate
+key Omega_P = a^-1 Omega_T a (it depends only on P, Cumplido, Gebhardt,
+Gonzalez-Meneses and Wiest, Adv. Math. 352, 2019) is formed with
+`_key_product` on normal-form keys, and the distinct keys are numbered.
+Two vertices are adjacent when the keys of Omega_a Omega_b and
+Omega_b Omega_a agree.  Each expanded vertex keeps its row of adjacent
+ids; the edge pass tests only the pairs of unexpanded kept vertices.  The
+candidates are counted before any is formed, and more than
+CPARAB_CANDIDATE_LIMIT are refused.
 """
 
 from __future__ import annotations
@@ -97,6 +134,7 @@ from .errors import (
     CapExceeded,
     DisconnectedInput,
     GroupMismatch,
+    MalformedGraph,
     RepresentativeMissing,
     UniverseTooSmall,
 )
@@ -129,6 +167,25 @@ TABLE_LIMIT = 500_000
 # F4, Python 3.11); its cache is emptied when full.  The n^2 pairs of A3 or
 # B3 fit, those of F4 (1.3 M) do not.
 RENORM_CACHE = 1 << 16
+
+# Products a ball may read: before each layer it expands, and before the
+# edge pass, the ball adds its vertices times the steps the box inequalities
+# keep for them.  A product costs about 1 us: ball F4 Simples r1 u2 reads
+# 5.3 M and takes 5.3 s (12.9 s without rows; 2 vCPUs, Python 3.11), while
+# every other ball of the tests and the benchmark reads under 300,000.  A
+# ball over this many is refused before it reads them.
+BALL_PRODUCT_LIMIT = 2_000_000
+
+# Candidate subgroups C_parab may form: proper irreducible subsets times the
+# positive conjugators of canonical length <= conj-len.  With hops 2 a
+# candidate costs 65-95 us: A4 at conj-len 2 (31,779) takes 2.4 s, B3 at 3
+# (52,065) 3.4 s and D4 at 2 (90,250) 8.5 s (2 vCPUs, Python 3.11).  Above
+# this many the graph is refused before any candidate is formed.
+CPARAB_CANDIDATE_LIMIT = 50_000
+
+# Row entries of a ball (`bounded_ball_graph`): not yet formed, and a
+# product that is not a vertex of the box for any D-power.
+UNSET, CLIPPED = -2, -1
 
 # Sources per bit-parallel distance pass, so each vertex mask has at most
 # this many bits.
@@ -264,15 +321,15 @@ class _ProductMemo:
         self.n = self.tab.size
         self.forms: list[tuple[int, ...]] = [()]
         self.prefix = [0]
-        self._ids = {(): 0}
+        self.ids = {(): 0}
         self._memo: dict[int, int] = {}   # i*n + x -> product(i, x)
         self._renorm: dict[int, tuple[int, int]] = {}   # y*n + x -> renorm(y, x)
 
     def id_of(self, fs: tuple[int, ...]) -> int:
-        i = self._ids.get(fs)
+        i = self.ids.get(fs)
         if i is None:
             p = self.id_of(fs[:-1])
-            i = self._ids[fs] = len(self.forms)
+            i = self.ids[fs] = len(self.forms)
             self.forms.append(fs)
             self.prefix.append(p)
         return i
@@ -281,16 +338,23 @@ class _ProductMemo:
         n = self.n
         if not i:
             return (0, ()) if not x else (1, ()) if x == n - 1 else (0, (x,))
-        k = self.forms[i][-1] * n + x
-        pq = self._renorm.get(k)
+        d, k, q = self._after(self.prefix[i], self.forms[i][-1], x)
+        c = self.forms[k]
+        return d, (c + (q,) if q else c)   # c q is normal (module docstring)
+
+    def _after(self, j: int, y: int, x: int) -> tuple[int, int, int]:
+        """(d, k, q) with (forms[j] y) x = D^d forms[k] q, by the recurrence
+        of `times`, for a normal form forms[j] + (y,) that needs no id (q = 0:
+        no last factor)."""
+        key = y * self.n + x
+        pq = self._renorm.get(key)
         if pq is None:
             if len(self._renorm) >= RENORM_CACHE:
                 self._renorm.clear()
-            pq = self._renorm[k] = self.tab.renorm(k // n, x)
+            pq = self._renorm[key] = self.tab.renorm(y, x)
         p, q = pq
-        v = self.product(self.prefix[i], p)
-        c = self.forms[v >> 1]
-        return v & 1, (c + (q,) if q else c)   # c q is normal (module docstring)
+        v = self.product(j, p)
+        return v & 1, v >> 1, q
 
     def product(self, i: int, x: int) -> int:
         v = self._memo.get(i * self.n + x)
@@ -302,6 +366,23 @@ class _ProductMemo:
     def twist(self, i: int) -> int:
         """Id of the tau-twisted form: forms[i] D = D t(forms[i])."""
         return self.product(i, self.n - 1) >> 1
+
+    def chain(self, j: int, y: int, us: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+        """(d, c) with (forms[j] y) us = D^d c, for a normal form
+        forms[j] + (y,) (y = 0: forms[j]) and a normal factor sequence us.
+        The partial products are kept as (prefix id, last factor) pairs, so
+        neither they nor the start need an id."""
+        d = 0
+        for x in us:
+            if not y:   # the product so far is forms[j]
+                if not j:
+                    y = x
+                    continue
+                j, y = self.prefix[j], self.forms[j][-1]
+            e, j, y = self._after(j, y, x)
+            d += e
+        c = self.forms[j]
+        return d, (c + (y,) if y else c)
 
 
 def _key_product(tab, key, u) -> tuple[int, tuple[int, ...]]:
@@ -435,22 +516,56 @@ def _xnp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
         return any(gd.commute(g, om) for om in omegas)
 
     def enumerate_up_to(bound: int) -> list[GarsideElement]:
-        """The nonidentity members of the box, by Delta^2 parity (module
-        docstring): D^p x is a member exactly when D^(p mod 2) x is."""
+        """The nonidentity members of the box, by Delta^2 parity and the
+        commutation identity (module docstring): D^p x is a member exactly
+        when x Omega_T = t^p(Omega_T) x for some T, tested on memo ids."""
         size = (2 * bound + 1) * sum(gd.count_positive_nf(group, ell)
                                      for ell in range(bound + 1))
         if size > XNP_BOX_LIMIT:
             raise CapExceeded(
                 f"XNP enumeration would filter the box of bound {bound}, "
                 f"{size} elements, over the limit of {XNP_BOX_LIMIT}")
+        tab = group.table()
+        memo = _ProductMemo(group)
+        product, forms = memo.product, memo.forms
+        factors = [om.factors for om in omegas]   # each Omega_T is positive
+
+        def extend(left, y, leaf):
+            """Each entry (d, id) of left times the simple y, as (d, id), or
+            as (d, form) with no id given for a leaf of the walk."""
+            out = []
+            for d, j in left:
+                if leaf:
+                    e, c = memo.times(j, y)
+                else:
+                    v = product(j, y)
+                    e, c = v & 1, v >> 1
+                out.append((d + e, c))
+            return out
+
         out = []
-        for ell in range(bound + 1):
-            for fs in gd.iter_positive_factor_tuples(group, ell):
-                for parity in (0, 1):
-                    if membership(gd.GarsideElement(group, parity, fs)):
-                        out.extend(gd.GarsideElement(group, p, fs)
-                                   for p in range(-bound, bound + 1)
-                                   if p % 2 == parity and (p or fs))
+        # depth first from x = (); x = forms[j] + (y,) needs an id j of its
+        # prefix only, and lefts holds, for each parity p and each T,
+        # t^p(Omega_T) x as its D-power and id, or its form when formed
+        # (for the tuples of length bound, which get no ids)
+        stack = [((), 0, 0, [[(0, memo.id_of(om)) for om in factors],
+                             [(0, memo.id_of(tuple(tab.tau[x] for x in om)))
+                              for om in factors]], False)]
+        while stack:
+            fs, j, y, lefts, formed = stack.pop()
+            rights = [memo.chain(j, y, om) for om in factors]   # x Omega_T
+            for parity, left in enumerate(lefts):
+                if any(r == (d, c if formed else forms[c])
+                       for r, (d, c) in zip(rights, left)):
+                    out.extend(GarsideElement(group, p, fs)
+                               for p in range(-bound, bound + 1)
+                               if p % 2 == parity and (p or fs))
+            if len(fs) < bound:
+                i = memo.id_of(fs)
+                leaf = len(fs) + 1 == bound
+                for y in (tab.follows(fs[-1]) if fs else range(1, tab.w0)):
+                    stack.append((fs + (y,), i, y,
+                                  [extend(left, y, leaf) for left in lefts], leaf))
         out.sort(key=lambda e: e.sort_key())
         return out
 
@@ -570,13 +685,15 @@ class MetricGraph:
     provenance: dict
 
     def __post_init__(self):
+        # checked by raising, not asserting: graphs are also read from files
         n = len(self.vertices)
         self._index = {k: i for i, k in enumerate(self.vertices)}
-        assert len(self._index) == n, "duplicate vertex keys"
-        for i, j in self.edges:
-            assert 0 <= i < j < n, "edge endpoints must be valid and distinct"
-        assert all(e < f for e, f in itertools.pairwise(self.edges)), \
-            "edges must be strictly increasing"
+        if len(self._index) != n:
+            raise MalformedGraph("duplicate vertex keys")
+        if not all(0 <= i < j < n for i, j in self.edges):
+            raise MalformedGraph("edge endpoints must be valid and distinct")
+        if not all(e < f for e, f in itertools.pairwise(self.edges)):
+            raise MalformedGraph("edges must be strictly increasing")
         self._adj: list[list[int]] | None = None
 
     def index_of(self, key: str) -> int:
@@ -616,8 +733,9 @@ def _pair_distances(adj: Sequence[Sequence[int]], pairs: Iterable[tuple[int, int
     Returns the distances of the reachable pairs (an unreached pair is
     absent) and whether the first pair's source reaches every vertex.
     Mask bit k of a vertex is set once source k of the batch has reached it;
-    each layer ORs every vertex's mask with its neighbours' masks, and a
-    batch ends when no mask changes.
+    each layer ORs every vertex's mask with its neighbours' masks.  A batch
+    ends when no mask changes, or once every pair of the batch has its
+    distance and, in the first batch, bit 0 has reached every vertex.
     """
     wanted: dict[int, list[int]] = {}
     for a, b in pairs:
@@ -637,12 +755,18 @@ def _pair_distances(adj: Sequence[Sequence[int]], pairs: Iterable[tuple[int, int
         old = [0] * n
         d = 0
         while masks != old:
-            for b, bits in want.items():
-                fresh = (masks[b] & ~old[b]) & bits
+            for b, bits in list(want.items()):   # bits: the sources not yet met
+                fresh = masks[b] & bits
+                if fresh == bits:
+                    del want[b]
+                elif fresh:
+                    want[b] = bits ^ fresh
                 while fresh:
                     low = fresh & -fresh
                     dist[batch[low.bit_length() - 1], b] = d
                     fresh ^= low
+            if not want and (lo or all(m & 1 for m in masks)):
+                break
             old = masks
             masks = [functools.reduce(operator.or_, map(old.__getitem__, nbrs), m)
                      for m, nbrs in zip(old, adj)]
@@ -725,83 +849,122 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
     member, whether or not that member lies in the box (see the module
     docstring).  Distances in the result are upper bounds for d_X.
 
-    A step of at most one factor is formed by a `_ProductMemo` after the
-    D-twist, a longer one by `_key_product`, and a step whose product the
-    box inequalities (module docstring) put outside the box is not formed at
-    all.  Each product outside the box, formed or not, counts as clipped.
+    A vertex D^p a is the code i W + p + B of the memo id i of a, with
+    W = 2B + 1.  Its products come from the rows of a `_ProductMemo` form
+    (module docstring), and a step whose product the box inequalities put
+    outside the box is not read at all.  Each product outside the box,
+    read or not, counts as clipped.  The products each layer and then the
+    edge pass would read are counted first, and a ball past
+    BALL_PRODUCT_LIMIT is refused.
     """
     if radius < 0:
         raise UniverseTooSmall("radius must be >= 0")
     group = oracle.group
-    tab = group.table()
     bound = universe_len
+    width = 2 * bound + 1
     gens = [_nf_key(u) for u in _box_step_generators(oracle, bound)] if radius else []
-    short = [(q, us[0] if us else 0) for q, us in gens if len(us) <= 1]
-    long = [u for u in gens if len(u[1]) > 1]
-    rows = _ProductMemo(group)
-    box_steps: dict = {}   # (inf, length) of a vertex -> the steps that may stay in the box
+    cols: dict[tuple[int, ...], int] = {}   # factor tuple of a step -> its column
+    gens = [(q, cols.setdefault(us, len(cols)), len(us)) for q, us in gens]
+    cols = list(cols)
+    shift = max(map(len, cols), default=0).bit_length()   # a product's D-power fits
+    low = (1 << shift) - 1
+    memo = _ProductMemo(group)
+    forms, ids = memo.forms, memo.ids
+    blank = array("l", [UNSET]) * len(cols)
+    rows: dict[int, array] = {}   # form id -> entry per column (module docstring)
+    box_steps: dict = {}   # (inf, length) of a vertex -> its steps that may stay in the box
 
     def steps(p, ell):
         if (p, ell) not in box_steps:
-            def fits(q, m):   # the box inequalities for a step of inf q and length m
-                return m - ell <= bound and p + q <= bound and p + q + min(ell, m) >= -bound
-            kept_short = [(q, y) for q, y in short if fits(q, 1 if y else 0)]
-            kept_long = [u for u in long if fits(u[0], len(u[1]))]
-            box_steps[p, ell] = (kept_short, kept_long,
-                                 len(kept_short) + len(kept_long) < len(gens))
+            kept = [(q, c) for q, c, m in gens if m - ell <= bound and
+                    p + q <= bound and p + q + min(ell, m) >= -bound]
+            box_steps[p, ell] = ([(q, c) for q, c in kept if not q & 1],
+                                 [(q, c) for q, c in kept if q & 1],
+                                 len(kept) < len(gens))
         return box_steps[p, ell]
 
-    def products(key):
-        """The products of `key` by every step that lie in the box, and
+    times, chain, id_of = memo.times, memo.chain, memo.id_of
+
+    def entry(j, c, new):
+        """Row entry of forms[j] times the step factors cols[c]."""
+        us = cols[c]
+        d, res = times(j, us[0]) if len(us) == 1 else chain(j, 0, us)
+        if len(res) > bound:
+            return CLIPPED
+        k = ids.get(res)
+        if k is None:
+            if not new:
+                return CLIPPED
+            k = id_of(res)
+        return k << shift | d
+
+    def products(v, new):
+        """The codes of the products of vertex v that lie in the box, and
         whether some product leaves it."""
-        p, fs = key
-        kept_short, kept_long, clip = steps(p, len(fs))
-        i = rows.id_of(fs)
-        ids = (i, rows.twist(i))   # the form, and the form after an odd D-power
+        i, p = divmod(v, width)
+        p -= bound
+        even, odd, clip = steps(p, len(forms[i]))
         out = []
-        for q, y in kept_short:
-            j = ids[q & 1]
-            d, c = rows.times(j, y)
-            if abs(p + q + d) > bound or len(c) > bound:
-                clip = True
-            else:
-                out.append((p + q + d, c))
-        for u in kept_long:
-            h = _key_product(tab, key, u)
-            if _in_box(h, bound):
-                out.append(h)
-            else:
-                clip = True
+        for j, kept in ((i, even), (memo.twist(i) if odd else i, odd)):
+            row = rows.get(j)
+            if row is None:
+                row = rows[j] = blank[:]
+            for q, c in kept:
+                e = row[c]
+                if e == UNSET:
+                    e = row[c] = entry(j, c, new)
+                pq = p + q + (e & low) + bound
+                if e < 0 or not 0 <= pq < width:
+                    clip = True
+                else:
+                    out.append((e >> shift) * width + pq)
         return out, clip
 
-    clipped = False
-    kept: dict = {}   # expanded vertex -> its products in the box
+    def count(layer):
+        """Products the vertices of a layer would read, added to the total."""
+        nonlocal total
+        for v in layer:
+            i, p = divmod(v, width)
+            even, odd, _ = steps(p - bound, len(forms[i]))
+            total += len(even) + len(odd)
+        if total > BALL_PRODUCT_LIMIT:
+            raise CapExceeded(
+                f"a ball of radius {radius} in the box of bound {bound} would "
+                f"form at least {total} products, over the limit of "
+                f"{BALL_PRODUCT_LIMIT}")
 
-    def step(key):
+    clipped = False
+    total = 0
+    kept_out: dict = {}   # expanded vertex -> its products in the box
+
+    def step(v):
         nonlocal clipped
-        out, clip = products(key)
-        kept[key] = out
+        out, clip = products(v, True)
+        kept_out[v] = out
         clipped = clipped or clip
         return out
 
     dist: dict = {}
-    for d, _ in enumerate(_bfs_layers(dist, (0, ()), step)):
+    for d, layer in enumerate(_bfs_layers(dist, bound, step)):   # code of D^0
         if d == radius:
             break
+        count(layer)
     else:
+        layer = []
         if clipped and d + 1 < radius:
             raise UniverseTooSmall(
                 f"ball expansion stalled at radius {d + 1} < {radius}")
-
-    # the last layer was never expanded
-    adjacency = ((k, kept[k] if k in kept else products(k)[0]) for k in dist)
+    count(layer)   # the last layer was never expanded; its edges look ids up only
+    adjacency = ((v, kept_out[v] if v in kept_out else products(v, False)[0])
+                 for v in dist)
 
     prov = {"group": group.family, "construction": f"ball[{oracle.kind}]",
             "radius": radius, "universe_len": universe_len}
     if oracle.notes:
         prov["notes"] = oracle.notes
     text = _renderer(group)
-    return _build_graph({k: text(*k) for k in dist}, adjacency, prov)
+    return _build_graph({v: text(v % width - bound, forms[v // width]) for v in dist},
+                        adjacency, prov)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1015,37 +1178,53 @@ def build_cparab_neighborhood(p0: ParabolicSubgroup, conj_len: int,
     positive g of canonical length <= conj_len (conjugation by D-twists is
     covered because tau permutes the standard subsets), restricted to the
     hops-ball around P0.  Edges: commuting minimal central elements.
+
+    Works on ids of the distinct keys Omega_P = g^-1 Omega_T g, formed on
+    normal-form keys (module docstring).  The candidates are counted first,
+    and more than CPARAB_CANDIDATE_LIMIT are refused.
     """
     group = p0.group
-    verts: dict[str, ParabolicSubgroup] = {p0.key(): p0}
-    conjugators = [gd.identity_element(group), *gd.iter_positive_elements(group, conj_len)]
-    for labels in pb.proper_irreducible_subsets(group):
-        for g in conjugators:
-            cand = pb.parabolic_from_conjugate(g, labels)
-            verts.setdefault(cand.key(), cand)
-    commute_memo: dict[tuple[str, str], bool] = {}
+    tab = group.table()
+    subsets = pb.proper_irreducible_subsets(group)
+    size = len(subsets) * sum(gd.count_positive_nf(group, ell)
+                              for ell in range(conj_len + 1))
+    if size > CPARAB_CANDIDATE_LIMIT:
+        raise CapExceeded(
+            f"C_parab would form {size} candidate subgroups for conj-len "
+            f"{conj_len}, over the limit of {CPARAB_CANDIDATE_LIMIT}")
+    conjugators = [(_nf_key(gd.invert(GarsideElement(group, 0, fs))), (0, fs))
+                   for ell in range(conj_len + 1)
+                   for fs in gd.iter_positive_factor_tuples(group, ell)]
+    ids = {_nf_key(p0.omega): 0}   # Omega_P -> vertex id
+    for labels in subsets:
+        omega_t = _nf_key(gd.omega_of(group, labels).element)
+        for inv, g in conjugators:
+            ids.setdefault(_key_product(tab, _key_product(tab, inv, omega_t), g), len(ids))
+    omegas = list(ids)
 
-    def adjacent(ka: str, kb: str) -> bool:
-        if ka == kb:
-            return False
-        mk = (ka, kb) if ka < kb else (kb, ka)
-        got = commute_memo.get(mk)
-        if got is None:
-            got = commute_memo[mk] = pb.omega_commute_edge(verts[ka], verts[kb])
-        return got
+    def commute(a, b):
+        return _key_product(tab, omegas[a], omegas[b]) == \
+            _key_product(tab, omegas[b], omegas[a])
 
-    kept: dict[str, int] = {}
-    layers = _bfs_layers(kept, p0.key(),
-                         lambda ka: [kb for kb in verts if adjacent(ka, kb)])
-    for d, _ in enumerate(layers):
+    rows: dict[int, list[int]] = {}   # expanded vertex -> its neighbours
+
+    def neighbours(a):
+        row = rows[a] = [b for b in range(len(omegas)) if b != a and commute(a, b)]
+        return row
+
+    kept: dict[int, int] = {}
+    for d, _ in enumerate(_bfs_layers(kept, 0, neighbours)):
         if d == hops:
             break
-    kept_keys = list(kept)
-    adjacency = ((a, [b for b in kept_keys[i + 1:] if adjacent(a, b)])
-                 for i, a in enumerate(kept_keys))
+    # pairs with an expanded end are in its row
+    last = [a for a in kept if a not in rows]
+    adjacency = itertools.chain(
+        rows.items(),
+        ((a, [b for b in last[k + 1:] if commute(a, b)]) for k, a in enumerate(last)))
     prov = {"group": group.family, "construction": "cparab",
             "p0": p0.key(), "conj_len": conj_len, "hops": hops}
-    return _build_graph({k: k for k in kept_keys}, adjacency, prov)
+    text = _renderer(group)
+    return _build_graph({a: text(*omegas[a]) for a in kept}, adjacency, prov)
 
 
 # ---------------------------------------------------------------------------

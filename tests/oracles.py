@@ -17,9 +17,10 @@ The reference graph builders at the end are the exception: they are the
 plain forms of the builders in `garsidehyp.metrics`, on the library's
 kernel.  They form every product they need, with `garside.multiply` or the
 key-level `metrics._key_product`, and never from a product table, filter
-the whole box for generating-set members, key vertices by their rendered
-text and hold each delta row as a dict, and the tests require the library's
-builders to give the same generators, graphs, delta values and
+the whole box for generating-set members, test X_NP membership and C_parab
+adjacency with `garside.commute` on elements, key vertices by their
+rendered text and hold each delta row as a dict, and the tests require the
+library's builders to give the same generators, graphs, delta values and
 exported bytes.
 """
 
@@ -222,6 +223,60 @@ def reference_box_members(oracle, bound):
             for p in range(-bound, bound + 1)]
     return sorted((el for el in box if oracle.membership(el)),
                   key=lambda e: e.sort_key())
+
+
+def reference_xnp_members(group, bound):
+    """The X_NP members of the box, sorted as the enumerators sort them:
+    every positive factor tuple x of the box is tested twice, D^p x for
+    p = 0 and 1, against every Omega_T with `garside.commute`, and a passing
+    parity gives every power of that parity (D^2 is central)."""
+    from garsidehyp import garside as gd, parabolic as pb
+    omegas = [gd.omega_of(group, labels).element
+              for labels in pb.proper_irreducible_subsets(group)]
+    out = []
+    for ell in range(bound + 1):
+        for fs in gd.iter_positive_factor_tuples(group, ell):
+            for parity in (0, 1):
+                el = gd.GarsideElement(group, parity, fs)
+                if any(gd.commute(el, om) for om in omegas):
+                    out.extend(gd.GarsideElement(group, p, fs)
+                               for p in range(-bound, bound + 1)
+                               if p % 2 == parity and (p or fs))
+    return sorted(out, key=lambda e: e.sort_key())
+
+
+def reference_cparab(p0, conj_len, hops):
+    """The C_parab neighbourhood on `parabolic` objects: every candidate
+    a^-1 A_T a is built by `parabolic_from_conjugate` and keyed by its
+    rendered Omega, and each pair is tested by `omega_commute_edge`."""
+    from garsidehyp import garside as gd, parabolic as pb
+    group = p0.group
+    verts = {p0.key(): p0}
+    conjugators = [gd.identity_element(group),
+                   *gd.iter_positive_elements(group, conj_len)]
+    for labels in pb.proper_irreducible_subsets(group):
+        for g in conjugators:
+            cand = pb.parabolic_from_conjugate(g, labels)
+            verts.setdefault(cand.key(), cand)
+    memo = {}
+
+    def adjacent(a, b):
+        if (a, b) not in memo:
+            memo[a, b] = memo[b, a] = pb.omega_commute_edge(verts[a], verts[b])
+        return memo[a, b]
+
+    kept = {p0.key()}
+    layer = [p0.key()]
+    for _ in range(hops):
+        nxt = []
+        for a in layer:
+            for b in verts:
+                if b not in kept and adjacent(a, b):
+                    kept.add(b)
+                    nxt.append(b)
+        layer = nxt
+    return reference_graph(kept, [(a, b) for a, b in itertools.combinations(kept, 2)
+                                  if adjacent(a, b)])
 
 
 def reference_ball(oracle, radius, universe_len):

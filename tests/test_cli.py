@@ -140,6 +140,58 @@ def test_oversized_product_tables_are_refused(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("argv,limit,count", [
+    (("ball", "--group", "F4", "--kind", "Simples", "--radius", "3", "--universe", "3"),
+     "BALL_PRODUCT_LIMIT", "5301506"),
+    (("cparab", "--group", "A4", "--p0", "std:s1,s2", "--conj-len", "3", "--hops", "2"),
+     "CPARAB_CANDIDATE_LIMIT", "679401"),
+])
+def test_oversized_balls_and_cparab_are_refused(capsys, argv, limit, count):
+    # the products the ball's edge pass would read, and the candidates of
+    # C_parab, are counted before any is formed
+    parse_group_spec(argv[2]).table()
+    t0 = time.perf_counter()
+    code, out = run(capsys, *argv)
+    data = last_json(out)
+    assert code == 3 and data["error"] == "CapExceeded"
+    assert count in data["message"] and str(getattr(mt, limit)) in data["message"]
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("quotient-cayley", "--group", "A2", "--len-bound", "-1"),
+    ("ball", "--group", "A2", "--kind", "Simples", "--universe", "1", "--radius", "-1"),
+    ("ball", "--group", "A2", "--kind", "Simples", "--radius", "1", "--universe", "-1"),
+    ("cparab", "--group", "A3", "--p0", "std:s1", "--hops", "-1"),
+    ("cparab", "--group", "A3", "--p0", "std:s1", "--conj-len", "-1"),
+    ("delta-estimate", "--group", "A2", "--len-bound", "1", "--sample", "-5"),
+    ("census", "--group", "A2", "--sup-bound", "-1"),
+    ("cal", "--group", "A2", "--len-bound", "1", "--abs-bound", "-1"),
+    ("wordlen", "--group", "A2", "--kind", "XP", "--word", "a", "--universe", "1",
+     "--witness-bound", "-2"),
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_negative_sizes_are_usage_errors(capsys, argv):
+    # the option under test comes last
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be >= 0, got {argv[-1]}" in capsys.readouterr().err
+
+
+def test_negative_config_sizes_are_usage_errors(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("hops=-1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "cparab", "--group", "A3", "--p0", "std:s1"])
+    assert exc.value.code == 2
+    assert "argument --hops: must be >= 0, got -1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ball", "--group", "A2", "--kind", "Simples", "--radius", "x",
+                  "--universe", "1"])
+    assert exc.value.code == 2
+    assert "argument --radius: invalid int value: 'x'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec,radius", [("A5", 2), ("D4", 3), ("F4", 2), ("E6", 2)])
 def test_finite_balls_in_large_groups_are_built(capsys, spec, radius):
     # a ball forms the products of the forms it visits, so its cost follows

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,15 +16,18 @@ from garsidehyp import parabolic as pb
 from garsidehyp.coxeter import CoxeterGraph, parse_group_spec
 from garsidehyp.errors import (
     DisconnectedInput,
+    MalformedGraph,
     RepresentativeMissing,
     UniverseTooSmall,
 )
 from oracles import (
     reference_ball,
     reference_box_members,
+    reference_cparab,
     reference_delta,
     reference_json_text,
     reference_quotient_cayley,
+    reference_xnp_members,
 )
 
 A3 = parse_group_spec("A3")
@@ -401,8 +408,14 @@ def test_product_memo_matches_key_product(spec, bound):
     forms = [fs for ell in range(bound + 1)
              for fs in gd.iter_positive_factor_tuples(group, ell)]
     random.Random(0).shuffle(forms)   # ids in no particular order
+    steps = random.Random(1).sample(list(gd.iter_positive_factor_tuples(group, 2)), 4)
     for fs in forms:
         i = memo.id_of(fs)
+        for us in steps:   # the ball's chained products by longer steps
+            want = mt._key_product(tab, (0, fs), (0, us))
+            assert memo.chain(i, 0, us) == want
+            if fs:   # started from the prefix's id and the last factor
+                assert memo.chain(memo.prefix[i], fs[-1], us) == want
         assert memo.forms[memo.twist(i)] == tuple(tab.tau[x] for x in fs)
         for x in range(tab.size):
             want = mt._key_product(tab, (0, fs), (0, (x,) if x else ()))
@@ -472,7 +485,8 @@ def test_quotient_cayley_matches_reference_on_d4_and_h3(spec):
     ("A1xA2", mt.KIND_XABS, 1, 1), ("A2", mt.KIND_XNP, 2, 2),
     ("A3", mt.KIND_XNP, 2, 1), ("I2(5)", mt.KIND_XNP, 2, 1),
     ("A1xA2", mt.KIND_XNP, 2, 1), ("A2", mt.KIND_SIMPLES, 0, 2),
-    ("D4", mt.KIND_FINITE, 3, 3),
+    ("D4", mt.KIND_FINITE, 3, 3), ("A3", mt.KIND_XNP, 3, 1),
+    ("D4", mt.KIND_FINITE, 3, 2),
 ])
 def test_ball_matches_reference(spec, kind, radius, universe):
     oracle = mt.genset_oracle(EQUIV_GROUPS[spec], kind)
@@ -582,8 +596,32 @@ def test_graph_from_json_dict_sorts_edges_and_refuses_duplicates():
     graph = graphio.graph_from_json_dict(data)
     assert graph.edges == ((0, 1), (0, 2), (1, 2))
     data["edges"].append([0, 2])
-    with pytest.raises(AssertionError, match="strictly increasing"):
+    with pytest.raises(MalformedGraph, match="strictly increasing"):
         graphio.graph_from_json_dict(data)
+    data["edges"] = [[0, 3]]
+    with pytest.raises(MalformedGraph, match="valid and distinct"):
+        graphio.graph_from_json_dict(data)
+
+
+def test_graph_file_is_checked_under_optimisation(tmp_path):
+    # python -O strips asserts; a file with a repeated or out-of-range edge
+    # must still be refused
+    src = str(Path(mt.__file__).resolve().parents[1])
+    for edges, message in (([[0, 1], [0, 1]], "edges must be strictly increasing"),
+                           ([[0, 5]], "edge endpoints must be valid and distinct")):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": ["a", "b"], "edges": edges}))
+        code = ("from garsidehyp import graphio\n"
+                "from garsidehyp.errors import MalformedGraph\n"
+                "try:\n"
+                f"    graphio.import_json({str(path)!r})\n"
+                "except MalformedGraph as exc:\n"
+                "    print('refused:', exc)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == f"refused: {message}"
 
 
 @pytest.mark.parametrize("spec,bound", [("A2", 2), ("A3", 1), ("I2(5)", 1),
@@ -592,6 +630,77 @@ def test_xnp_generators_match_box_filter(spec, bound):
     oracle = mt.genset_oracle(EQUIV_GROUPS[spec], mt.KIND_XNP)
     assert [(e.power, e.factors) for e in oracle.enumerate_up_to(bound)] == \
         [(e.power, e.factors) for e in reference_box_members(oracle, bound)]
+
+
+@pytest.mark.parametrize("spec,bound", [("A3", 3), ("B3", 2), ("D4", 1),
+                                        ("I2(5)", 3), ("A1xA2", 2)])
+def test_xnp_members_match_the_commute_reference(spec, bound):
+    group = EQUIV_GROUPS[spec]
+    got = mt.genset_oracle(group, mt.KIND_XNP).enumerate_up_to(bound)
+    assert [(e.power, e.factors) for e in got] == \
+        [(e.power, e.factors) for e in reference_xnp_members(group, bound)]
+
+
+@pytest.mark.parametrize("spec,p0,conj_len,hops", [
+    ("A3", "s1", 0, 1), ("A3", "s2", 1, 2), ("A3", "s1,s2", 2, 3), ("A3", "s2,s3", 2, 1),
+    ("A4", "s1,s2", 1, 2), ("A4", "s2,s3", 1, 3), ("A4", "s3,s4", 0, 2), ("A4", "s2", 1, 1),
+    ("B3", "s1,s2", 2, 2), ("B3", "s3", 1, 3), ("B3", "s2,s3", 0, 3),
+    ("A3", "conj:s2 s1^-1:s1", 1, 2), ("B3", "conj:s3 s2:s1,s2", 1, 2),
+])
+def test_cparab_matches_the_element_reference(spec, p0, conj_len, hops):
+    group = EQUIV_GROUPS[spec]
+    if p0.startswith("conj:"):
+        _, word, labels = p0.split(":")
+        p0 = pb.parabolic_from_conjugate(nf(group, word), tuple(labels.split(",")))
+    else:
+        p0 = pb.standard_parabolic(group, tuple(p0.split(",")))
+    graph = mt.build_cparab_neighborhood(p0, conj_len, hops)
+    assert _pair(graph) == reference_cparab(p0, conj_len, hops)
+
+
+def _multiply_counter(monkeypatch):
+    calls = []
+    real = gd.multiply
+
+    def counted(g, h):
+        calls.append(None)
+        return real(g, h)
+
+    monkeypatch.setattr(gd, "multiply", counted)
+
+    def during(fn):
+        calls.clear()
+        fn()
+        return len(calls)
+
+    return during
+
+
+def test_xnp_ball_and_cparab_multiply_only_to_form_each_omega(monkeypatch):
+    a4 = EQUIV_GROUPS["A4"]
+    p0 = pb.standard_parabolic(a4, ("s1", "s2"))
+    during = _multiply_counter(monkeypatch)
+
+    def omegas(group):
+        return lambda: [gd.omega_of(group, t) for t in pb.proper_irreducible_subsets(group)]
+
+    want = during(omegas(A3))
+    assert want > 0
+    assert during(lambda: mt.bounded_ball_graph(
+        mt.genset_oracle(A3, mt.KIND_XNP), 2, 1)) == want
+    assert during(lambda: mt.build_cparab_neighborhood(p0, 1, 2)) == during(omegas(a4))
+
+
+@pytest.mark.parametrize("batch", [1, 1024])
+def test_pair_distances_that_resolve_before_the_first_source_spans(batch, monkeypatch):
+    # every pair has its distance after one layer, while source 0 needs five
+    # layers to reach the end of the path; with a vertex cut off it never does
+    monkeypatch.setattr(mt, "SOURCE_BATCH", batch)
+    path = tuple((i, i + 1) for i in range(5))
+    for names, spans in (("abcdef", True), ("abcdefg", False)):
+        graph = mt.MetricGraph(tuple(names), path, {})
+        assert mt._pair_distances(graph.adjacency(), [(0, 1), (2, 3), (3, 2)]) == \
+            ({(0, 1): 1, (2, 3): 1, (3, 2): 1}, spans)
 
 
 @pytest.mark.parametrize("spec,bound", [("A3", 3), ("B3", 2)])

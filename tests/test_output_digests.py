@@ -43,6 +43,13 @@ GRAPH_EXPORTS = {
         "68f12e8e98e4668310f936ae78bbf28aedef7591e6ce5097da10bd924f1fcd75",
     ("cparab", "--group", "A3", "--p0", "std:s1", "--conj-len", "1", "--hops", "2"):
         "9f2121f046d020136686737ab89920835dab825e16b77b46cfcd5ef6ea36fc0e",
+    ("cparab", "--group", "A4", "--p0", "std:s2,s3", "--conj-len", "1", "--hops", "2"):
+        "35fb4756f6f2bccabbccaa97f35efb7517f16bf530709e27704d58936f5e9729",
+    ("ball", "--group", "B3", "--kind", "XNP", "--radius", "2", "--universe", "1"):
+        "ea36ae6942ea25cb841d76e8e11c43055a1e293e8e4e633da22d722ae514b54a",
+    ("ball", "--group", "D4", "--kind", "FiniteS_plus_Delta2", "--radius", "4",
+     "--universe", "3"):
+        "96f1d68621fe3c876f78d980eda02cb24e8e7aef474ebb9e9d9ced0e293673c1",
 }
 
 
