@@ -93,15 +93,6 @@ def curve_parabolic_dictionary(c: StandardCurve) -> CurveDictEntry:
     return CurveDictEntry(sub, gd.multiply(d, d))
 
 
-def act_on_parabolic(b: GarsideElement, p: ParabolicSubgroup) -> ParabolicSubgroup:
-    """Right conjugation action: the subgroup b^-1 P b."""
-    if b.group != p.group:
-        raise GroupMismatch("braid and subgroup live in different groups")
-    omega = gd.multiply(gd.multiply(gd.invert(b), p.omega), b)
-    return ParabolicSubgroup(p.group, omega,
-                             gd.multiply(p.witness_conj, b), p.witness_subset)
-
-
 # ---------------------------------------------------------------------------
 # Arc stabilizer identities
 # ---------------------------------------------------------------------------

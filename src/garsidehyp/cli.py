@@ -199,9 +199,7 @@ def cmd_fat_triangle(args) -> int:
     code = EXIT_PASS
     if args.check_distances:
         from . import metrics as mt
-        universe_len = args.universe if args.universe else tri.length + 2
-        uni = mt.QuotientCayleyUniverse(group, universe_len)
-        rep = mt.fat_triangle_distances(tri, uni)
+        rep = mt.fat_triangle_distances(tri)
         payload["distance_checks"] = {
             "pairs": len(rep.pair_checks), "corners": len(rep.corner_checks),
             "all_pass": rep.all_pass}
@@ -404,7 +402,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--y", required=True)
     p.add_argument("--check-distances", action="store_true")
     p.add_argument("--check-symmetry", action="store_true")
-    p.add_argument("--universe", type=_size, default=None)
 
     p = add("arc-identity", cmd_arc_identity, help="tubular word identity")
     p.add_argument("--n", type=int, required=True)

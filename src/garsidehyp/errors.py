@@ -78,7 +78,7 @@ class UniverseTooSmall(GarsideHypError):
 
 
 class DisconnectedInput(GarsideHypError):
-    """Graph is disconnected and per-component mode is off."""
+    """A graph that must be connected (the delta estimate) is not."""
 
 
 class RepresentativeMissing(GarsideHypError):

@@ -36,8 +36,6 @@ normal, and the last factor of c and q are left-weighted by the domino rule
 of Garside normal forms (right multiplication by a simple is one
 right-to-left pass of renorms, each leaving a left-weighted pair behind it;
 Charney 1992).  So the form of a x is c + (q,), looked up without combing.
-A form of length L gets its products the same way on demand, and a
-product longer than L is off the table.
 
 `quotient_cayley_graph` steps by positive simples only: the edge
 {C, C x^-1} is the edge {C', C' x} with C' = C x^-1, seen from its other
@@ -45,6 +43,24 @@ end.  Keys of the maximal length L step only by the simples x that their
 last factor x_L absorbs (x_L x simple); the boundary lemma at
 `quotient_cayley_graph` shows that every other product leaves the box or
 repeats an edge found from its other end.
+
+Distances in Cay(A)/<D> have a closed form, `coset_distance`.  A vertex
+is the class <D> g <D>, keyed by its factor tuple up to the twist t
+(D^j g D^k = D^(j+k) t^k(g)), and {C, C s} is an edge for each simple or
+inverse simple s.  Lemma: the distance from the vertex of u to that of v
+is min(l(u^-1 v), l(u^-1 t(v))), l the canonical length.
+- Well defined: for g' = D^j g D^k, u^-1 t^e(g') = u^-1 t^(e+j)(g) D^(j+k),
+  and multiplying by D on either side leaves l unchanged, so
+  f(C) = min over e of l(u^-1 t^e(g)) depends only on the vertex C of g.
+- Lower bound: one step by a simple or an inverse simple moves inf and sup
+  by 0 or 1 each (the box inequalities below; Charney, Math. Ann. 292,
+  1992), so l moves by at most 1, and
+  f(C s) = min over e of l(u^-1 t^e(g) t^e(s)) with t^e(s) a simple or an
+  inverse simple.  So f changes by at most 1 along an edge, and f is 0 at
+  the vertex of u.
+- Upper bound: let u^-1 t^k(v) = D^p x_1..x_r attain the minimum, r = l.
+  The walk u D^p, u D^p x_1, ..., u D^p x_1..x_r = t^k(v) starts at the
+  vertex of u, steps by simples and ends at the vertex of v, in r steps.
 
 `bounded_ball_graph` needs the products of the few forms its ball visits,
 often by a few simples only, so it forms them with the same recurrence in a
@@ -218,7 +234,6 @@ class _ProductRows:
     def __init__(self, group: CoxeterGraph, length: int):
         tab = self.tab = group.table()
         n = self.n = tab.size
-        self.length = length
         ldesc, rdesc = tab.ldesc, tab.rdesc
         full = (1 << group.rank) - 1
         slots: dict[int, list[int]] = {}   # mask -> simple -> position among followers
@@ -255,54 +270,23 @@ class _ProductRows:
                 tau.append(first[t] + slot[t][y])
             lo, hi = hi, len(forms)
         self.below = below = lo
-        self._renorm: dict[int, list[tuple[int, int]]] = {}
         row = self.row = array("l")
         if not below:
             return
         row.extend(2 * (first[0] + slot[0][x]) for x in range(n))
         row[0], row[n - 1] = 0, 1   # the identity, and D
+        renorms: dict[int, list[tuple[int, int]]] = {}   # y -> renorm(y, x) per x
         for i in range(1, below):
             base = prefix[i] * n
-            for p, q in self._renorm_row(forms[i][-1]):
-                v = row[base + p]
-                row.append(self._append(v, q) if q else v)
-
-    def _renorm_row(self, y: int) -> list[tuple[int, int]]:
-        """renorm(y, x) for every simple x: y x = p q with (p, q) left-weighted."""
-        got = self._renorm.get(y)
-        if got is None:
-            renorm = self.tab.renorm
-            got = self._renorm[y] = [renorm(y, x) for x in range(self.n)]
-        return got
-
-    def _append(self, v: int, q: int) -> int | None:
-        """The entry of (D^d c) q for the entry v = 2 id(c) + d of a product
-        a' p of the recurrence and its q, or None when the product is longer
-        than L; (c, q) is left-weighted (module docstring)."""
-        t = v >> 1
-        if t >= self.below:
-            return None
-        return 2 * (self.first[t] + self.slot[t][q]) + (v & 1)
-
-    def id_of(self, fs: Sequence[int]) -> int | None:
-        """Id of a normal form, or None when it is longer than L."""
-        if len(fs) > self.length:
-            return None
-        i = 0
-        for y in fs:
-            i = self.first[i] + self.slot[i][y]
-        return i
-
-    def product(self, i: int, x: int) -> int | None:
-        """Entry of forms[i] x for a simple x other than 1 and D (see the
-        class docstring); None when the product is longer than L."""
-        if i < self.below:
-            return self.row[i * self.n + x]
-        if not i:   # L = 0
-            return None
-        p, q = self._renorm_row(self.forms[i][-1])[x]
-        v = self.row[self.prefix[i] * self.n + p]
-        return self._append(v, q) if q else v
+            y = forms[i][-1]
+            if y not in renorms:
+                renorms[y] = [tab.renorm(y, x) for x in range(n)]
+            for p, q in renorms[y]:
+                v = row[base + p]   # a' p = D^d c, and c q is normal
+                if q:
+                    c = v >> 1   # shorter than L: a' p is no longer than a
+                    v = 2 * (first[c] + slot[c][q]) + (v & 1)
+                row.append(v)
 
 
 class _ProductMemo:
@@ -1020,74 +1004,25 @@ def word_length_bound(g: GarsideElement, oracle: GeneratingSetOracle,
 # Quotient Cayley graph Cay(A)/<D> and the additional-length graph
 # ---------------------------------------------------------------------------
 
-class QuotientCayleyUniverse:
-    """Lazy <D>-coset graph, with simple-step edges.
-
-    Cosets are keyed by their canonical inf-0 factor tuple (the tau-minimum
-    of the two inf-0 normal forms).  The D step never connects distinct
-    cosets, so right multiplication by nontrivial simples and their inverses
-    exhausts the edge relation; the step set is tau-closed, which makes
-    neighbor generation from the canonical representative complete.  One
-    step changes the canonical length by at most one, so breadth-first balls
-    that never touch the length bound are exact.
-    """
-
-    def __init__(self, group: CoxeterGraph, len_bound: int):
-        self.group = group
-        self.len_bound = len_bound
-        tab = group.table()
-        self.tab = tab
-        # Steps as normal-form keys: a simple x is (0, (x,)), its inverse
-        # D^-1 lift(w0 x^-1) is (-1, (c,)).
-        simples = range(1, tab.w0)
-        self._steps = [(0, (x,)) for x in simples] + \
-            [(-1, (tab.left_comp[x],)) for x in simples]
-
-    def key_of(self, g: GarsideElement) -> tuple[int, ...]:
-        return _coset_factors(self.tab.tau, g.factors)
-
-    def neighbor_keys(self, fs: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Keys of the cosets one step from fs."""
-        tab = self.tab
-        tau = tab.tau
-        out = []
-        seen = {fs}
-        for u in self._steps:
-            _, res = _key_product(tab, (0, fs), u)
-            if len(res) > self.len_bound:
-                continue
-            k = _coset_factors(tau, res)
-            if k not in seen:
-                seen.add(k)
-                out.append(k)
-        return out
-
-    def bfs(self, source: GarsideElement, cutoff: int | None = None,
-            targets: set[tuple[int, ...]] | None = None) -> dict[tuple[int, ...], int]:
-        """Distances from a coset to everything reachable, by canonical key.
-
-        Stops early once all target keys are resolved or the cutoff is hit.
-        """
-        if source.canonical_length > self.len_bound:
-            raise UniverseTooSmall("source outside the universe")
-        remaining = None if targets is None else set(targets)
-        dist: dict[tuple[int, ...], int] = {}
-        for d, layer in enumerate(_bfs_layers(dist, self.key_of(source),
-                                              self.neighbor_keys)):
-            if remaining is not None:
-                remaining.difference_update(layer)
-                if not remaining:
-                    break
-            if d == cutoff:
-                break
-        return dist
-
-
 def _coset_keys(group: CoxeterGraph, len_bound: int) -> set[tuple[int, ...]]:
     """Canonical keys of the <D>-cosets of canonical length <= len_bound."""
     tau = group.table().tau
     return {_coset_factors(tau, fs) for ell in range(len_bound + 1)
             for fs in gd.iter_positive_factor_tuples(group, ell)}
+
+
+def coset_distance(u: GarsideElement, v: GarsideElement) -> int:
+    """Distance in Cay(A)/<D> between the vertices of u and v:
+    min(l(u^-1 v), l(u^-1 t(v))), l the canonical length and t the twist.
+
+    Proof (module docstring): f(C) = min over e of l(u^-1 t^e(g)), g in C,
+    depends only on the vertex C, changes by at most 1 along an edge and is
+    0 at the vertex of u, so it bounds the distance from below; the walk
+    along u times the prefixes of the normal form of u^-1 t^k(v), for the
+    k that attains the minimum, reaches the vertex of v in that many steps.
+    """
+    inv = gd.invert(u)
+    return min(gd.multiply(inv, w).canonical_length for w in (v, gd.tau_twist(v)))
 
 
 def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
@@ -1238,7 +1173,7 @@ class TrianglePairCheck:
     d1: int
     d2: int
     expected: int
-    measured: int | None
+    measured: int
 
     @property
     def ok(self) -> bool:
@@ -1253,45 +1188,21 @@ class FatTriangleReport:
     all_pass: bool
 
 
-def fat_triangle_distances(triangle: ab.FatTriangle, universe) -> FatTriangleReport:
-    """Verify the cross-side distance law max(d1, d2) and the corner law.
-
-    `universe` is a QuotientCayleyUniverse; its bound must cover the
-    triangle with margin 2.
-    """
-    if isinstance(universe, MetricGraph):
-        raise TypeError("pass a QuotientCayleyUniverse for fat-triangle checks")
+def fat_triangle_distances(triangle: ab.FatTriangle) -> FatTriangleReport:
+    """Verify the cross-side distance law max(d1, d2) and the corner law,
+    each distance exact in Cay(A)/<D> by `coset_distance`."""
     L = triangle.length
     sides = {
         "1-x": triangle.side_x,
         "x-xy": triangle.side_top,
         "1-xy": triangle.side_xy,
     }
-    for verts in sides.values():
-        for v in verts:
-            if v.canonical_length + 2 > universe.len_bound:
-                raise UniverseTooSmall("universe must cover the triangle plus margin 2")
     # distances from the shared corner along a side are index distances
     shared = {
         ("1-x", "x-xy"): (lambda i: L - i, lambda i: i),
         ("x-xy", "1-xy"): (lambda i: L - i, lambda i: L - i),
         ("1-x", "1-xy"): (lambda i: i, lambda i: i),
     }
-    all_keys = {universe.key_of(v)
-                for verts in sides.values() for v in verts}
-    dist_cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    cap = L + 1  # every claim expects <= L; one step of margin detects excess
-
-    def coset_distance(u: GarsideElement, v: GarsideElement) -> int | None:
-        ku, kv = universe.key_of(u), universe.key_of(v)
-        if ku in dist_cache:
-            return dist_cache[ku].get(kv)
-        if kv in dist_cache:
-            return dist_cache[kv].get(ku)
-        dist = universe.bfs(u, cutoff=cap, targets=all_keys)
-        dist_cache[ku] = dist
-        return dist.get(kv)
-
     pair_checks = []
     for (na, nb), (fa, fb) in shared.items():
         va, vb = sides[na], sides[nb]
@@ -1384,15 +1295,14 @@ def delta_quadruples(n: int, sample: int, seed: int = 0) -> tuple[int, int]:
     return len({tuple(q) for q in _quadruples(n, sample, seed)}), total
 
 
-def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0,
-                   per_component: bool = False) -> Fraction:
+def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0) -> Fraction:
     """Four-point-condition defect, maximized over sampled 4-tuples.
 
     Exact when `sample` is at least the number of 4-subsets.  The sampler is
     seeded and recorded by callers in provenance.  The 4-tuples are drawn
     twice from the same seed: once to collect the pairs they need, whose
     distances come from one `_pair_distances` pass, and once to read them.
-    A 4-tuple with an unreached pair (per component) has defect 0.
+    A disconnected graph is refused.
     """
     n = len(graph.vertices)
     if n == 0:
@@ -1409,16 +1319,13 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0,
     # Vertex 0 is the first source, so the pass also tells connectedness.
     dist, connected = _pair_distances(graph.adjacency(),
                                       itertools.chain([(0, 0)], needed))
-    if not connected and not per_component:
+    if not connected:
         raise DisconnectedInput("graph is disconnected")
 
     best = 0   # twice the four-point defect
     for a, b, c, d in quads():
-        try:
-            sums = sorted((dist[a, b] + dist[c, d], dist[a, c] + dist[b, d],
-                           dist[a, d] + dist[b, c]))
-        except KeyError:
-            continue   # different components
+        sums = sorted((dist[a, b] + dist[c, d], dist[a, c] + dist[b, d],
+                       dist[a, d] + dist[b, c]))
         best = max(best, sums[2] - sums[1])
     return Fraction(best, 2)
 
@@ -1549,9 +1456,9 @@ def lipschitz_path_check(group: CoxeterGraph, base: ParabolicSubgroup,
             utinv = gd.invert(ut)
             verts: list[ParabolicSubgroup] = []
             for p in leg1:
-                verts.append(_conjugate_parabolic(p, uinv))
+                verts.append(pb.act_on_parabolic(uinv, p))
             for p in reversed(leg1[:-1]):
-                verts.append(_conjugate_parabolic(p, utinv))
+                verts.append(pb.act_on_parabolic(utinv, p))
             # Verify consecutive edges (equal keys are fine: zero-length hop).
             for a, b in zip(verts, verts[1:]):
                 if a.key() == b.key():
@@ -1569,9 +1476,3 @@ def lipschitz_path_check(group: CoxeterGraph, base: ParabolicSubgroup,
             failures += 1
     return LipschitzReport(samples, failures, m1)
 
-
-def _conjugate_parabolic(p: ParabolicSubgroup, by_inv: GarsideElement) -> ParabolicSubgroup:
-    """The subgroup g P g^-1 where by_inv = g^-1."""
-    omega = gd.multiply(gd.multiply(gd.invert(by_inv), p.omega), by_inv)
-    return ParabolicSubgroup(p.group, omega,
-                             gd.multiply(p.witness_conj, by_inv), p.witness_subset)

@@ -123,6 +123,15 @@ def standard_parabolic(group: CoxeterGraph,
     return parabolic_from_conjugate(gd.identity_element(group), subset)
 
 
+def act_on_parabolic(b: GarsideElement, p: ParabolicSubgroup) -> ParabolicSubgroup:
+    """Right conjugation action: the subgroup b^-1 P b."""
+    if b.group != p.group:
+        raise GroupMismatch("braid and subgroup live in different groups")
+    omega = gd.multiply(gd.multiply(gd.invert(b), p.omega), b)
+    return ParabolicSubgroup(p.group, omega,
+                             gd.multiply(p.witness_conj, b), p.witness_subset)
+
+
 def omega_commute_edge(p: ParabolicSubgroup, q: ParabolicSubgroup) -> bool:
     """C_parab adjacency: the minimal central elements commute."""
     if p.group != q.group:

@@ -203,12 +203,24 @@ def reference_quotient_cayley(group, len_bound):
     """Cay(A)/<D> truncation, stepping from every coset by every nontrivial
     simple and by its inverse."""
     from garsidehyp import garside as gd, metrics as mt
-    universe = mt.QuotientCayleyUniverse(group, len_bound)
-    keys = {()} | {universe.key_of(el)
+    tab = group.table()
+    # a simple x is (0, (x,)), its inverse D^-1 lift(w0 x^-1) is (-1, (c,))
+    steps = [(0, (x,)) for x in range(1, tab.w0)] + \
+        [(-1, (tab.left_comp[x],)) for x in range(1, tab.w0)]
+
+    def key(fs):   # the factor-tuple minimum of the coset's two inf-0 forms
+        return min(fs, tuple(tab.tau[x] for x in fs))
+
+    keys = {()} | {key(el.factors)
                    for el in gd.iter_positive_elements(group, len_bound)}
     text = {fs: gd.GarsideElement(group, 0, fs).render() for fs in keys}
-    return reference_graph(text.values(), [(text[fs], text[w]) for fs in keys
-                                           for w in universe.neighbor_keys(fs)])
+    edges = []
+    for fs in keys:
+        for u in steps:
+            _, res = mt._key_product(tab, (0, fs), u)
+            if len(res) <= len_bound:
+                edges.append((text[fs], text[key(res)]))
+    return reference_graph(text.values(), edges)
 
 
 def reference_box_members(oracle, bound):

@@ -61,11 +61,11 @@ def test_act_on_parabolic():
     p1 = pb.standard_parabolic(A3, ("s1",))
     p3 = pb.standard_parabolic(A3, ("s3",))
     s1 = gd.generator_element(A3, "s1")
-    assert bt.act_on_parabolic(s1, p3) == p3
-    assert bt.act_on_parabolic(gd.delta(A3), p1) == p3
-    assert bt.act_on_parabolic(gd.delta_pow(A3, 2), p1) == p1
+    assert pb.act_on_parabolic(s1, p3) == p3
+    assert pb.act_on_parabolic(gd.delta(A3), p1) == p3
+    assert pb.act_on_parabolic(gd.delta_pow(A3, 2), p1) == p1
     with pytest.raises(GroupMismatch):
-        bt.act_on_parabolic(gd.delta(A2), p1)
+        pb.act_on_parabolic(gd.delta(A2), p1)
 
 
 def test_act_is_right_action():
@@ -76,8 +76,8 @@ def test_act_is_right_action():
             A3, tuple((rng.randrange(3), rng.choice((-1, 1)))
                       for _ in range(rng.randint(0, 4)))))
         b, c = mk(), mk()
-        lhs = bt.act_on_parabolic(c, bt.act_on_parabolic(b, p12))
-        rhs = bt.act_on_parabolic(gd.multiply(b, c), p12)
+        lhs = pb.act_on_parabolic(c, pb.act_on_parabolic(b, p12))
+        rhs = pb.act_on_parabolic(gd.multiply(b, c), p12)
         assert lhs == rhs
 
 

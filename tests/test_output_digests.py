@@ -65,6 +65,14 @@ PRINTED = {
     ("delta-estimate", "--group", "A3", "--len-bound", "2", "--sample", "200",
      "--seed", "3"):
         (0, "af6c1c3177be60903d7348420e939ee84c6823913789e1078453f4c1f67f1189"),
+    # fat-triangle distance checks, recorded when the distances moved from a
+    # breadth-first search in a truncation to the coset-distance formula
+    ("fat-triangle", "--group", "A3", "--x", "s1^3", "--y", "s3^3",
+     "--check-distances", "--check-symmetry"):
+        (0, "4ee4e7574b2ddbbb7353ac7323dfafe82aa798989e58beea92486fccc4081885"),
+    ("fat-triangle", "--group", "I2(5)", "--x", "b", "--y", "a b a",
+     "--check-distances", "--check-symmetry"):
+        (0, "d45cb76c9bf49fc7a7c5aeb7089e6a5570cbdd882bf08b32c3a6c6ad1d5747ff"),
     _wordlen("I2(5)", "XP", "a^5", "8"):  # exact 1
         (0, "e2f3934d917e41bdf28e76bf3575255e0e6ada522a51661107ada61468d41179"),
     _wordlen("I2(5)", "XP", "a b", "6"):  # exact 2

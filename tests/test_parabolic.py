@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from garsidehyp import garside as gd
 from garsidehyp import parabolic as pb
-from garsidehyp.braidtop import act_on_parabolic
 from garsidehyp.coxeter import parse_group_spec
 from garsidehyp.errors import (
     ImproperSubset,
@@ -214,7 +213,7 @@ def test_omega_commute_equivariance():
         g = gd.normal_form(gd.LetterWord(A3, letters))
         for pa, qa, want in ((p1, p3, True), (p1, p2, False)):
             assert pb.omega_commute_edge(
-                act_on_parabolic(g, pa), act_on_parabolic(g, qa)) == want
+                pb.act_on_parabolic(g, pa), pb.act_on_parabolic(g, qa)) == want
 
 
 def test_simultaneous_standardize():
