@@ -11,6 +11,7 @@ must still be given as a flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -443,6 +444,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+# One parser per process: building all the subparsers costs a few ms a call.
+# A `--config` run sets defaults on a fresh parser of its own instead.
+_parser = functools.cache(_build_parser)
+
+
 def _config_defaults(path: str, args: argparse.Namespace) -> dict:
     """The key=value lines of a config file that name an option in `args`.
 
@@ -464,12 +470,13 @@ def _config_defaults(path: str, args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    parser, commands = _parser()
     args = parser.parse_args(argv)
-    sub = commands[args.command]
     if args.config:
         # Config values become defaults, so flags win; argparse checks no default's choices.
         config = _config_defaults(args.config, args)
+        parser, commands = _build_parser()
+        sub = commands[args.command]
         for action in sub._actions:
             if action.dest in config and action.choices is not None:
                 try:
@@ -478,6 +485,7 @@ def main(argv=None) -> int:
                     sub.error(str(exc))
         sub.set_defaults(**config)
         args = parser.parse_args(argv)
+    sub = commands[args.command]
     try:
         code = args.func(args)
     except argparse.ArgumentTypeError as exc:   # a literal parsed by a handler

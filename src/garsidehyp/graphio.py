@@ -9,10 +9,14 @@ followed by a newline, byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
+from json.encoder import encode_basestring_ascii   # what json.dumps runs for a str
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
+from .errors import MalformedGraph
 from .metrics import MetricGraph
 
 JSON_SCHEMA_VERSION = 1
@@ -28,10 +32,21 @@ def graph_to_json_dict(graph: MetricGraph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> MetricGraph:
-    """The graph of a JSON dict; its edges may come in any order."""
-    return MetricGraph(tuple(data["vertices"]),
-                       tuple(sorted((int(i), int(j)) for i, j in data["edges"])),
-                       dict(data.get("provenance", {})))
+    """The graph of a JSON dict; its edges may come in any order.  Vertex
+    keys must be strings and each edge a pair of ints, else MalformedGraph."""
+    if not isinstance(data, dict):
+        raise MalformedGraph("a graph is a JSON object")
+    vertices, edges = data.get("vertices"), data.get("edges")
+    provenance = data.get("provenance", {})
+    if not isinstance(vertices, (list, tuple)) or not all(isinstance(v, str) for v in vertices):
+        raise MalformedGraph("vertices must be a list of strings")
+    if not isinstance(edges, (list, tuple)) or not all(
+            isinstance(e, (list, tuple)) and len(e) == 2 and type(e[0]) is type(e[1]) is int
+            for e in edges):   # no bool, float or string endpoint
+        raise MalformedGraph("edges must be a list of pairs of ints")
+    if not isinstance(provenance, dict):
+        raise MalformedGraph("provenance must be an object")
+    return MetricGraph(tuple(vertices), tuple(sorted(map(tuple, edges))), dict(provenance))
 
 
 def _write_list(fh, items: Iterator[str]) -> None:
@@ -46,14 +61,24 @@ def _write_list(fh, items: Iterator[str]) -> None:
     fh.write("\n ]")
 
 
+def _edge_runs(edges) -> Iterator[str]:
+    """The encoded edges, one run of equal first endpoint i at a time: the
+    items [i, j] of a run differ only in j, so its text is one join."""
+    second = itemgetter(1)
+    for i, run in itertools.groupby(edges, itemgetter(0)):
+        yield (f"  [\n   {i},\n   "
+               + f"\n  ],\n  [\n   {i},\n   ".join(map(str, map(second, run)))
+               + "\n  ]")
+
+
 def export_json(graph: MetricGraph, path) -> None:
     prov = json.dumps(graph.provenance, sort_keys=True, indent=1)
     with open(path, "w") as fh:
         fh.write('{\n "edges": ')
-        _write_list(fh, (f"  [\n   {i},\n   {j}\n  ]" for i, j in graph.edges))
+        _write_list(fh, _edge_runs(graph.edges))
         fh.write(',\n "provenance": ' + prov.replace("\n", "\n "))
         fh.write(f',\n "schema": {JSON_SCHEMA_VERSION},\n "vertices": ')
-        _write_list(fh, ("  " + json.dumps(v) for v in graph.vertices))
+        _write_list(fh, ("  " + v for v in map(encode_basestring_ascii, graph.vertices)))
         fh.write("\n}\n")
 
 

@@ -266,6 +266,33 @@ def test_config_file(capsys, tmp_path):
     assert not (tmp_path / "f").exists()
 
 
+def test_config_defaults_stay_out_of_the_shared_parser(capsys, tmp_path, monkeypatch):
+    # every call without --config uses the one parser of the process; a
+    # --config call sets its defaults on a fresh parser, so a later call
+    # without it sees the option defaults again
+    run(capsys, "props", "--group", "A2")
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("conj-len=0\nhops=1\n")
+    argv = ("cparab", "--group", "A3", "--p0", "std:s1")
+    code, out = run(capsys, "--config", str(cfg), *argv)
+    prov = last_json(out)["provenance"]
+    assert code == 0 and (prov["conj_len"], prov["hops"]) == (0, 1)
+    code, out = run(capsys, *argv)
+    prov = last_json(out)["provenance"]
+    assert code == 0 and (prov["conj_len"], prov["hops"]) == (1, 2)
+    assert built == [1]
+    # usage errors exit 2 with their messages, before and after
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--hops", "-1"])
+        assert exc.value.code == 2
+        assert "argument --hops: must be >= 0, got -1" in capsys.readouterr().err
+    assert built == [1]
+
+
 def test_graph_export_roundtrip(tmp_path):
     graph = mt.quotient_cayley_graph(parse_group_spec("A2"), 3)
     path = tmp_path / "q.json"

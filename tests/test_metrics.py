@@ -659,6 +659,24 @@ def test_graph_from_json_dict_sorts_edges_and_refuses_duplicates():
         graphio.graph_from_json_dict(data)
 
 
+@pytest.mark.parametrize("data,message", [
+    ({"vertices": ["a", "b"], "edges": [[0.7, 1]]}, "pairs of ints"),
+    ({"vertices": ["a", "b"], "edges": [[False, True]]}, "pairs of ints"),
+    ({"vertices": ["a", "b"], "edges": [["0", 1]]}, "pairs of ints"),
+    ({"vertices": ["a", "b", "c"], "edges": [[0, 1, 2]]}, "pairs of ints"),
+    ({"vertices": ["a", "b"], "edges": [7]}, "pairs of ints"),
+    ({"vertices": ["a", 1], "edges": []}, "list of strings"),
+    ({"vertices": "ab", "edges": []}, "list of strings"),
+    ({"vertices": ["a"]}, "pairs of ints"),
+    ({"vertices": ["a"], "edges": [], "provenance": [["k", 1]]}, "provenance"),
+    ([["a"], []], "JSON object"),
+])
+def test_graph_from_json_dict_refuses_malformed_input(data, message):
+    from garsidehyp import graphio
+    with pytest.raises(MalformedGraph, match=message):
+        graphio.graph_from_json_dict(data)
+
+
 def test_graph_file_is_checked_under_optimisation(tmp_path):
     # python -O strips asserts; a file with a repeated or out-of-range edge
     # must still be refused
@@ -775,3 +793,63 @@ def test_b3_quotient_graph_gives_the_benchmark_answers():
         "65f099c72052d9ce50f42b5263d46d127a5823f1a7c9ff1f7f0ef848f6f9ea34"
     got = [str(mt.estimate_delta(graph, 50, seed)) for seed in (1, 2, 3, 4)]
     assert got == ["1", "1/2", "1/2", "1/2"]
+
+
+TWISTED_GRAPHS = [("A3", 3), ("A4", 2), ("I2(5)", 8)]   # D is not central
+
+
+@pytest.mark.parametrize("spec,bound", TWISTED_GRAPHS + [("B3", 2), ("A2", 4)])
+def test_coset_pair_distances_match_coset_distance(spec, bound):
+    """The closed form on keys against `coset_distance` on elements, on 300
+    random pairs of vertices and the pairs of a vertex with itself and with
+    the identity.  B3 has a trivial twist, so only the others can tell a
+    twist dropped from the formula."""
+    graph = mt.quotient_cayley_graph(EQUIV_GROUPS[spec], bound)
+    group, forms = graph.cosets
+    n = len(forms)
+    rng = random.Random(n)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(300)]
+    pairs += [(a, a) for a, _ in pairs[:20]] + [(a, 0) for a, _ in pairs[:20]]
+    got = mt._coset_pair_distances(group, forms, pairs)
+    assert set(got) == set(pairs)
+    for a, b in pairs:
+        u, v = (gd.GarsideElement(group, 0, forms[i]) for i in (a, b))
+        assert mt.coset_key(u) == graph.vertices[a]
+        assert got[a, b] == mt.coset_distance(u, v)
+
+
+@pytest.mark.parametrize("spec,bound", TWISTED_GRAPHS)
+def test_small_sample_delta_reads_the_closed_form(spec, bound, tmp_path, monkeypatch):
+    """At sample 50 a quotient-Cayley graph takes its 300 pairs from the
+    closed form and finds the reference delta; the same graph read back
+    from JSON takes the breadth-first pass and finds the same delta."""
+    from garsidehyp import graphio
+    graph = mt.quotient_cayley_graph(EQUIV_GROUPS[spec], bound)
+    graphio.export_json(graph, tmp_path / "g.json")
+    back = graphio.import_json(tmp_path / "g.json")
+    assert back.cosets is None
+    with monkeypatch.context() as patch:
+        patch.setattr(mt, "_pair_distances", None)   # the closed form only
+        got = [mt.estimate_delta(graph, 50, seed) for seed in (1, 2, 3, 4)]
+    assert got == [reference_delta(graph, 50, seed) for seed in (1, 2, 3, 4)]
+    monkeypatch.setattr(mt, "_coset_pair_distances", None)   # the pass only
+    assert mt.estimate_delta(back, 50, 1) == got[0]
+
+
+def test_delta_method_follows_the_pair_count(monkeypatch):
+    # A3 to length 3 has 624 vertices: 104 4-tuples (624 pairs) take the
+    # closed form, 105 the pass; a cal graph or a ball always takes the pass
+    graph = mt.quotient_cayley_graph(A3, 3)
+    assert len(graph.vertices) == 624
+    calls = []
+    for name in ("_pair_distances", "_coset_pair_distances"):
+        def spy(*args, real=getattr(mt, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(mt, name, spy)
+    for sample in (104, 105):
+        assert mt.estimate_delta(graph, sample, 3) == reference_delta(graph, sample, 3)
+    ball = mt.bounded_ball_graph(mt.genset_oracle(I3, mt.KIND_SIMPLES), 3, 2)
+    for other in (mt.build_cal_graph(I3, 3), ball):
+        assert mt.estimate_delta(other, 1, 3) == reference_delta(other, 1, 3)
+    assert calls == ["_coset_pair_distances"] + ["_pair_distances"] * 3
