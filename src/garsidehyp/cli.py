@@ -22,9 +22,11 @@ from .coxeter import CoxeterGraph, graph_properties, parse_group_spec
 from .errors import (
     CapExceeded,
     GarsideHypError,
+    IndexOutOfRange,
     NonSpherical,
     OrderOverflow,
     RankOutOfRange,
+    RankTooSmall,
     UnknownFamily,
     UnknownGenerator,
 )
@@ -224,6 +226,8 @@ def cmd_arc_identity(args) -> int:
 
 def cmd_double(args) -> int:
     from . import braidtop as bt
+    if args.n < 2:
+        raise argparse.ArgumentTypeError(f"argument --n: must be >= 2, got {args.n}")
     source = parse_group_spec(f"A{args.n - 1}")
     word = gd.parse_word(source, args.word)
     img = bt.double_first_strand(word, args.n)
@@ -422,7 +426,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--group", required=True)
     p.add_argument("--conj-len", type=_size, default=1)
     p.add_argument("--hops", type=_size, default=3)
-    p.add_argument("--lipschitz-samples", type=int, default=0)
+    p.add_argument("--lipschitz-samples", type=_size, default=0)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("delta-estimate", cmd_delta_estimate, help="four-point delta")
@@ -495,7 +499,7 @@ def main(argv=None) -> int:
         if isinstance(exc, (CapExceeded, OrderOverflow)):
             return EXIT_INCONCLUSIVE
         if isinstance(exc, (UnknownFamily, RankOutOfRange, UnknownGenerator,
-                            NonSpherical)):
+                            NonSpherical, IndexOutOfRange, RankTooSmall)):
             return EXIT_USAGE
         return EXIT_FAIL
     return code

@@ -594,6 +594,15 @@ class SimpleTable:
             mask |= 1 << s
         return mask
 
+    def prefix_meet(self, x: int, y: int) -> int:
+        """The greatest common prefix of two simples: x ^ y = s (s x ^ s y)
+        for a common left descent s, computed on demand."""
+        meet = 0
+        while common := self.ldesc[x] & self.ldesc[y]:
+            s = (common & -common).bit_length() - 1
+            x, y, meet = self.lmult[x][s], self.lmult[y][s], self.rmult[meet][s]
+        return meet
+
     def longest_in(self, subset_mask: int) -> int:
         """w0 of the standard parabolic W_T, T given as a bitmask."""
         x = 0

@@ -11,12 +11,16 @@ distances; the quotient-Cayley truncation is isometric (`coset_distance`).
 Results carry their truncation parameters and an exact/upper tag, and
 nothing is reported as exact without a certificate.
 
-Certificates used for word lengths: distance 0 and 1 are decided by the
-membership predicate alone; distance 2 is exact when the predicate rejects
-the target (no single generator reaches it); larger distances are exact only
-for step-local oracles (each generator changes the box coordinates by at
-most one, e.g. the simple generators) when the breadth-first search never
-touched the universe boundary.
+Certificates used for word lengths.  In the simples and their inverses the
+length is max(sup g, 0) - min(inf g, 0) at any universe.  No word is
+shorter, as a simple raises inf and sup by 0 or 1 each and an inverse
+simple lowers them so; a word of that length is read off the normal form of
+g or g^-1 when one is positive, else off the np normal form a^-1 b with
+sup a = -inf g and sup b = sup g (Charney, Math. Ann. 292, 1992).  For the
+other kinds, distance 0 and 1 are decided by the membership predicate
+alone, distance 2 is exact when the predicate rejects the target, and a
+larger distance found by the breadth-first search in the box is an upper
+bound.
 
 Ball rule (`bounded_ball_graph`, `word_length_bound`): every vertex of a ball
 lies in the box of bound B, but the generator used for a step need not; a
@@ -408,7 +412,6 @@ class GeneratingSetOracle:
     kind: str
     membership: Callable[[GarsideElement], bool]
     enumerate_up_to: Callable[[int], list[GarsideElement]]
-    step_local: bool
     notes: str = ""
 
 
@@ -493,8 +496,7 @@ def _xp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
             seen.setdefault(_nf_key(el), el)
         return sorted(seen.values(), key=lambda e: e.sort_key())
 
-    return GeneratingSetOracle(group, KIND_XP, membership, enumerate_up_to,
-                               step_local=False)
+    return GeneratingSetOracle(group, KIND_XP, membership, enumerate_up_to)
 
 
 def _xnp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
@@ -558,8 +560,7 @@ def _xnp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
         out.sort(key=lambda e: e.sort_key())
         return out
 
-    return GeneratingSetOracle(group, KIND_XNP, membership, enumerate_up_to,
-                               step_local=False)
+    return GeneratingSetOracle(group, KIND_XNP, membership, enumerate_up_to)
 
 
 def _xabs_oracle(group: CoxeterGraph,
@@ -583,19 +584,17 @@ def _xabs_oracle(group: CoxeterGraph,
     notes = "absorbable membership uses the bounded witness search; " \
             "graphs built from it are lower approximations"
     return GeneratingSetOracle(group, KIND_XABS, membership, enumerate_up_to,
-                               step_local=False, notes=notes)
+                               notes=notes)
+
+
+def _simples_length(g: GarsideElement) -> int:
+    """Word length in the simples and their inverses (module docstring)."""
+    return max(g.sup, 0) - min(g.inf, 0)
 
 
 def _simples_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
     def membership(g: GarsideElement) -> bool:
-        ell = g.canonical_length
-        if g.power == 0 and ell == 1:
-            return True
-        if g.power == 1 and ell == 0:
-            return True
-        if g.power == -1 and ell <= 1:
-            return True
-        return False
+        return _simples_length(g) == 1
 
     def enumerate_up_to(bound: int) -> list[GarsideElement]:
         tab = group.table()
@@ -610,8 +609,7 @@ def _simples_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
         out.sort(key=lambda e: e.sort_key())
         return out
 
-    return GeneratingSetOracle(group, KIND_SIMPLES, membership, enumerate_up_to,
-                               step_local=True)
+    return GeneratingSetOracle(group, KIND_SIMPLES, membership, enumerate_up_to)
 
 
 def _finite_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
@@ -628,8 +626,7 @@ def _finite_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
         out.sort(key=lambda e: e.sort_key())
         return out
 
-    return GeneratingSetOracle(group, KIND_FINITE, membership, enumerate_up_to,
-                               step_local=False)
+    return GeneratingSetOracle(group, KIND_FINITE, membership, enumerate_up_to)
 
 
 # ---------------------------------------------------------------------------
@@ -974,15 +971,13 @@ class WordLengthResult:
     value: int | None
     universe_len: int
 
-    def render(self) -> str:
-        if self.value is None:
-            return f"unknown (universe {self.universe_len})"
-        return f"{self.kind} {self.value}"
-
 
 def word_length_bound(g: GarsideElement, oracle: GeneratingSetOracle,
                       universe_len: int) -> WordLengthResult:
-    """BFS word length of g in the oracle's metric, within the universe."""
+    """Word length of g in the oracle's metric: the closed form for the simples,
+    else a breadth-first search within the universe (module docstring)."""
+    if oracle.kind == KIND_SIMPLES:
+        return WordLengthResult("exact", _simples_length(g), universe_len)
     if g.is_identity:
         return WordLengthResult("exact", 0, universe_len)
     if oracle.membership(g):
@@ -990,30 +985,23 @@ def word_length_bound(g: GarsideElement, oracle: GeneratingSetOracle,
     tab = oracle.group.table()
     gens = [_nf_key(u) for u in _box_step_generators(oracle, universe_len)]
     target = _nf_key(g)
-    clipped = found = False
+    dist: dict = {}
 
     def step(key):
-        # Once the target is generated no further product is formed, so
-        # `clipped` keeps its value from that moment.
-        nonlocal clipped, found
-        if found:
+        if target in dist:   # reached: form no more products
             return ()
         out = []
         for u in gens:
             k = _key_product(tab, key, u)
-            if k == target:
-                found = True
+            if k == target:   # kept even outside the box
                 return (k,)
             if _in_box(k, universe_len):
                 out.append(k)
-            else:
-                clipped = True
         return out
 
-    for d, _ in enumerate(_bfs_layers({}, (0, ()), step)):
-        if found:
-            exact = d <= 2 or (oracle.step_local and not clipped)
-            return WordLengthResult("exact" if exact else "upper", d, universe_len)
+    for d, _ in enumerate(_bfs_layers(dist, (0, ()), step)):
+        if target in dist:
+            return WordLengthResult("exact" if d <= 2 else "upper", d, universe_len)
     return WordLengthResult("unknown", None, universe_len)
 
 

@@ -22,8 +22,9 @@ EMS Tracts 22, 2015).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import garside as gd
 from .coxeter import CoxeterGraph
@@ -31,6 +32,7 @@ from .errors import (
     EmptySubset,
     GroupMismatch,
     ImproperSubset,
+    NotFoundWithinSearch,
     PreconditionViolated,
     ReducibleSubset,
     SameVertex,
@@ -150,39 +152,47 @@ def standard_omega_index(group: CoxeterGraph) -> dict[tuple[int, tuple[int, ...]
     return out
 
 
-def _standardization_candidates(group: CoxeterGraph,
-                                radius: int) -> Iterator[GarsideElement]:
-    """Conjugator search ball: D^k times positives of canonical length <= radius.
+def _slide_to_standard(omegas: Sequence[GarsideElement]) -> tuple:
+    """(c, T, ...) with c^-1 Omega c = Omega_T for each Omega given, T standard.
 
-    Multiplying by a power of D does not change canonical length, and D^2 is
-    central, so the twists k in {0, 1} exhaust the D-coset of each positive.
+    Cyclic sliding of the product x of the Omegas: the preferred prefix is
+    p(x) = iota(x) ^ iota(x^-1), iota(D^p x_1..x_r) = t^p(x_1) (1 if r = 0),
+    x slides to p(x)^-1 x p(x), and c is the product of the prefixes.  Each round
+    conjugates the Omegas by c itself, so the c returned is verified.
+    Sliding never lowers inf nor raises sup (Gebhardt and Gonzalez-Meneses,
+    Math. Z. 265, 2010), so x keeps to a finite set; a repeat raises.
     """
-    for g in itertools.chain([gd.identity_element(group)],
-                             gd.iter_positive_elements(group, radius)):
-        for twist in (0, 1):
-            yield GarsideElement(group, twist, g.factors)
+    group = omegas[0].group
+    tab = group.table()
+    index = standard_omega_index(group)
+    x = functools.reduce(gd.multiply, omegas)
+    conj = gd.identity_element(group)
+    seen = set()
+    while True:
+        cinv = gd.invert(conj)
+        subsets = [index.get((om.power, om.factors)) for om in
+                   (gd.multiply(gd.multiply(cinv, om), conj) for om in omegas)]
+        if None not in subsets:
+            return (conj, *subsets)
+        if (x.power, x.factors) in seen:
+            raise NotFoundWithinSearch(f"cyclic sliding came back to {x.render()}")
+        seen.add((x.power, x.factors))
+        iotas = [tab.tau[y.factors[0]] if y.power % 2 else y.factors[0]
+                 for y in (x, gd.invert(x)) if y.factors]
+        meet = tab.prefix_meet(*iotas) if iotas else 0
+        prefix = GarsideElement(group, 0, (meet,) if meet else ())
+        x = gd.multiply(gd.multiply(gd.invert(prefix), x), prefix)
+        conj = gd.multiply(conj, prefix)
 
 
-def simultaneous_standardize(p: ParabolicSubgroup, q: ParabolicSubgroup,
-                             radius: int):
-    """Search for g with g^-1 P g and g^-1 Q g both standard.
+def standardize(p: ParabolicSubgroup) -> tuple[GarsideElement, tuple[str, ...]]:
+    """(g, T) with g^-1 P g = A_T, by cyclic sliding of Omega_P."""
+    return _slide_to_standard([p.omega])
 
-    Returns (g, T1, T2) or None when nothing is found within the radius;
-    None means "not found within radius", never "nonexistent" (existence is
-    guaranteed whenever the Omegas commute).
-    """
+
+def simultaneous_standardize(p: ParabolicSubgroup, q: ParabolicSubgroup):
+    """(g, T1, T2) with g^-1 P g = A_T1 and g^-1 Q g = A_T2 for adjacent P
+    and Q, by cyclic sliding of Omega_P Omega_Q."""
     if not omega_commute_edge(p, q):
         raise PreconditionViolated("Omega_P and Omega_Q do not commute")
-    index = standard_omega_index(p.group)
-    for g in _standardization_candidates(p.group, radius):
-        ginv = gd.invert(g)
-        op = gd.multiply(gd.multiply(ginv, p.omega), g)
-        t1 = index.get((op.power, op.factors))
-        if t1 is None:
-            continue
-        oq = gd.multiply(gd.multiply(ginv, q.omega), g)
-        t2 = index.get((oq.power, oq.factors))
-        if t2 is None:
-            continue
-        return g, t1, t2
-    return None
+    return _slide_to_standard([p.omega, q.omega])

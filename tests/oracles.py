@@ -13,15 +13,16 @@ element models or tables:
 - `greedy_nf_oracle` computes the left-greedy normal form of a positive word
   by brute-force maximal simple prefixes over the positive closure.
 
-The reference graph builders at the end are the exception: they are the
-plain forms of the builders in `garsidehyp.metrics`, on the library's
+The reference graph builders and searches at the end are the exception:
+they are the plain forms of the builders in `garsidehyp.metrics`, and of
+the searches the library replaced by exact answers, on the library's
 kernel.  They form every product they need, with `garside.multiply` or the
 key-level `metrics._key_product`, and never from a product table, filter
 the whole box for generating-set members, test X_NP membership and C_parab
 adjacency with `garside.commute` on elements, key vertices by their
-rendered text and hold each delta row as a dict, and the tests require the
-library's builders to give the same generators, graphs, delta values and
-exported bytes.
+rendered text and search from each delta source on its own, and the tests
+require the library's builders to give the same generators, graphs, delta
+values and exported bytes, and its closed forms to agree with the searches.
 """
 
 from __future__ import annotations
@@ -326,32 +327,55 @@ def reference_ball(oracle, radius, universe_len):
 
 
 def reference_delta(graph, sample, seed=0):
-    """Four-point delta with one distance dict per row; the sampler is the
-    library's, so the same 4-tuples are drawn.  Different components count
-    as defect 0."""
+    """Four-point delta; the sampler is the library's, so the same 4-tuples
+    are drawn.  Each source gets its own breadth-first search over the edge
+    list, which stops at the layer that reaches its last wanted target and
+    keeps only the wanted distances.  Different components count as defect
+    0."""
     n = len(graph.vertices)
-    rows = {}
-
-    def dist(i, j):
-        if i not in rows:
-            rows[i] = graph.bfs_distances(i)
-        return rows[i].get(j)
+    if n < 4:
+        return Fraction(0)
+    if sample >= n * (n - 1) * (n - 2) * (n - 3) // 24:
+        quads = list(itertools.combinations(range(n), 4))
+    else:
+        rng = random.Random(seed)
+        quads = [rng.sample(range(n), 4) for _ in range(sample)]
+    wanted = {}
+    for a, b, c, d in quads:
+        wanted.setdefault(a, set()).update((b, c, d))
+        wanted.setdefault(b, set()).update((c, d))
+        wanted.setdefault(c, set()).add(d)
+    adj = [[] for _ in range(n)]
+    for i, j in graph.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    dist = {}
+    for source, missing in wanted.items():
+        seen = [False] * n
+        seen[source] = True
+        layer, d = [source], 0
+        while layer and missing:
+            d += 1
+            nxt = []
+            for v in layer:
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        nxt.append(w)
+            for w in missing.intersection(nxt):
+                dist[source, w] = d
+            missing.difference_update(nxt)
+            layer = nxt
 
     def defect(a, b, c, d):
-        pairs = [(dist(a, b), dist(c, d)), (dist(a, c), dist(b, d)),
-                 (dist(a, d), dist(b, c))]
+        pairs = [(dist.get((a, b)), dist.get((c, d))),
+                 (dist.get((a, c)), dist.get((b, d))),
+                 (dist.get((a, d)), dist.get((b, c)))]
         if any(x is None or y is None for x, y in pairs):
             return Fraction(0)
         sums = sorted(x + y for x, y in pairs)
         return Fraction(sums[2] - sums[1], 2)
 
-    if n < 4:
-        return Fraction(0)
-    if sample >= n * (n - 1) * (n - 2) * (n - 3) // 24:
-        quads = itertools.combinations(range(n), 4)
-    else:
-        rng = random.Random(seed)
-        quads = (rng.sample(range(n), 4) for _ in range(sample))
     return max((defect(*q) for q in quads), default=Fraction(0))
 
 
@@ -361,3 +385,58 @@ def reference_json_text(graph):
             "edges": [list(e) for e in graph.edges],
             "provenance": graph.provenance}
     return json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference searches on elements
+# ---------------------------------------------------------------------------
+
+def reference_simples_lengths(group, radius):
+    """Word lengths in the simple generators by a breadth-first search with
+    no universe: every element within `radius` of the identity, keyed by
+    its normal form (power, factors).  The steps are every nontrivial simple
+    and its inverse, D and D^-1 among them, each formed with the key-level
+    `metrics._key_product`."""
+    from garsidehyp import metrics as mt
+    tab = group.table()
+    # a simple x is (0, (x,)), its inverse D^-1 lift(w0 x^-1) is (-1, (c,))
+    steps = [(1, ()), (-1, ())] + [(0, (x,)) for x in range(1, tab.w0)] + \
+        [(-1, (tab.left_comp[x],)) for x in range(1, tab.w0)]
+    dist = {(0, ()): 0}
+    layer = [(0, ())]
+    for d in range(1, radius + 1):
+        nxt = []
+        for key in layer:
+            for u in steps:
+                k = mt._key_product(tab, key, u)
+                if k not in dist:
+                    dist[k] = d
+                    nxt.append(k)
+        layer = nxt
+    return dist
+
+
+def reference_standardize(p, q, radius):
+    """Search D^k times the positives of canonical length <= radius, k in
+    {0, 1}, for g with g^-1 P g and g^-1 Q g both standard.  Returns
+    (g, T1, T2), or None when nothing is found within the radius.
+
+    Multiplying by a power of D does not change canonical length, and D^2
+    is central, so the twists k in {0, 1} exhaust the D-coset of each
+    positive.
+    """
+    from garsidehyp import garside as gd, parabolic as pb
+    group = p.group
+    index = pb.standard_omega_index(group)
+    for g in itertools.chain([gd.identity_element(group)],
+                             gd.iter_positive_elements(group, radius)):
+        for twist in (0, 1):
+            h = gd.GarsideElement(group, twist, g.factors)
+            hinv = gd.invert(h)
+            ts = []
+            for om in (p.omega, q.omega):
+                om = gd.multiply(gd.multiply(hinv, om), h)
+                ts.append(index.get((om.power, om.factors)))
+            if None not in ts:
+                return (h, *ts)
+    return None

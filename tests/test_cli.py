@@ -169,6 +169,7 @@ def test_oversized_balls_and_cparab_are_refused(capsys, argv, limit, count):
     ("cal", "--group", "A2", "--len-bound", "1", "--abs-bound", "-1"),
     ("wordlen", "--group", "A2", "--kind", "XP", "--word", "a", "--universe", "1",
      "--witness-bound", "-2"),
+    ("qi-constants", "--group", "A3", "--lipschitz-samples", "-3"),
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_negative_sizes_are_usage_errors(capsys, argv):
     # the option under test comes last
@@ -199,6 +200,18 @@ def test_finite_balls_in_large_groups_are_built(capsys, spec, radius):
     code, out = run(capsys, "ball", "--group", spec, "--kind", "FiniteS_plus_Delta2",
                     "--radius", str(radius), "--universe", str(radius))
     assert code == 0 and last_json(out)["vertices"] > 60
+
+
+@pytest.mark.parametrize("universe", ["0", "1", "3"])
+def test_simples_wordlen_is_exact_at_any_universe(capsys, universe):
+    for group, word, length in [("I2(5)", "a^9", 9), ("A2", "a^-1 b^-1 a^-1", 1),
+                                ("A2", "a b^-1", 2), ("A2", "a^-3 b^2", 5),
+                                ("A3", "", 0)]:
+        code, out = run(capsys, "wordlen", "--group", group, "--kind", "Simples",
+                        "--word", word, "--universe", universe)
+        assert code == 0
+        assert last_json(out) == {"kind": "exact", "value": length,
+                                  "universe": int(universe)}
 
 
 def test_usage_and_error_exit_codes(capsys):
@@ -232,6 +245,16 @@ def test_usage_and_error_exit_codes(capsys):
         cli.main(["cparab", "--group", "A3", "--p0", "s1,s2"])
     assert exc.value.code == 2
     assert "bad parabolic literal 's1,s2'" in capsys.readouterr().err
+    # invalid braid-command input is a usage error, not a failed check
+    code, out = run(capsys, "arc-identity", "--n", "3", "--i", "9", "--k", "1")
+    assert code == 2 and last_json(out)["error"] == "IndexOutOfRange"
+    code, out = run(capsys, "delta-factor", "--group", "A2")
+    assert code == 2 and last_json(out)["error"] == "RankTooSmall"
+    for n in ("0", "1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["double", "--n", n, "--word", "s1"])
+        assert exc.value.code == 2
+        assert f"argument --n: must be >= 2, got {n}" in capsys.readouterr().err
 
 
 def test_config_file(capsys, tmp_path):

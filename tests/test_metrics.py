@@ -28,6 +28,7 @@ from oracles import (
     reference_delta,
     reference_json_text,
     reference_quotient_cayley,
+    reference_simples_lengths,
     reference_xnp_members,
 )
 
@@ -195,32 +196,50 @@ def test_word_length_examples():
     ab_el = nf(I5, "a b")
     res2 = mt.word_length_bound(ab_el, xp, 6)
     assert (res2.kind, res2.value) == ("exact", 2)
-    # unreachable target inside a too-small universe
+    # the simples have a closed form, exact at any universe; the search in
+    # the box answered a^9 at universe 3 "unknown" and a a a at universe 2
+    # "upper", as it could not prove those
     simples = mt.genset_oracle(I5, mt.KIND_SIMPLES)
-    far = gd.power(a, 9)
-    assert mt.word_length_bound(far, simples, 3).kind == "unknown"
-    # distance >= 3 is exact only for a step-local oracle whose search never
-    # left the box before it generated the target
     simples3 = mt.genset_oracle(I3, mt.KIND_SIMPLES)
+    finite5 = mt.genset_oracle(I5, mt.KIND_FINITE)
     for oracle, g, universe, expected in [
+            (simples, gd.power(a, 9), 3, ("exact", 9)),
             (simples3, nf(I3, "a a a"), 3, ("exact", 3)),
             (simples3, nf(I3, "a a a a"), 4, ("exact", 4)),
-            (simples3, nf(I3, "a a a"), 2, ("upper", 3)),  # clipped
-            (xp, nf(I5, "a b a b"), 2, ("upper", 4)),  # not step-local
+            (simples3, nf(I3, "a a a"), 2, ("exact", 3)),
+            # any other kind: distance >= 3 is an upper bound, also for a
+            # target outside the box, which the search still steps onto ...
+            (xp, nf(I5, "a b a b"), 2, ("upper", 4)),
+            (finite5, nf(I5, "a a a"), 2, ("upper", 3)),
+            # ... and a target the search in the box does not reach is unknown
+            (xp, nf(I5, "a b a^-1 b^3 a^2"), 2, ("unknown", None)),
     ]:
         res = mt.word_length_bound(g, oracle, universe)
         assert (res.kind, res.value, res.universe_len) == expected + (universe,)
 
 
+@pytest.mark.parametrize("spec,radius", [("A2", 3), ("I2(5)", 3), ("A3", 3), ("B3", 2)])
+def test_simples_word_length_matches_unboxed_search(spec, radius):
+    group = EQUIV_GROUPS[spec]
+    simples = mt.genset_oracle(group, mt.KIND_SIMPLES)
+    lengths = reference_simples_lengths(group, radius)
+    for (p, fs), d in lengths.items():
+        g = gd.GarsideElement(group, p, fs)
+        for universe in (0, radius):
+            res = mt.word_length_bound(g, simples, universe)
+            assert (res.kind, res.value) == ("exact", d)
+
+
 def test_word_length_monotone_in_universe():
-    simples = mt.genset_oracle(I3, mt.KIND_SIMPLES)
+    # the simples answer from the closed form; this checks the box search
+    finite = mt.genset_oracle(I3, mt.KIND_FINITE)
     rng = random.Random(4)
     for _ in range(20):
         letters = tuple((rng.randrange(2), rng.choice((-1, 1)))
                         for _ in range(rng.randint(0, 5)))
         g = gd.normal_form(gd.LetterWord(I3, letters))
-        small = mt.word_length_bound(g, simples, 4)
-        big = mt.word_length_bound(g, simples, 6)
+        small = mt.word_length_bound(g, finite, 4)
+        big = mt.word_length_bound(g, finite, 6)
         if small.value is not None and big.value is not None:
             assert big.value <= small.value
 

@@ -81,12 +81,16 @@ PRINTED = {
         (0, "a005046cb322ef4c18da084f36194897ac6b8c81a0c235eda5d405f50522e0f0"),
     _wordlen("A2", "Simples", "a a a", "3"):  # exact 3
         (0, "01f9740a476842799ee84ed786aeb0b10c8e9c44c2e602a4bc2c8dee54addad4"),
-    _wordlen("A2", "Simples", "a a a", "2"):  # upper 3
-        (0, "2b0d939a6fa487c158c8888cd1147222199ac933bcd56bd1915163490c78d929"),
+    # the two Simples lines below were re-recorded when the simples' word
+    # length became the closed form max(sup, 0) - min(inf, 0): the search in
+    # the box had answered "upper 3" and "unknown" (exit 3), which recorded
+    # what it could not prove, not the length
+    _wordlen("A2", "Simples", "a a a", "2"):  # exact 3
+        (0, "8092e4dc4dd268ca3c4476ea329f86291e48671e3bcc244fb7d71b3fad359b36"),
     _wordlen("A2", "Simples", "a a a a", "4"):  # exact 4
         (0, "b374815ae061330084f3353dd625cffe108a2b852bf71ee666010d13ad1904e1"),
-    _wordlen("I2(5)", "Simples", "a^9", "3"):  # unknown
-        (3, "31294d1f5bd825ae68b9e795bae4d3bf384ba27611e28403021a1ea87a446257"),
+    _wordlen("I2(5)", "Simples", "a^9", "3"):  # exact 9
+        (0, "a33b07b25ee77771590fcf2c24cf8671c864fc2888eaecd662625dcaf86e8bdc"),
     _wordlen("I2(5)", "XP", "a b a^-1 b^3 a^2", "2"):  # unknown
         (3, "4071a04bde543167a43d9a73e3ee2f15afe12f94e0f0a06c1cd4e09a9b97d949"),
     # kernel: normal forms, products and inverses of long words, exponents

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -9,10 +10,12 @@ from garsidehyp import parabolic as pb
 from garsidehyp.coxeter import parse_group_spec
 from garsidehyp.errors import (
     ImproperSubset,
+    NotFoundWithinSearch,
     PreconditionViolated,
     ReducibleSubset,
     SameVertex,
 )
+from oracles import reference_standardize
 
 A3 = parse_group_spec("A3")
 B3 = parse_group_spec("B3")
@@ -219,17 +222,13 @@ def test_omega_commute_equivariance():
 def test_simultaneous_standardize():
     p1 = pb.standard_parabolic(A3, ("s1",))
     p3 = pb.standard_parabolic(A3, ("s3",))
-    got = pb.simultaneous_standardize(p1, p3, radius=1)
-    assert got is not None
-    g, t1, t2 = got
+    g, t1, t2 = pb.simultaneous_standardize(p1, p3)
     assert g.is_identity and t1 == ("s1",) and t2 == ("s3",)
 
     s2inv = gd.invert(gd.generator_element(A3, "s2"))
     pc = pb.parabolic_from_conjugate(s2inv, ("s1",))
     qc = pb.parabolic_from_conjugate(s2inv, ("s3",))
-    got = pb.simultaneous_standardize(pc, qc, radius=1)
-    assert got is not None
-    g, t1, t2 = got
+    g, t1, t2 = pb.simultaneous_standardize(pc, qc)
     # verify the returned witness really standardizes both
     index = pb.standard_omega_index(A3)
     for parab, t in ((pc, t1), (qc, t2)):
@@ -238,9 +237,93 @@ def test_simultaneous_standardize():
 
     p2 = pb.standard_parabolic(A3, ("s2",))
     with pytest.raises(PreconditionViolated):
-        pb.simultaneous_standardize(p1, p2, radius=1)
+        pb.simultaneous_standardize(p1, p2)
     with pytest.raises(SameVertex):
-        pb.simultaneous_standardize(p1, pb.standard_parabolic(A3, ("s1",)), 1)
+        pb.simultaneous_standardize(p1, pb.standard_parabolic(A3, ("s1",)))
+
+
+def _assert_standardizes(g, subgroups, subsets):
+    for p, t in zip(subgroups, subsets):
+        assert pb.act_on_parabolic(g, p) == pb.standard_parabolic(g.group, t)
+
+
+def _random_element(group, rng, shortest, longest):
+    letters = tuple((rng.randrange(group.rank), rng.choice((-1, 1)))
+                    for _ in range(rng.randint(shortest, longest)))
+    return gd.normal_form(gd.LetterWord(group, letters))
+
+
+def _adjacent_standard_pairs(group):
+    stds = [pb.standard_parabolic(group, t) for t in pb.proper_irreducible_subsets(group)]
+    return [(p, q) for p, q in itertools.permutations(stds, 2)
+            if gd.commute(p.omega, q.omega)]
+
+
+def test_prefix_meet_is_the_greatest_common_prefix():
+    for group in (A3, B3, I5):
+        tab = group.table()
+
+        def prefixes(x):
+            return {d for d in range(tab.size)
+                    if tab.length[d] + tab.length[tab.mult(tab.inverse[d], x)]
+                    == tab.length[x]}
+        for x in range(tab.size):
+            for y in range(tab.size):
+                common = prefixes(x) & prefixes(y)
+                meet = tab.prefix_meet(x, y)
+                assert meet in common and all(d in prefixes(meet) for d in common)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "A4", "D4", "H3"])
+def test_sliding_standardizes_random_adjacent_pairs(spec):
+    # g^-1 (A_T, A_T') g for every commuting standard pair and g of up to 30
+    # letters; both subgroups and the pair are standardized, and verified
+    group = parse_group_spec(spec)
+    rng = random.Random(f"slide {spec}")
+    pairs = _adjacent_standard_pairs(group)
+    for k in range(120):
+        p, q = pairs[k % len(pairs)]
+        g = _random_element(group, rng, 0, 30)
+        pg, qg = pb.act_on_parabolic(g, p), pb.act_on_parabolic(g, q)
+        c, t1, t2 = pb.simultaneous_standardize(pg, qg)
+        _assert_standardizes(c, (pg, qg), (t1, t2))
+        for sub in (pg, qg):
+            c, t = pb.standardize(sub)
+            _assert_standardizes(c, (sub,), (t,))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_sliding_decides_what_the_radius_search_decides(spec):
+    # every pair conjugated by a simple or an inverse simple, which the
+    # radius search decides, and pairs conjugated by random words of 2 to 4
+    # letters, some of which it does not; sliding decides them all
+    group = parse_group_spec(spec)
+    tab = group.table()
+    pairs = _adjacent_standard_pairs(group)
+    simples = [gd.GarsideElement(group, 0, (x,)) for x in range(1, tab.w0)]
+    cases = [(g, pair) for g in simples + [gd.invert(g) for g in simples] for pair in pairs]
+    rng = random.Random(f"radius {spec}")
+    cases += [(_random_element(group, rng, 2, 4), pairs[k % len(pairs)]) for k in range(40)]
+    undecided = 0
+    for g, (p, q) in cases:
+        pg, qg = pb.act_on_parabolic(g, p), pb.act_on_parabolic(g, q)
+        c, t1, t2 = pb.simultaneous_standardize(pg, qg)
+        _assert_standardizes(c, (pg, qg), (t1, t2))
+        found = reference_standardize(pg, qg, 1)
+        if found is None:
+            undecided += 1
+        else:
+            _assert_standardizes(found[0], (pg, qg), found[1:])
+    assert 0 < undecided < 40
+
+
+def test_sliding_that_cycles_is_refused():
+    # D^2 and s1 s2 are no Omega of a proper parabolic: sliding returns to
+    # an earlier element, which raises instead of looping
+    for omega in (gd.delta_pow(A3, 2), nf(A3, "s1 s2")):
+        fake = pb.ParabolicSubgroup(A3, omega, gd.identity_element(A3), ("s1",))
+        with pytest.raises(NotFoundWithinSearch):
+            pb.standardize(fake)
 
 
 def test_paris_equivalence_sample():
