@@ -20,11 +20,10 @@ from . import garside as gd
 from . import parabolic as pb
 from .coxeter import CoxeterGraph, graph_properties, parse_group_spec
 from .errors import (
-    CapExceeded,
     GarsideHypError,
+    Inconclusive,
     IndexOutOfRange,
     NonSpherical,
-    OrderOverflow,
     RankOutOfRange,
     RankTooSmall,
     UnknownFamily,
@@ -496,7 +495,7 @@ def main(argv=None) -> int:
         sub.error(str(exc))
     except GarsideHypError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
-        if isinstance(exc, (CapExceeded, OrderOverflow)):
+        if isinstance(exc, Inconclusive):
             return EXIT_INCONCLUSIVE
         if isinstance(exc, (UnknownFamily, RankOutOfRange, UnknownGenerator,
                             NonSpherical, IndexOutOfRange, RankTooSmall)):

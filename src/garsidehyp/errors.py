@@ -5,6 +5,10 @@ class GarsideHypError(Exception):
     """Base class for all library errors."""
 
 
+class Inconclusive(GarsideHypError):
+    """A cap or a truncation prevented a definite answer; it is not a 'no'."""
+
+
 # --- Coxeter / group construction -----------------------------------------
 
 class UnknownFamily(GarsideHypError):
@@ -19,7 +23,7 @@ class NonSpherical(GarsideHypError):
     """The diagram does not define a finite Coxeter group."""
 
 
-class OrderOverflow(GarsideHypError):
+class OrderOverflow(Inconclusive):
     """|W| exceeds the configured enumeration cap."""
 
 
@@ -53,7 +57,7 @@ class PreconditionViolated(GarsideHypError):
     """A documented precondition of the operation does not hold."""
 
 
-class CapExceeded(GarsideHypError):
+class CapExceeded(Inconclusive):
     """A bounded search hit its cap; the answer is inconclusive, not 'no'."""
 
 
@@ -73,7 +77,7 @@ class ZeroLength(GarsideHypError):
 
 # --- Metric graphs -----------------------------------------------------------
 
-class UniverseTooSmall(GarsideHypError):
+class UniverseTooSmall(Inconclusive):
     """The truncation universe cannot contain the requested construction."""
 
 
@@ -81,7 +85,7 @@ class DisconnectedInput(GarsideHypError):
     """A graph that must be connected (the delta estimate) is not."""
 
 
-class RepresentativeMissing(GarsideHypError):
+class RepresentativeMissing(Inconclusive):
     """An orbit or edge representative is not a vertex of the supplied graph."""
 
 

@@ -18,16 +18,20 @@ simple lowers them so; a word of that length is read off the normal form of
 g or g^-1 when one is positive, else off the np normal form a^-1 b with
 sup a = -inf g and sup b = sup g (Charney, Math. Ann. 292, 1992).  For the
 other kinds, distance 0 and 1 are decided by the membership predicate
-alone, distance 2 is exact when the predicate rejects the target, and a
-larger distance found by the breadth-first search in the box is an upper
-bound.
+alone.  Past them, the walk of the box below gives d + 1 for the first
+distance layer d that holds a vertex v with v^-1 g one of the walk's
+steps, wherever g lies: exact when d + 1 is 2, since the predicate
+rejected g, an upper bound when larger, and unknown when the walk ends
+first.
 
-Ball rule (`bounded_ball_graph`, `word_length_bound`): every vertex of a ball
-lies in the box of bound B, but the generator used for a step need not; a
-step from one box vertex to another may use any member of the generating
-set.  `_box_step_generators` lists every such member.  The target of
-`word_length_bound` ends the search wherever it lies; every vertex the search
-expands stays in the box.
+Ball rule: balls (`bounded_ball_graph`) and word lengths
+(`word_length_bound`) share one breadth-first walk of the box, `_BoxWalk`.
+Every vertex it reaches lies in the box of bound B, but the generator used
+for a step need not; a step from one box vertex to another may use any
+member of the generating set.  `_box_step_generators` lists every such
+member.  A ball is the walk's first `radius` layers and the edges among
+them; a word length forms one key product g^-1 v per vertex it tests, and
+no product by a step beyond the walk's own.
 
 Graph builders work on normal-form keys (power, factors) and render each
 vertex once.  Products by a simple come from one prefix recurrence.  The
@@ -71,10 +75,10 @@ its vertices (lemma at `coset_distance`), so its distances are these, and
 `estimate_delta` reads the few pairs of a small sample from the formula on
 keys instead of searching the graph.
 
-`bounded_ball_graph` needs the products of the few forms its ball visits,
-often by a few simples only, so it forms them with the same recurrence in a
+The walk of the box needs the products of the few forms it visits, often
+by a few simples only, so it forms them with the same recurrence in a
 `_ProductMemo`, which keeps only the products of prefixes: its cost follows
-the ball, where a table to length L would cost |W|^L whatever the ball.  A
+the walk, where a table to length L would cost |W|^L whatever the walk.  A
 vertex D^p a is the code i W + p + B (W = 2B + 1) of its power p and the
 memo id i of a, and a step D^q u reaches D^p a D^q u = D^(p+q) t^q(a) u.
 So the product depends on p only through p + q: each form id keeps one
@@ -100,9 +104,9 @@ a and u, using that inf is superadditive, sup subadditive and inf(a^-1) =
   inf(a u) and inf a >= inf(a u) + inf(u^-1).
 A product so skipped lies outside the box, so it counts as clipped.  Each
 expanded vertex keeps its products in the box for the edge pass.  The
-products a layer, and then the edge pass, would read (vertices times kept
-steps) are counted before any is read, and a ball past
-BALL_PRODUCT_LIMIT is refused.
+products each layer of the walk, and then a ball's edge pass, would read
+(vertices times kept steps) are counted before any is read, and a walk past
+BALL_PRODUCT_LIMIT is refused, for a ball and a word length alike.
 
 Distances among chosen vertices (the pairs of sampled 4-tuples, the
 representatives of M1, a projected triangle) come from one bit-parallel
@@ -193,12 +197,13 @@ TABLE_LIMIT = 500_000
 # B3 fit, those of F4 (1.3 M) do not.
 RENORM_CACHE = 1 << 16
 
-# Products a ball may read: before each layer it expands, and before the
-# edge pass, the ball adds its vertices times the steps the box inequalities
-# keep for them.  A product costs about 1 us: ball F4 Simples r1 u2 reads
-# 5.3 M and takes 5.3 s (12.9 s without rows; 2 vCPUs, Python 3.11), while
-# every other ball of the tests and the benchmark reads under 300,000.  A
-# ball over this many is refused before it reads them.
+# Products a walk of the box (`_BoxWalk`) may read: before each layer it
+# expands, and before a ball's edge pass, the walk adds its vertices times
+# the steps the box inequalities keep for them.  A product costs about 1 us:
+# ball F4 Simples r1 u2 reads 5.3 M and takes 5.3 s (12.9 s without rows;
+# 2 vCPUs, Python 3.11), while every other ball of the tests and the
+# benchmark reads under 300,000.  A walk over this many is refused before it
+# reads them.
 BALL_PRODUCT_LIMIT = 2_000_000
 
 # Candidate subgroups C_parab may form: proper irreducible subsets times the
@@ -208,7 +213,7 @@ BALL_PRODUCT_LIMIT = 2_000_000
 # this many the graph is refused before any candidate is formed.
 CPARAB_CANDIDATE_LIMIT = 50_000
 
-# Row entries of a ball (`bounded_ball_graph`): not yet formed, and a
+# Row entries of a walk of the box (`_BoxWalk`): not yet formed, and a
 # product that is not a vertex of the box for any D-power.
 UNSET, CLIPPED = -2, -1
 
@@ -442,17 +447,27 @@ def _subgroup_members(group: CoxeterGraph, subsets: Sequence[Sequence[str]],
                       bound: int) -> Iterator[GarsideElement]:
     """Elements of the standard parabolics A_T, T in `subsets`, in the box.
 
-    Enumerates each subgroup's own normal forms D_T^p x_1..x_k with
-    |p| <= 2*bound + 2 and k <= 2*bound + 2 and filters by the ambient box;
-    tests validate this inner margin against direct enumeration.  The walk
-    is counted first and refused above XNP_BOX_LIMIT.
+    Enumerates each subgroup's own normal forms g = D_T^p y_1..y_k with
+    |p| <= bound and k <= bound and filters by the ambient box, which holds
+    no other member of A_T.  Proof: A_T^+ is closed under divisors and
+    under gcds in A^+ (Paris, J. Algebra 196, 1997).  So the greedy simple
+    prefixes of an element of A_T^+ lie in A_T^+: its ambient normal form is
+    its A_T normal form with each D_T written as a factor, no factor is D
+    (T is proper), and its ambient sup is its A_T sup.  Let g = a^-1 b be
+    the np normal form in A_T; a and b have no common prefix in A_T^+, so
+    none in A^+, and this is the ambient np normal form too.  Applied in A_T
+    and in A, Charney (Math. Ann. 292, 1992) and, when a or b is 1, the
+    above give that -sup a = min(p, 0) and sup b = max(p + k, 0) are the
+    ambient inf and sup of g.  In the box, p >= 0 gives p + k = len g <=
+    bound; p < 0 gives -p = -inf g <= bound and k <= max(p + k, 0) - p =
+    len g <= bound.  The walk is counted first and refused above
+    XNP_BOX_LIMIT.
     """
-    inner = 2 * bound + 2
     subs = [group.subgraph(group.gen_indices(labels)) for labels in subsets]
     if any(sub.rank == group.rank for sub in subs):
         raise GroupMismatch("proper subsets only")
-    size = (2 * inner + 1) * sum(gd.count_positive_nf(sub, ell)
-                                 for sub in subs for ell in range(inner + 1))
+    size = (2 * bound + 1) * sum(gd.count_positive_nf(sub, ell)
+                                 for sub in subs for ell in range(bound + 1))
     if size > XNP_BOX_LIMIT:
         raise CapExceeded(
             f"XP enumeration would walk {size} subgroup elements for the box "
@@ -469,9 +484,9 @@ def _subgroup_members(group: CoxeterGraph, subsets: Sequence[Sequence[str]],
                 x = tab.rmult[x][group.gen_index(sub.generators[s_local])]
             amb.append(x)
         positives = [gd.GarsideElement(group, 0, tuple(amb[f] for f in el.factors))
-                     for el in gd.iter_positive_elements(sub, inner)]
+                     for el in gd.iter_positive_elements(sub, bound)]
         delta_t = gd.delta_of(group, labels)
-        for p in range(-inner, inner + 1):
+        for p in range(-bound, bound + 1):
             base = gd.power(delta_t, p)
             if not base.is_identity and in_universe(base, bound):
                 yield base
@@ -838,6 +853,123 @@ def _box_step_generators(oracle: GeneratingSetOracle,
     return oracle.enumerate_up_to(3 * universe_len)
 
 
+class _BoxWalk:
+    """The breadth-first walk of the box of bound B from the identity by the
+    steps `gens` (normal-form keys), which balls and word lengths share.
+
+    A vertex D^p a is the code i W + p + B of the memo id i of a, with
+    W = 2B + 1, and `key(v)` is its normal-form key.  Its products come from
+    the rows of a `_ProductMemo` form (module docstring), and a step whose
+    product the box inequalities put outside the box is not read at all.
+    `layers()` yields the codes at distance 0, 1, 2, ..., and `dist` holds
+    each reached code's distance.  A layer is expanded only when the next
+    one is asked for, after `count` has added the products it would read to
+    the walk's total, which is refused past BALL_PRODUCT_LIMIT.  `clipped`
+    tells whether some expanded vertex has a product outside the box, read
+    or not.  `neighbours(v)` is the codes of v's products in the box: those
+    kept when v was expanded, else looked up with no new id given, since a
+    form with no id is no vertex.  The hot paths are closures over locals.
+    """
+
+    def __init__(self, group: CoxeterGraph, bound: int,
+                 gens: Sequence[tuple[int, tuple[int, ...]]]):
+        width = 2 * bound + 1
+        cols: dict[tuple[int, ...], int] = {}   # factor tuple of a step -> its column
+        gens = [(q, cols.setdefault(us, len(cols)), len(us)) for q, us in gens]
+        cols = list(cols)
+        shift = max(map(len, cols), default=0).bit_length()   # a product's D-power fits
+        low = (1 << shift) - 1
+        memo = _ProductMemo(group)
+        forms, ids = memo.forms, memo.ids
+        blank = array("l", [UNSET]) * len(cols)
+        rows: dict[int, array] = {}   # form id -> entry per column (module docstring)
+        box_steps: dict = {}   # (inf, length) of a vertex -> its steps that may stay in the box
+
+        def steps(p, ell):
+            if (p, ell) not in box_steps:
+                kept = [(q, c) for q, c, m in gens if m - ell <= bound and
+                        p + q <= bound and p + q + min(ell, m) >= -bound]
+                box_steps[p, ell] = ([(q, c) for q, c in kept if not q & 1],
+                                     [(q, c) for q, c in kept if q & 1],
+                                     len(kept) < len(gens))
+            return box_steps[p, ell]
+
+        times, chain, id_of = memo.times, memo.chain, memo.id_of
+
+        def entry(j, c, new):
+            """Row entry of forms[j] times the step factors cols[c]."""
+            us = cols[c]
+            d, res = times(j, us[0]) if len(us) == 1 else chain(j, 0, us)
+            if len(res) > bound:
+                return CLIPPED
+            k = ids.get(res)
+            if k is None:
+                if not new:
+                    return CLIPPED
+                k = id_of(res)
+            return k << shift | d
+
+        def products(v, new):
+            """The codes of the products of vertex v that lie in the box, and
+            whether some product leaves it."""
+            i, p = divmod(v, width)
+            p -= bound
+            even, odd, clip = steps(p, len(forms[i]))
+            out = []
+            for j, kept in ((i, even), (memo.twist(i) if odd else i, odd)):
+                row = rows.get(j)
+                if row is None:
+                    row = rows[j] = blank[:]
+                for q, c in kept:
+                    e = row[c]
+                    if e == UNSET:
+                        e = row[c] = entry(j, c, new)
+                    pq = p + q + (e & low) + bound
+                    if e < 0 or not 0 <= pq < width:
+                        clip = True
+                    else:
+                        out.append((e >> shift) * width + pq)
+            return out, clip
+
+        total = 0
+
+        def count(layer):
+            """Products the vertices of a layer would read, added to the total."""
+            nonlocal total
+            for v in layer:
+                i, p = divmod(v, width)
+                even, odd, _ = steps(p - bound, len(forms[i]))
+                total += len(even) + len(odd)
+            if total > BALL_PRODUCT_LIMIT:
+                raise CapExceeded(
+                    f"the walk of the box of bound {bound} would form at least "
+                    f"{total} products, over the limit of {BALL_PRODUCT_LIMIT}")
+
+        self.clipped = False
+        dist = self.dist = {}
+        kept_out: dict = {}   # expanded vertex -> its products in the box
+
+        def step(v):
+            out, clip = products(v, True)
+            kept_out[v] = out
+            self.clipped = self.clipped or clip
+            return out
+
+        def layers():
+            for layer in _bfs_layers(dist, bound, step):   # code of D^0
+                yield layer
+                count(layer)
+
+        def neighbours(v):
+            return kept_out[v] if v in kept_out else products(v, False)[0]
+
+        def key(v):
+            i, p = divmod(v, width)
+            return p - bound, forms[i]
+
+        self.layers, self.count, self.neighbours, self.key = layers, count, neighbours, key
+
+
 def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
                        universe_len: int) -> MetricGraph:
     """Ball of the word metric d_X around the identity, inside the universe.
@@ -847,122 +979,34 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
     member, whether or not that member lies in the box (see the module
     docstring).  Distances in the result are upper bounds for d_X.
 
-    A vertex D^p a is the code i W + p + B of the memo id i of a, with
-    W = 2B + 1.  Its products come from the rows of a `_ProductMemo` form
-    (module docstring), and a step whose product the box inequalities put
-    outside the box is not read at all.  Each product outside the box,
-    read or not, counts as clipped.  The products each layer and then the
-    edge pass would read are counted first, and a ball past
-    BALL_PRODUCT_LIMIT is refused.
+    The vertices are the first `radius` layers of a `_BoxWalk`.  A walk that
+    ends before then with a product outside the box is refused as stalled.
+    The products of the unexpanded last layer are counted with the walk's
+    before the edge pass reads them.
     """
     if radius < 0:
         raise UniverseTooSmall("radius must be >= 0")
     group = oracle.group
-    bound = universe_len
-    width = 2 * bound + 1
-    gens = [_nf_key(u) for u in _box_step_generators(oracle, bound)] if radius else []
-    cols: dict[tuple[int, ...], int] = {}   # factor tuple of a step -> its column
-    gens = [(q, cols.setdefault(us, len(cols)), len(us)) for q, us in gens]
-    cols = list(cols)
-    shift = max(map(len, cols), default=0).bit_length()   # a product's D-power fits
-    low = (1 << shift) - 1
-    memo = _ProductMemo(group)
-    forms, ids = memo.forms, memo.ids
-    blank = array("l", [UNSET]) * len(cols)
-    rows: dict[int, array] = {}   # form id -> entry per column (module docstring)
-    box_steps: dict = {}   # (inf, length) of a vertex -> its steps that may stay in the box
-
-    def steps(p, ell):
-        if (p, ell) not in box_steps:
-            kept = [(q, c) for q, c, m in gens if m - ell <= bound and
-                    p + q <= bound and p + q + min(ell, m) >= -bound]
-            box_steps[p, ell] = ([(q, c) for q, c in kept if not q & 1],
-                                 [(q, c) for q, c in kept if q & 1],
-                                 len(kept) < len(gens))
-        return box_steps[p, ell]
-
-    times, chain, id_of = memo.times, memo.chain, memo.id_of
-
-    def entry(j, c, new):
-        """Row entry of forms[j] times the step factors cols[c]."""
-        us = cols[c]
-        d, res = times(j, us[0]) if len(us) == 1 else chain(j, 0, us)
-        if len(res) > bound:
-            return CLIPPED
-        k = ids.get(res)
-        if k is None:
-            if not new:
-                return CLIPPED
-            k = id_of(res)
-        return k << shift | d
-
-    def products(v, new):
-        """The codes of the products of vertex v that lie in the box, and
-        whether some product leaves it."""
-        i, p = divmod(v, width)
-        p -= bound
-        even, odd, clip = steps(p, len(forms[i]))
-        out = []
-        for j, kept in ((i, even), (memo.twist(i) if odd else i, odd)):
-            row = rows.get(j)
-            if row is None:
-                row = rows[j] = blank[:]
-            for q, c in kept:
-                e = row[c]
-                if e == UNSET:
-                    e = row[c] = entry(j, c, new)
-                pq = p + q + (e & low) + bound
-                if e < 0 or not 0 <= pq < width:
-                    clip = True
-                else:
-                    out.append((e >> shift) * width + pq)
-        return out, clip
-
-    def count(layer):
-        """Products the vertices of a layer would read, added to the total."""
-        nonlocal total
-        for v in layer:
-            i, p = divmod(v, width)
-            even, odd, _ = steps(p - bound, len(forms[i]))
-            total += len(even) + len(odd)
-        if total > BALL_PRODUCT_LIMIT:
-            raise CapExceeded(
-                f"a ball of radius {radius} in the box of bound {bound} would "
-                f"form at least {total} products, over the limit of "
-                f"{BALL_PRODUCT_LIMIT}")
-
-    clipped = False
-    total = 0
-    kept_out: dict = {}   # expanded vertex -> its products in the box
-
-    def step(v):
-        nonlocal clipped
-        out, clip = products(v, True)
-        kept_out[v] = out
-        clipped = clipped or clip
-        return out
-
-    dist: dict = {}
-    for d, layer in enumerate(_bfs_layers(dist, bound, step)):   # code of D^0
+    walk = _BoxWalk(group, universe_len,
+                    [_nf_key(u) for u in _box_step_generators(oracle, universe_len)]
+                    if radius else [])
+    for d, layer in enumerate(walk.layers()):
         if d == radius:
             break
-        count(layer)
     else:
         layer = []
-        if clipped and d + 1 < radius:
+        if walk.clipped and d + 1 < radius:
             raise UniverseTooSmall(
                 f"ball expansion stalled at radius {d + 1} < {radius}")
-    count(layer)   # the last layer was never expanded; its edges look ids up only
-    adjacency = ((v, kept_out[v] if v in kept_out else products(v, False)[0])
-                 for v in dist)
+    walk.count(layer)   # the last layer was never expanded; its edges look ids up only
+    adjacency = ((v, walk.neighbours(v)) for v in walk.dist)
 
     prov = {"group": group.family, "construction": f"ball[{oracle.kind}]",
             "radius": radius, "universe_len": universe_len}
     if oracle.notes:
         prov["notes"] = oracle.notes
     text = _renderer(group)
-    return _build_graph({v: text(v % width - bound, forms[v // width]) for v in dist},
-                        adjacency, prov)
+    return _build_graph({v: text(*walk.key(v)) for v in walk.dist}, adjacency, prov)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -974,34 +1018,22 @@ class WordLengthResult:
 
 def word_length_bound(g: GarsideElement, oracle: GeneratingSetOracle,
                       universe_len: int) -> WordLengthResult:
-    """Word length of g in the oracle's metric: the closed form for the simples,
-    else a breadth-first search within the universe (module docstring)."""
+    """Word length of g in the oracle's metric: the closed form for the
+    simples, else membership and the walk of the box (module docstring)."""
     if oracle.kind == KIND_SIMPLES:
         return WordLengthResult("exact", _simples_length(g), universe_len)
     if g.is_identity:
         return WordLengthResult("exact", 0, universe_len)
     if oracle.membership(g):
         return WordLengthResult("exact", 1, universe_len)
-    tab = oracle.group.table()
-    gens = [_nf_key(u) for u in _box_step_generators(oracle, universe_len)]
-    target = _nf_key(g)
-    dist: dict = {}
-
-    def step(key):
-        if target in dist:   # reached: form no more products
-            return ()
-        out = []
-        for u in gens:
-            k = _key_product(tab, key, u)
-            if k == target:   # kept even outside the box
-                return (k,)
-            if _in_box(k, universe_len):
-                out.append(k)
-        return out
-
-    for d, _ in enumerate(_bfs_layers(dist, (0, ()), step)):
-        if target in dist:
-            return WordLengthResult("exact" if d <= 2 else "upper", d, universe_len)
+    gens = _box_step_generators(oracle, universe_len)
+    walk = _BoxWalk(oracle.group, universe_len, [_nf_key(u) for u in gens])
+    # v^-1 g is a step exactly when g^-1 v is the inverse of one
+    inverses = {_nf_key(gd.invert(u)) for u in gens}
+    tab, g_inv = oracle.group.table(), _nf_key(gd.invert(g))
+    for d, layer in enumerate(walk.layers()):
+        if any(_key_product(tab, g_inv, walk.key(v)) in inverses for v in layer):
+            return WordLengthResult("exact" if d < 2 else "upper", d + 1, universe_len)
     return WordLengthResult("unknown", None, universe_len)
 
 

@@ -15,14 +15,15 @@ element models or tables:
 
 The reference graph builders and searches at the end are the exception:
 they are the plain forms of the builders in `garsidehyp.metrics`, and of
-the searches the library replaced by exact answers, on the library's
-kernel.  They form every product they need, with `garside.multiply` or the
-key-level `metrics._key_product`, and never from a product table, filter
-the whole box for generating-set members, test X_NP membership and C_parab
-adjacency with `garside.commute` on elements, key vertices by their
-rendered text and search from each delta source on its own, and the tests
-require the library's builders to give the same generators, graphs, delta
-values and exported bytes, and its closed forms to agree with the searches.
+the searches the library replaced by exact answers or by its one walk of
+the box, on the library's kernel.  They form every product they need, with
+`garside.multiply` or the key-level `metrics._key_product`, and never from
+a product table, filter the whole box for generating-set members, test X_NP
+membership and C_parab adjacency with `garside.commute` on elements, key
+vertices by their rendered text and search from each delta source on its
+own, and the tests require the library's builders to give the same
+generators, graphs, delta values and exported bytes, and its closed forms
+and its walk to agree with the searches.
 """
 
 from __future__ import annotations
@@ -414,6 +415,44 @@ def reference_simples_lengths(group, radius):
                     nxt.append(k)
         layer = nxt
     return dist
+
+
+def reference_word_length(g, oracle, universe_len):
+    """Word length of g in the oracle's metric, for any kind but the
+    simples, by a breadth-first search in the box of bound `universe_len`
+    that forms every product with the key-level `metrics._key_product`:
+    each expanded vertex is multiplied by every step generator, a product
+    equal to g ends the search even outside the box, and every other
+    product outside the box is dropped.  Distances 0 and 1 come from the
+    membership predicate, 2 is exact, and a larger distance is an upper
+    bound.  No product count is capped."""
+    from garsidehyp import metrics as mt
+    WordLengthResult = mt.WordLengthResult
+    if g.is_identity:
+        return WordLengthResult("exact", 0, universe_len)
+    if oracle.membership(g):
+        return WordLengthResult("exact", 1, universe_len)
+    tab = oracle.group.table()
+    gens = [mt._nf_key(u) for u in mt._box_step_generators(oracle, universe_len)]
+    target = mt._nf_key(g)
+    dist: dict = {}
+
+    def step(key):
+        if target in dist:   # reached: form no more products
+            return ()
+        out = []
+        for u in gens:
+            k = mt._key_product(tab, key, u)
+            if k == target:   # kept even outside the box
+                return (k,)
+            if mt._in_box(k, universe_len):
+                out.append(k)
+        return out
+
+    for d, _ in enumerate(mt._bfs_layers(dist, (0, ()), step)):
+        if target in dist:
+            return WordLengthResult("exact" if d <= 2 else "upper", d, universe_len)
+    return WordLengthResult("unknown", None, universe_len)
 
 
 def reference_standardize(p, q, radius):

@@ -158,6 +158,20 @@ def test_oversized_balls_and_cparab_are_refused(capsys, argv, limit, count):
     assert time.perf_counter() - t0 < 2.0
 
 
+def test_word_length_walk_is_refused_past_the_product_limit(capsys, monkeypatch):
+    # word lengths walk the box under the ball's product limit; the limit is
+    # lowered, as a real refusal (F4 Finite, (s1 s2 s3 s4)^5 at universe 3,
+    # 4,642,068 products) takes about 10 s.  At the real limit this word
+    # answers "upper 3" (test_usage_and_error_exit_codes).
+    monkeypatch.setattr(mt, "BALL_PRODUCT_LIMIT", 10_000)
+    code, out = run(capsys, "wordlen", "--group", "A3", "--kind", "XP",
+                    "--word", "s1 s3 s2 s1 s3", "--universe", "2")
+    data = last_json(out)
+    assert code == 3 and data["error"] == "CapExceeded"
+    assert data["message"] == ("the walk of the box of bound 2 would form at least "
+                               "42504 products, over the limit of 10000")
+
+
 @pytest.mark.parametrize("argv", [
     ("quotient-cayley", "--group", "A2", "--len-bound", "-1"),
     ("ball", "--group", "A2", "--kind", "Simples", "--universe", "1", "--radius", "-1"),
@@ -229,15 +243,31 @@ def test_usage_and_error_exit_codes(capsys):
     data = last_json(out)
     assert code == 3 and data["error"] == "CapExceeded"
     assert "2651623" in data["message"] and str(mt.XNP_BOX_LIMIT) in data["message"]
-    # the XP enumerator at the same step box would walk 3,801,001 subgroup
-    # elements; it is refused up front too
+    # the XP enumerator walks the subgroup forms D_T^p y_1..y_k with |p| and
+    # k at most the bound of the step box, 6 here: 6,617 of them in A3, and
+    # the walk of the box of bound 2 answers
     t0 = time.perf_counter()
     code, out = run(capsys, "wordlen", "--group", "A3", "--kind", "XP",
                     "--word", "s1 s3 s2 s1 s3", "--universe", "2")
+    assert code == 0 and last_json(out) == {"kind": "upper", "value": 3, "universe": 2}
+    assert time.perf_counter() - t0 < 1.0
+    # in D4 it would walk 7,964,788 subgroup elements; that is refused up front
+    t0 = time.perf_counter()
+    code, out = run(capsys, "wordlen", "--group", "D4", "--kind", "XP",
+                    "--word", "s1 s2 s3 s4", "--universe", "2")
     data = last_json(out)
     assert code == 3 and data["error"] == "CapExceeded"
-    assert "3801001" in data["message"] and str(mt.XNP_BOX_LIMIT) in data["message"]
+    assert "7964788" in data["message"] and str(mt.XNP_BOX_LIMIT) in data["message"]
     assert time.perf_counter() - t0 < 1.0
+    # a truncation too small for the answer is inconclusive too: a ball that
+    # stalls inside its box, and a representative outside the C_parab ball
+    code, out = run(capsys, "ball", "--group", "A2", "--kind", "Simples",
+                    "--radius", "6", "--universe", "1")
+    data = last_json(out)
+    assert code == 3 and data["error"] == "UniverseTooSmall"
+    assert data["message"] == "ball expansion stalled at radius 3 < 6"
+    code, out = run(capsys, "qi-constants", "--group", "A3", "--hops", "0")
+    assert code == 3 and last_json(out)["error"] == "RepresentativeMissing"
     code, _out = run(capsys, "census", "--group", "I2(5)", "--sup-bound", "12")
     assert code == 0
     # a malformed parabolic literal is a usage error, not a traceback

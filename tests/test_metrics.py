@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -29,6 +30,7 @@ from oracles import (
     reference_json_text,
     reference_quotient_cayley,
     reference_simples_lengths,
+    reference_word_length,
     reference_xnp_members,
 )
 
@@ -89,10 +91,12 @@ def test_simples_enumeration():
 
 
 def test_xp_enumeration_matches_naive_filter():
-    for group, bound in ((A3, 1), (I5, 3)):
-        oracle = mt.genset_oracle(group, mt.KIND_XP)
-        smart = {(e.power, e.factors) for e in oracle.enumerate_up_to(bound)}
-        naive = {(e.power, e.factors) for e in reference_box_members(oracle, bound)}
+    # B3 at 3, D4 at 1 and H3 at 2 are walked only since the subgroup forms
+    # are bounded by the box itself (`_subgroup_members`)
+    for spec, bound in (("A3", 1), ("I2(5)", 3), ("B3", 3), ("D4", 1), ("H3", 2)):
+        oracle = mt.genset_oracle(EQUIV_GROUPS[spec], mt.KIND_XP)
+        smart = [(e.power, e.factors) for e in oracle.enumerate_up_to(bound)]
+        naive = [(e.power, e.factors) for e in reference_box_members(oracle, bound)]
         assert smart == naive
 
 
@@ -216,6 +220,36 @@ def test_word_length_examples():
     ]:
         res = mt.word_length_bound(g, oracle, universe)
         assert (res.kind, res.value, res.universe_len) == expected + (universe,)
+
+
+def test_word_length_walk_matches_the_reference():
+    # 348 seeded words: every answer kind, targets in and outside the box,
+    # and X_NP step boxes that both refuse (XNP_BOX_LIMIT)
+    combos = [(spec, kind, universe) for spec in ("A2", "I2(5)") for universe in (1, 2, 3)
+              for kind in (mt.KIND_XP, mt.KIND_XNP, mt.KIND_FINITE, mt.KIND_XABS)]
+    combos += [("A3", kind, 1) for kind in (mt.KIND_XP, mt.KIND_XNP, mt.KIND_FINITE)]
+    combos += [("B3", kind, 1) for kind in (mt.KIND_FINITE, mt.KIND_XP)]
+    rng = random.Random(13)
+    seen = collections.Counter()
+    for spec, kind, universe in combos:
+        group = EQUIV_GROUPS[spec]
+        oracle = mt.genset_oracle(group, kind)
+        for _ in range(12):
+            letters = tuple((rng.randrange(group.rank), rng.choice((-1, 1)))
+                            for _ in range(rng.randint(1, 6)))
+            g = gd.normal_form(gd.LetterWord(group, letters))
+            try:
+                want = reference_word_length(g, oracle, universe)
+            except CapExceeded:
+                with pytest.raises(CapExceeded):
+                    mt.word_length_bound(g, oracle, universe)
+                seen["refused"] += 1
+                continue
+            assert mt.word_length_bound(g, oracle, universe) == want
+            seen[want.kind, want.value] += 1
+    assert seen == {("exact", 0): 19, ("exact", 1): 137, ("exact", 2): 98,
+                    ("upper", 3): 33, ("upper", 4): 7, ("upper", 5): 5,
+                    ("upper", 6): 1, ("unknown", None): 33, "refused": 15}
 
 
 @pytest.mark.parametrize("spec,radius", [("A2", 3), ("I2(5)", 3), ("A3", 3), ("B3", 2)])
