@@ -75,7 +75,8 @@ def is_absorbable(y: GarsideElement, witness_bound: int | None = None) -> Absorb
 
 def enumerate_absorbable(group: CoxeterGraph, sup_bound: int,
                          witness_bound: int | None = None) -> list[GarsideElement]:
-    """All absorbable elements of canonical length <= sup_bound.
+    """All absorbable elements of canonical length <= sup_bound (none
+    below 1).
 
     Both the inf = 0 family and its inverses (the sup = 0 family) are
     returned, in deterministic order.  Levels extend absorbable prefixes
@@ -83,27 +84,16 @@ def enumerate_absorbable(group: CoxeterGraph, sup_bound: int,
     """
     tab = group.table()
     positives: list[GarsideElement] = []
-    level: list[tuple[int, ...]] = []
-    for x in range(1, tab.size):
-        if x == tab.w0:
-            continue
-        el = GarsideElement(group, 0, (x,))
-        if is_absorbable(el, witness_bound):
-            level.append((x,))
-            positives.append(el)
-    ell = 1
-    while level and ell < sup_bound:
-        nxt = []
-        for tup in level:
-            for x in tab.follows(tup[-1]):
-                cand = tup + (x,)
-                el = GarsideElement(group, 0, cand)
-                if is_absorbable(el, witness_bound):
-                    nxt.append(cand)
-                    positives.append(el)
-        level = nxt
-        ell += 1
-    out = list(positives) + [gd.invert(el) for el in positives]
+    level: list[tuple[int, ...]] = [()]
+    for _ in range(sup_bound):
+        found = [el for el in (GarsideElement(group, 0, tup + (x,)) for tup in level
+                               for x in (tab.follows(tup[-1]) if tup else range(1, tab.w0)))
+                 if is_absorbable(el, witness_bound)]
+        if not found:
+            break
+        positives += found
+        level = [el.factors for el in found]
+    out = positives + [gd.invert(el) for el in positives]
     out.sort(key=lambda e: e.sort_key())
     return out
 

@@ -21,11 +21,13 @@ from . import parabolic as pb
 from .coxeter import CoxeterGraph, graph_properties, parse_group_spec
 from .errors import (
     GarsideHypError,
+    ImproperSubset,
     Inconclusive,
     IndexOutOfRange,
     NonSpherical,
     RankOutOfRange,
     RankTooSmall,
+    ReducibleSubset,
     UnknownFamily,
     UnknownGenerator,
 )
@@ -253,6 +255,8 @@ def cmd_qi_constants(args) -> int:
     group = parse_group_spec(args.group)
     stds = [pb.standard_parabolic(group, t)
             for t in pb.proper_irreducible_subsets(group)]
+    if not stds:
+        raise RankTooSmall(f"{group.family} has no proper irreducible standard parabolic")
     graph = mt.build_cparab_neighborhood(stds[0], args.conj_len, args.hops)
     qi = mt.qi_constants(graph, [p.key() for p in stds], [],
                          {p.key(): 1 for p in stds})
@@ -498,7 +502,8 @@ def main(argv=None) -> int:
         if isinstance(exc, Inconclusive):
             return EXIT_INCONCLUSIVE
         if isinstance(exc, (UnknownFamily, RankOutOfRange, UnknownGenerator,
-                            NonSpherical, IndexOutOfRange, RankTooSmall)):
+                            NonSpherical, IndexOutOfRange, RankTooSmall,
+                            ReducibleSubset, ImproperSubset)):
             return EXIT_USAGE
         return EXIT_FAIL
     return code

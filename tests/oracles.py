@@ -294,22 +294,31 @@ def reference_cparab(p0, conj_len, hops):
 
 
 def reference_ball(oracle, radius, universe_len):
-    """The word-metric ball with no product table and no box pruning: every
-    vertex the search expands is multiplied by every step generator with
-    `garside.multiply`, the edge pass multiplies the last layer again, and a
-    search that stalls inside the box raises UniverseTooSmall."""
+    """The word-metric ball with no product table and no box pruning: the
+    steps are the members of the square box of bound 3B, every vertex the
+    search expands is multiplied by every step with `garside.multiply`, the
+    edge pass multiplies the last layer again, and a search that stalls
+    inside the box raises UniverseTooSmall.  A search stalls when it ends
+    with a product outside the box; besides the steps, each vertex is
+    multiplied by the standard generators and D^2 that are members, so that
+    a box with no step (bound 0) stalls too."""
     from garsidehyp import garside as gd, metrics as mt
     from garsidehyp.errors import UniverseTooSmall
     if radius < 0:
         raise UniverseTooSmall("radius must be >= 0")
-    gens = mt._box_step_generators(oracle, universe_len) if radius else []
-    one = gd.identity_element(oracle.group)
+    group = oracle.group
+    gens = oracle.enumerate_up_to(3 * universe_len) if radius else []
+    probes = [u for u in [*(gd.generator_element(group, lab) for lab in group.generators),
+                          gd.delta_pow(group, 2)] if oracle.membership(u)]
+    one = gd.identity_element(group)
     layers = [{one.render(): one}]
     seen = dict(layers[0])
     clipped = False
     for _ in range(radius):
         nxt = {}
         for g in layers[-1].values():
+            clipped |= not all(mt.in_universe(gd.multiply(g, u), universe_len)
+                               for u in probes)
             for u in gens:
                 h = gd.multiply(g, u)
                 if not mt.in_universe(h, universe_len):
@@ -433,7 +442,7 @@ def reference_word_length(g, oracle, universe_len):
     if oracle.membership(g):
         return WordLengthResult("exact", 1, universe_len)
     tab = oracle.group.table()
-    gens = [mt._nf_key(u) for u in mt._box_step_generators(oracle, universe_len)]
+    gens = [mt._nf_key(u) for u in oracle.enumerate_up_to(3 * universe_len)]
     target = mt._nf_key(g)
     dist: dict = {}
 

@@ -48,6 +48,8 @@ def test_dihedral_census(m, expected):
     c2 = ab.dihedral_census(group, 2 * m + 4)
     assert c1.count == c1.expected == expected
     assert c1.elements == c2.elements
+    # the census to sup 0 holds no element
+    assert ab.dihedral_census(group, 0).count == 0
 
 
 def test_census_inverse_closure():
@@ -68,6 +70,7 @@ def test_generators_absorbable(spec):
     gen_keys = {(0, gd.generator_element(group, lab).factors)
                 for lab in group.generators}
     assert gen_keys <= {(e.power, e.factors) for e in census}
+    assert ab.enumerate_absorbable(group, 0) == []
 
 
 def test_fat_triangle_construction():

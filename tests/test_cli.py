@@ -236,10 +236,17 @@ def test_usage_and_error_exit_codes(capsys):
     assert code == 2
     code, _out = run(capsys, "props", "--group", "E8")
     assert code == 3
-    # the XNP step set at universe 2 would filter the A3 box of bound 6,
-    # 2,651,623 elements; it is refused up front
+    # a ball's X_NP steps at universe 2 fill the A3 box |inf| <= 6, length
+    # <= 4, 87,061 elements, and the ball answers
+    t0 = time.perf_counter()
     code, out = run(capsys, "ball", "--group", "A3", "--kind", "XNP",
                     "--radius", "1", "--universe", "2")
+    assert code == 0 and last_json(out)["edges"] == 24028
+    assert time.perf_counter() - t0 < 3.0
+    # a word length keeps the square box of bound 6, 2,651,623 elements; it
+    # is refused up front for a word that is no member
+    code, out = run(capsys, "wordlen", "--group", "A3", "--kind", "XNP",
+                    "--word", "s1 s2 s3", "--universe", "2")
     data = last_json(out)
     assert code == 3 and data["error"] == "CapExceeded"
     assert "2651623" in data["message"] and str(mt.XNP_BOX_LIMIT) in data["message"]
@@ -280,6 +287,20 @@ def test_usage_and_error_exit_codes(capsys):
     assert code == 2 and last_json(out)["error"] == "IndexOutOfRange"
     code, out = run(capsys, "delta-factor", "--group", "A2")
     assert code == 2 and last_json(out)["error"] == "RankTooSmall"
+    # A1 has no proper irreducible subset to centre C_parab on
+    code, out = run(capsys, "qi-constants", "--group", "A1")
+    assert code == 2 and last_json(out)["error"] == "RankTooSmall"
+    # a subset that is not irreducible, or not proper, is a usage error too
+    for argv, error in [
+            (("omega", "--group", "A3", "--subset", "s1,s3"), "ReducibleSubset"),
+            (("normalizer", "--group", "A3", "--word", "s1", "--subset", "s1,s3"),
+             "ReducibleSubset"),
+            (("cparab", "--group", "A2", "--p0", "std:a,b"), "ImproperSubset")]:
+        code, out = run(capsys, *argv)
+        assert code == 2 and last_json(out)["error"] == error
+    # a dihedral census to sup 0 holds no element, against 4m - 8
+    code, out = run(capsys, "census", "--group", "I2(5)", "--sup-bound", "0")
+    assert code == 1 and (last_json(out)["count"], last_json(out)["expected"]) == (0, 12)
     for n in ("0", "1"):
         with pytest.raises(SystemExit) as exc:
             cli.main(["double", "--n", n, "--word", "s1"])

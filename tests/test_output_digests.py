@@ -50,6 +50,9 @@ GRAPH_EXPORTS = {
     ("ball", "--group", "D4", "--kind", "FiniteS_plus_Delta2", "--radius", "4",
      "--universe", "3"):
         "96f1d68621fe3c876f78d980eda02cb24e8e7aef474ebb9e9d9ced0e293673c1",
+    # the export of the square step box too, whose run took 145 s
+    ("ball", "--group", "B3", "--kind", "Xabs", "--radius", "2", "--universe", "1"):
+        "faeb170596ec1b1a377f06f5bd053a052013c892f2698dbed775ba4bf382e8f8",
 }
 
 
