@@ -59,6 +59,14 @@ def _export(graph, args) -> None:
         graphio.export_graph(graph, fmt, args.out)
 
 
+def _emit_graph(graph, args) -> int:
+    """Export a built graph if asked, and print its summary."""
+    _export(graph, args)
+    _emit({"vertices": len(graph.vertices), "edges": len(graph.codes),
+           "provenance": graph.provenance})
+    return EXIT_PASS
+
+
 def _parse_parabolic(group: CoxeterGraph, literal: str) -> pb.ParabolicSubgroup:
     """std:s1,s2 or conj:(word):s1,s2"""
     if literal.startswith("std:"):
@@ -146,10 +154,7 @@ def cmd_cparab(args) -> int:
     group = parse_group_spec(args.group)
     p0 = _parse_parabolic(group, args.p0)
     graph = mt.build_cparab_neighborhood(p0, args.conj_len, args.hops)
-    _export(graph, args)
-    _emit({"vertices": len(graph.vertices), "edges": len(graph.edges),
-           "provenance": graph.provenance})
-    return EXIT_PASS
+    return _emit_graph(graph, args)
 
 
 def cmd_cal(args) -> int:
@@ -157,20 +162,14 @@ def cmd_cal(args) -> int:
     group = parse_group_spec(args.group)
     graph = mt.build_cal_graph(group, args.len_bound, args.abs_bound,
                                args.witness_bound)
-    _export(graph, args)
-    _emit({"vertices": len(graph.vertices), "edges": len(graph.edges),
-           "provenance": graph.provenance})
-    return EXIT_PASS
+    return _emit_graph(graph, args)
 
 
 def cmd_quotient_cayley(args) -> int:
     from . import metrics as mt
     group = parse_group_spec(args.group)
     graph = mt.quotient_cayley_graph(group, args.len_bound)
-    _export(graph, args)
-    _emit({"vertices": len(graph.vertices), "edges": len(graph.edges),
-           "provenance": graph.provenance})
-    return EXIT_PASS
+    return _emit_graph(graph, args)
 
 
 def cmd_ball(args) -> int:
@@ -178,10 +177,7 @@ def cmd_ball(args) -> int:
     group = parse_group_spec(args.group)
     oracle = mt.genset_oracle(group, args.kind, args.witness_bound)
     graph = mt.bounded_ball_graph(oracle, args.radius, args.universe)
-    _export(graph, args)
-    _emit({"vertices": len(graph.vertices), "edges": len(graph.edges),
-           "provenance": graph.provenance})
-    return EXIT_PASS
+    return _emit_graph(graph, args)
 
 
 def cmd_wordlen(args) -> int:

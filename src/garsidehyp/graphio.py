@@ -1,10 +1,14 @@
 """DOT and JSON export of metric graphs; JSON import round-trips exactly.
 
 Output is bit-stable for identical inputs: vertices are already sorted in
-the graph, and DOT lines follow vertex and edge order.  The JSON export
-writes, one item at a time into the open file, the bytes of
+the graph, and edges come in the order of the graph's edge codes, the
+lexicographic order of the pairs (i, j).  The JSON export writes, one item
+at a time into the open file, the bytes of
 `json.dump(graph_to_json_dict(graph), fh, sort_keys=True, indent=1)`
-followed by a newline, byte for byte.
+followed by a newline, byte for byte; the edges are written from the
+graph's runs (`MetricGraph.runs`), each run as one join, and never as
+pairs.  The import checks the types, then hands the pairs, sorted, to the
+`MetricGraph` constructor, which checks their range before it encodes them.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 from json.encoder import encode_basestring_ascii   # what json.dumps runs for a str
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -40,13 +43,14 @@ def graph_from_json_dict(data: dict) -> MetricGraph:
     provenance = data.get("provenance", {})
     if not isinstance(vertices, (list, tuple)) or not all(isinstance(v, str) for v in vertices):
         raise MalformedGraph("vertices must be a list of strings")
-    if not isinstance(edges, (list, tuple)) or not all(
-            isinstance(e, (list, tuple)) and len(e) == 2 and type(e[0]) is type(e[1]) is int
-            for e in edges):   # no bool, float or string endpoint
+    if not isinstance(edges, (list, tuple)) or not (
+            set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(edges))) <= {int}):
+        # exact types: no bool, float or string endpoint
         raise MalformedGraph("edges must be a list of pairs of ints")
     if not isinstance(provenance, dict):
         raise MalformedGraph("provenance must be an object")
-    return MetricGraph(tuple(vertices), tuple(sorted(map(tuple, edges))), dict(provenance))
+    return MetricGraph(tuple(vertices), sorted(map(tuple, edges)), dict(provenance))
 
 
 def _write_list(fh, items: Iterator[str]) -> None:
@@ -61,13 +65,13 @@ def _write_list(fh, items: Iterator[str]) -> None:
     fh.write("\n ]")
 
 
-def _edge_runs(edges) -> Iterator[str]:
+def _edge_runs(graph: MetricGraph) -> Iterator[str]:
     """The encoded edges, one run of equal first endpoint i at a time: the
-    items [i, j] of a run differ only in j, so its text is one join."""
-    second = itemgetter(1)
-    for i, run in itertools.groupby(edges, itemgetter(0)):
-        yield (f"  [\n   {i},\n   "
-               + f"\n  ],\n  [\n   {i},\n   ".join(map(str, map(second, run)))
+    items [i, j] of a run differ only in j, so its text is one join over a
+    table of the numerals 0..n-1."""
+    numerals = list(map(str, range(len(graph.vertices))))
+    for i, higher in graph.runs(numerals):
+        yield (f"  [\n   {i},\n   " + f"\n  ],\n  [\n   {i},\n   ".join(higher)
                + "\n  ]")
 
 
@@ -75,7 +79,7 @@ def export_json(graph: MetricGraph, path) -> None:
     prov = json.dumps(graph.provenance, sort_keys=True, indent=1)
     with open(path, "w") as fh:
         fh.write('{\n "edges": ')
-        _write_list(fh, _edge_runs(graph.edges))
+        _write_list(fh, _edge_runs(graph))
         fh.write(',\n "provenance": ' + prov.replace("\n", "\n "))
         fh.write(f',\n "schema": {JSON_SCHEMA_VERSION},\n "vertices": ')
         _write_list(fh, ("  " + v for v in map(encode_basestring_ascii, graph.vertices)))

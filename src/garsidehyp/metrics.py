@@ -148,6 +148,7 @@ CPARAB_CANDIDATE_LIMIT are refused.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import itertools
@@ -658,37 +659,90 @@ def _bfs_layers(dist: dict, start, neighbours: Callable) -> Iterator[list]:
         layer = nxt
 
 
-@dataclasses.dataclass
 class MetricGraph:
     """Finite truncation of one of the infinite graphs.
 
-    Vertices are canonical text keys; edges are index pairs (i < j) into the
-    sorted vertex tuple, in strictly increasing order, which also rules out
-    duplicates.  Provenance records group, construction and truncation
-    parameters.
+    Vertices are canonical text keys in sorted order; provenance records
+    group, construction and truncation parameters.  The edges are stored
+    once, as `codes`: the strictly increasing array of the codes i*n + j of
+    the index pairs (i, j), i < j < n, n the number of vertices.  The order
+    of the codes is the lexicographic order of the pairs, so the codes of
+    the edges from i to its higher neighbours form one run, which begins
+    at the kept index starts[i] = bisect_left(codes, i*n) and ends where
+    run i + 1 begins (`runs`).  `edges` is the tuple of pairs (i, j) in
+    code order, derived from the codes on each use and not stored.
+
+    `MetricGraph(vertices, edges, provenance)` takes pairs in strictly
+    increasing order, checks each for 0 <= i < j < n before it is encoded,
+    and encodes them; builders hand over their codes (`from_codes`).  Either
+    way `_adopt` checks the graph, by raising, not asserting: graphs are
+    also read from files.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
-    provenance: dict
-    # A quotient-Cayley graph built in memory keeps its group and the inf-0
-    # factor tuple of each vertex, in vertex order, so that distances have the
-    # closed form of `coset_distance`; other graphs, and graphs read from
-    # files, keep none.
-    cosets: tuple[CoxeterGraph, list[tuple[int, ...]]] | None = dataclasses.field(
-        default=None, repr=False, compare=False)
+    __slots__ = ("vertices", "provenance", "cosets", "_codes", "_starts",
+                 "_index", "_adj")
 
-    def __post_init__(self):
-        # checked by raising, not asserting: graphs are also read from files
-        n = len(self.vertices)
+    def __init__(self, vertices: Sequence[str], edges: Sequence[tuple[int, int]],
+                 provenance: dict):
+        n = len(vertices)
+        codes = array("q", [i * n + j for i, j in edges if 0 <= i < j < n])
+        if len(codes) != len(edges):   # a pair out of range was left unencoded
+            raise MalformedGraph("edge endpoints must be valid and distinct")
+        self._adopt(vertices, codes, provenance, None)
+
+    @classmethod
+    def from_codes(cls, vertices: Sequence[str], codes: array, provenance: dict,
+                   cosets: tuple[CoxeterGraph, list[tuple[int, ...]]] | None = None
+                   ) -> MetricGraph:
+        """The graph of a builder's sorted edge codes, checked as any other."""
+        graph = cls.__new__(cls)
+        graph._adopt(vertices, codes, provenance, cosets)
+        return graph
+
+    def _adopt(self, vertices, codes: array, provenance: dict, cosets) -> None:
+        """Check the vertices and the edge codes, then keep them.  Codes that
+        strictly increase, lie in [0, n^2) and begin each nonempty run i
+        with a code past i*n + i are exactly the codes of distinct pairs
+        i < j < n: a run's codes lie in [i*n, i*n + n)."""
+        n = len(vertices)
+        self.vertices = tuple(vertices)
         self._index = {k: i for i, k in enumerate(self.vertices)}
         if len(self._index) != n:
             raise MalformedGraph("duplicate vertex keys")
-        if not all(0 <= i < j < n for i, j in self.edges):
-            raise MalformedGraph("edge endpoints must be valid and distinct")
-        if not all(e < f for e, f in itertools.pairwise(self.edges)):
+        if not all(map(operator.lt, codes, itertools.islice(codes, 1, None))):
             raise MalformedGraph("edges must be strictly increasing")
+        if codes and not (codes[0] >= 0 and codes[-1] < n * n):
+            raise MalformedGraph("edge endpoints must be valid and distinct")
+        starts = array("q", map(bisect.bisect_left, itertools.repeat(codes),
+                                range(0, n * n + 1, n or 1)))
+        if not all(codes[lo] > i * (n + 1)
+                   for i, (lo, hi) in enumerate(itertools.pairwise(starts)) if lo < hi):
+            raise MalformedGraph("edge endpoints must be valid and distinct")
+        self._codes, self._starts = codes, starts
+        self.provenance = provenance
+        # A quotient-Cayley graph built in memory keeps its group and the
+        # inf-0 factor tuple of each vertex, in vertex order, so that
+        # distances have the closed form of `coset_distance`; other graphs,
+        # and graphs read from files, keep none.
+        self.cosets = cosets
         self._adj: list[list[int]] | None = None
+
+    @property
+    def codes(self) -> array:
+        return self._codes
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(divmod, self._codes, itertools.repeat(len(self.vertices))))
+
+    def runs(self, names: Sequence) -> Iterator[tuple[int, list]]:
+        """(i, the names[j] of the higher neighbours j of i in increasing
+        order) for every vertex i that has one, in vertex order."""
+        n = len(self.vertices)
+        named = list(map(names.__getitem__, map(operator.mod, self._codes, itertools.repeat(n))))
+        for i, (lo, hi) in enumerate(itertools.pairwise(self._starts)):
+            if lo < hi:
+                yield i, named[lo:hi]
 
     def index_of(self, key: str) -> int:
         if key not in self._index:
@@ -699,11 +753,17 @@ class MetricGraph:
         return key in self._index
 
     def adjacency(self) -> list[list[int]]:
+        """Each vertex's neighbours in increasing order, built once."""
         if self._adj is None:
-            adj: list[list[int]] = [[] for _ in self.vertices]
-            for i, j in self.edges:
-                adj[i].append(j)
-                adj[j].append(i)
+            # every entry is one of the n objects of `ids`, so that the
+            # entries lie together in memory for the passes that read them
+            ids = list(range(len(self.vertices)))
+            adj: list[list[int]] = [[] for _ in ids]
+            for i, higher in self.runs(ids):
+                adj[i] += higher
+                lower = ids[i]
+                for j in higher:
+                    adj[j].append(lower)
             self._adj = adj
         return self._adj
 
@@ -780,21 +840,19 @@ def _build_graph(text: dict, adjacency: Iterable[tuple], provenance: dict,
     key a; the graph keeps those of its vertices, in vertex order."""
     order = sorted(text, key=text.__getitem__)
     n = len(order)
-    ids = list(range(n))   # every edge pair refers to these int objects
-    index = dict(zip(order, ids))
+    index = dict(zip(order, range(n)))
     get = index.get
-    edges: set[int] = set()   # {i, j} with i < j as i*n + j
+    codes: set[int] = set()   # {i, j} with i < j as i*n + j
     for a, nbrs in adjacency:
         i = index[a]
-        edges.update([i * n + j if i < j else j * n + i
+        codes.update([i * n + j if i < j else j * n + i
                       for j in map(get, nbrs) if j is not None and j != i])
-    edges = sorted(edges)   # the set is freed before the pairs are built
-    for k, e in enumerate(edges):   # in place, each code freed as its pair is made
-        edges[k] = (ids[e // n], ids[e % n])
+    codes = sorted(codes)   # the set is freed before the array is made
     if cosets is not None:
         group, forms = cosets
         cosets = group, [forms[k] for k in order]
-    return MetricGraph(tuple(text[k] for k in order), tuple(edges), provenance, cosets)
+    return MetricGraph.from_codes([text[k] for k in order], array("q", codes),
+                                  provenance, cosets)
 
 
 def _coset_factors(tau: Sequence[int], factors: tuple[int, ...]) -> tuple[int, ...]:

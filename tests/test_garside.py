@@ -1,4 +1,3 @@
-import os
 import random
 
 import pytest
@@ -178,14 +177,10 @@ OMEGA_TABLE = {
 
 @pytest.mark.parametrize("spec,expected", sorted(OMEGA_TABLE.items()))
 def test_omega_is_delta_table(spec, expected):
-    if spec == "H4" and not os.environ.get("GARSIDEHYP_SLOW"):
-        pytest.skip("H4 table build takes several seconds; set GARSIDEHYP_SLOW=1")
     group = parse_group_spec(spec)
     assert gd.omega_of(group, group.generators).is_delta == expected
 
 
-@pytest.mark.skipif(not os.environ.get("GARSIDEHYP_SLOW"),
-                    reason="E6 enumeration takes about 90 s; set GARSIDEHYP_SLOW=1")
 def test_omega_is_delta_e6():
     group = parse_group_spec("E6")
     assert gd.omega_of(group, group.generators).is_delta is False

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -694,7 +695,12 @@ def test_export_json_streams_the_same_bytes(tmp_path):
               mt.MetricGraph(("a", "b\u00e9\"q"), (), {}),
               mt.MetricGraph(("x", "y", "z"), ((0, 2), (1, 2)),
                              {"notes": "two\nlines, a \"quote\" and \u03b4",
-                              "nested": {"k": [1, 2], "e": []}, "t": True})]
+                              "nested": {"k": [1, 2], "e": []}, "t": True}),
+              # empty runs: vertices 0, 2 and 4 have no higher neighbour
+              mt.MetricGraph(tuple("abcde"), ((1, 2), (1, 4), (3, 4)), {}),
+              # an isolated middle vertex, and two-digit numerals
+              mt.MetricGraph(tuple("abcdefghijkl"),
+                             ((0, 1), (0, 11), (1, 3), (3, 10), (9, 10), (10, 11)), {})]
     for graph in graphs:
         path = tmp_path / "g.json"
         graphio.export_json(graph, path)
@@ -716,6 +722,22 @@ def test_graph_from_json_dict_sorts_edges_and_refuses_duplicates():
         graphio.graph_from_json_dict(data)
 
 
+@pytest.mark.parametrize("codes,message", [
+    ([1, 1], "strictly increasing"),
+    ([2, 1], "strictly increasing"),
+    ([-1], "valid and distinct"),
+    ([9], "valid and distinct"),
+    ([3], "valid and distinct"),   # (1, 0)
+    ([4], "valid and distinct"),   # the loop (1, 1)
+    ([5, 6], "valid and distinct"),   # (1, 2), then (2, 0)
+])
+def test_builder_codes_take_the_same_check(codes, message):
+    with pytest.raises(MalformedGraph, match=message):
+        mt.MetricGraph.from_codes(("a", "b", "c"), array("q", codes), {})
+    graph = mt.MetricGraph.from_codes(("a", "b", "c"), array("q", [1, 2, 5]), {})
+    assert graph.edges == ((0, 1), (0, 2), (1, 2))
+
+
 @pytest.mark.parametrize("data,message", [
     ({"vertices": ["a", "b"], "edges": [[0.7, 1]]}, "pairs of ints"),
     ({"vertices": ["a", "b"], "edges": [[False, True]]}, "pairs of ints"),
@@ -727,6 +749,10 @@ def test_graph_from_json_dict_sorts_edges_and_refuses_duplicates():
     ({"vertices": ["a"]}, "pairs of ints"),
     ({"vertices": ["a"], "edges": [], "provenance": [["k", 1]]}, "provenance"),
     ([["a"], []], "JSON object"),
+    # refused before encoding: as a code i*n + j, (0, 5) would alias (1, 2)
+    ({"vertices": ["a", "b", "c"], "edges": [[0, 5]]}, "valid and distinct"),
+    ({"vertices": ["a", "b", "c"], "edges": [[-1, 1]]}, "valid and distinct"),
+    ({"vertices": ["a", "b", "c"], "edges": [[1, 1]]}, "valid and distinct"),
 ])
 def test_graph_from_json_dict_refuses_malformed_input(data, message):
     from garsidehyp import graphio
@@ -738,10 +764,15 @@ def test_graph_file_is_checked_under_optimisation(tmp_path):
     # python -O strips asserts; a file with a repeated or out-of-range edge
     # must still be refused
     src = str(Path(mt.__file__).resolve().parents[1])
-    for edges, message in (([[0, 1], [0, 1]], "edges must be strictly increasing"),
-                           ([[0, 5]], "edge endpoints must be valid and distinct")):
+    invalid = "edge endpoints must be valid and distinct"
+    for vertices, edges, message in (
+            (["a", "b"], [[0, 1], [0, 1]], "edges must be strictly increasing"),
+            (["a", "b"], [[0, 5]], invalid),
+            (["a", "b", "c"], [[0, 5]], invalid),   # the code of (1, 2)
+            (["a", "b", "c"], [[-1, 1]], invalid),
+            (["a", "b", "c"], [[1, 1]], invalid)):
         path = tmp_path / "g.json"
-        path.write_text(json.dumps({"vertices": ["a", "b"], "edges": edges}))
+        path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
         code = ("from garsidehyp import graphio\n"
                 "from garsidehyp.errors import MalformedGraph\n"
                 "try:\n"

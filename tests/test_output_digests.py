@@ -39,6 +39,9 @@ GRAPH_EXPORTS = {
         "024015f8617a9ee10dc9d34f3ba08b7e519f5316fc01c54db1b27a64df2ea76a",
     ("ball", "--group", "A2", "--kind", "XP", "--radius", "3", "--universe", "2"):
         "b9c3efa7e3eeede79de3f9cf9b511aa192ffe7c6fddb3f882837675ee570aa05",
+    # the graph that the benchmark's delta-estimate op builds and exports
+    ("quotient-cayley", "--group", "B3", "--len-bound", "3"):
+        "a45a2775e9af974e13d31ef2aefe15a4ff407f45b51b6008995f494a31d00ad2",
     ("quotient-cayley", "--group", "D4", "--len-bound", "2"):
         "68f12e8e98e4668310f936ae78bbf28aedef7591e6ce5097da10bd924f1fcd75",
     ("cparab", "--group", "A3", "--p0", "std:s1", "--conj-len", "1", "--hops", "2"):
