@@ -46,7 +46,9 @@ standard generator or D^2, both outside it, unless it is empty: X_NP and
 X_abs of A1, whose ball is the identity at any radius.
 
 Graph builders work on normal-form keys (power, factors) and render each
-vertex once.  Products by a simple come from one prefix recurrence.  The
+vertex once; the quotient-Cayley builder renders each form of its table
+once, from its prefix's text.  Products by a simple come from one prefix
+recurrence.  The
 table of `quotient_cayley_graph`, `_ProductRows`, numbers every inf-0
 normal form of length <= L and holds, for each form a shorter than L and
 each simple x, the D-power and the id of a x in flat int rows.  Prefix
@@ -63,7 +65,10 @@ Charney 1992).  So the form of a x is c + (q,), looked up without combing.
 end.  Keys of the maximal length L step only by the simples x that their
 last factor x_L absorbs (x_L x simple); the boundary lemma at
 `quotient_cayley_graph` shows that every other product leaves the box or
-repeats an edge found from its other end.
+repeats an edge found from its other end.  Its once-per-edge lemma shows
+that an edge between two keys of length L is found from one end only and
+every other edge from both, so each edge is emitted once, straight into
+the sorted codes, with no set of edge codes.
 
 Distances in Cay(A)/<D> have a closed form, `coset_distance`.  A vertex
 is the class <D> g <D>, keyed by its factor tuple up to the twist t
@@ -194,7 +199,10 @@ XNP_BOX_LIMIT = 100_000
 # about 1 s, A5 to length 2 (518,400) has 2,953,660 edges, 3.9 s and 635 MB,
 # and F4 to length 2 (1,325,952) has 24.6 M edges, 35 s and 5 GB (2 vCPUs,
 # Python 3.11).  A table of more row entries than this is refused rather than
-# built.
+# built.  The graph's boundary scan is held to the same limit: the upper
+# intervals of the last factors of its keys of length L, at about 1 us a
+# simple, list 441,760 simples for B5 to length 1 (the graph takes 0.7 s),
+# 335,630 for A6, 4,197,284 for H4 and more for E6, D6 and A7.
 TABLE_LIMIT = 500_000
 
 # Renorms a `_ProductMemo` keeps, at about 130 bytes each (8 MB when full,
@@ -308,6 +316,16 @@ class _ProductRows:
                     c = v >> 1   # shorter than L: a' p is no longer than a
                     v = 2 * (first[c] + slot[c][q]) + (v & 1)
                 row.append(v)
+
+    def texts(self) -> list[str]:
+        """The text key of every form, in id order, each rendered from its
+        prefix's: the text of a' y is that of a' followed by the word of y."""
+        words = _simple_words(self.tab.graph)
+        texts = ["D^0"]
+        for p, fs in zip(itertools.islice(self.prefix, 1, None),
+                         itertools.islice(self.forms, 1, None)):
+            texts.append(f"{texts[p]} | {words[fs[-1]]}")
+        return texts
 
 
 class _ProductMemo:
@@ -830,14 +848,12 @@ def _pair_distances(adj: Sequence[Sequence[int]], pairs: Iterable[tuple[int, int
     return dist, spans
 
 
-def _build_graph(text: dict, adjacency: Iterable[tuple], provenance: dict,
-                 cosets: tuple | None = None) -> MetricGraph:
+def _build_graph(text: dict, adjacency: Iterable[tuple], provenance: dict) -> MetricGraph:
     """The graph on the keys of `text`, a map from vertex key to text key,
     with the edges {a, b} for the pairs (a, neighbours of a) of `adjacency`;
     a is a vertex, and neighbours that are not vertices are dropped.
-    Vertices are sorted by text, loops dropped.  `cosets` is (group, forms)
-    for a quotient-Cayley graph, forms[a] the inf-0 factor tuple of vertex
-    key a; the graph keeps those of its vertices, in vertex order."""
+    Vertices are sorted by text, loops dropped, and an edge found from both
+    ends is kept once."""
     order = sorted(text, key=text.__getitem__)
     n = len(order)
     index = dict(zip(order, range(n)))
@@ -848,11 +864,7 @@ def _build_graph(text: dict, adjacency: Iterable[tuple], provenance: dict,
         codes.update([i * n + j if i < j else j * n + i
                       for j in map(get, nbrs) if j is not None and j != i])
     codes = sorted(codes)   # the set is freed before the array is made
-    if cosets is not None:
-        group, forms = cosets
-        cosets = group, [forms[k] for k in order]
-    return MetricGraph.from_codes([text[k] for k in order], array("q", codes),
-                                  provenance, cosets)
+    return MetricGraph.from_codes([text[k] for k in order], array("q", codes), provenance)
 
 
 def _coset_factors(tau: Sequence[int], factors: tuple[int, ...]) -> tuple[int, ...]:
@@ -864,9 +876,9 @@ def _coset_factors(tau: Sequence[int], factors: tuple[int, ...]) -> tuple[int, .
     return min(factors, tuple(tau[x] for x in factors))
 
 
-def _renderer(group: CoxeterGraph) -> Callable[[int, Sequence[int]], str]:
-    """text(power, factors): the text of `GarsideElement.render`, with no
-    element built; each simple's word is spelled once, when first met."""
+def _simple_words(group: CoxeterGraph) -> dict[int, str]:
+    """The word of each simple as `GarsideElement.render` spells it, spelled
+    once, when first met."""
     gens = group.generators
     word = group.table().word
 
@@ -875,7 +887,13 @@ def _renderer(group: CoxeterGraph) -> Callable[[int, Sequence[int]], str]:
             got = self[x] = "".join([gens[s] for s in word[x]])
             return got
 
-    words = Words()
+    return Words()
+
+
+def _renderer(group: CoxeterGraph) -> Callable[[int, Sequence[int]], str]:
+    """text(power, factors): the text of `GarsideElement.render`, with no
+    element built."""
+    words = _simple_words(group)
     return lambda p, fs: " | ".join([f"D^{p}", *map(words.__getitem__, fs)])
 
 
@@ -1158,6 +1176,18 @@ def _coset_pair_distances(group: CoxeterGraph, forms: Sequence[tuple[int, ...]],
     return dist
 
 
+def _upper_interval(tab, y: int) -> list[int]:
+    """The simples z != y of the upper interval [y, D] of the prefix order,
+    walked up level by level: z s is one length above z exactly when the
+    atom s is not in the right descent set of z."""
+    rmult, rdesc, atoms = tab.rmult, tab.rdesc, range(tab.graph.rank)
+    level, above = {y}, []
+    while level:
+        level = {rmult[z][s] for z in level for s in atoms if not rdesc[z] >> s & 1}
+        above += level
+    return above
+
+
 def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
     """Materialized Cay(A)/<D> truncation: cosets of canonical length <= bound,
     edges between cosets differing by one nontrivial simple.
@@ -1178,30 +1208,79 @@ def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
       coset of a, and since r d(x) has sup L the last factor of r absorbs
       d(x) (and the key t(r) the step t(d(x))): the edge is found from the
       other end.
+    The simples x_L x are the upper interval [x_L, D] less x_L
+    (`_upper_interval`), so this boundary scan costs what it reads.  The
+    intervals of the distinct last factors of the keys of length L are
+    listed before any edge is formed, and more than TABLE_LIMIT simples are
+    refused.
+
+    Once-per-edge lemma: call the cosets of length < L interior and those
+    of length L boundary.  An edge between an interior and a boundary coset
+    is found from both ends; an edge between two boundary cosets is found
+    from exactly one end.  Proof, with l the length of positive words
+    (additive, t-invariant, 0 < l(x) < l(D) for a nontrivial simple x).
+    An edge {C, C x} is also {C x, C x d(x)}, as x^-1 = d(x) D^-1, and t
+    maps the steps of a form to those of the other form t(a), so an edge
+    seen from either form of a coset is seen from its key.
+    - Interior-boundary: the interior key steps by every simple and sees
+      all its neighbours.  Take a form g of the interior coset and a simple
+      x with g x = D^e b, b a form of the boundary coset; e = 0, as
+      sup(g x) <= L = sup b.  Then b d(x) = g D = D t(g) has sup <= L, so
+      the last factor of b absorbs d(x) and b sees the coset of g.
+    - Boundary-boundary: one end sees the edge by the boundary lemma.  Were
+      it seen from both, forms a, b and absorbed x, y would have a x = b
+      and b y = t^k(a), since an absorbed product has sup <= L and so, in a
+      coset of length L, is one of its forms; then l(a) + l(x) + l(y) =
+      l(a), which is impossible.
+    No key sees its own coset, for a x = D^e t^k(a) forces l(x) = e l(D).
+    So an interior key emits its higher interior neighbours and all its
+    boundary neighbours, a boundary key only its boundary neighbours, and
+    each edge is emitted once.  Two simples x != y reach one coset from a
+    key a when a x = t(a) t(y) (x = t(y) on a t-fixed key; D^e with e != 0
+    would force |l(x) - l(y)| = l(D)), so each key's neighbours are taken
+    as a set.  The codes are sorted once, and `_adopt` refuses any repeat.
+
+    Vertices are the keys sorted by text (`_ProductRows.texts`); `pos` maps
+    each form id, either form of a coset, to its coset's vertex index.
     """
     rows = _ProductRows(group, len_bound)
-    tab, n, row = rows.tab, rows.n, rows.row
-    canon = [min(i, t) for i, t in enumerate(rows.tau)]   # id -> its coset's key
-    keys = [i for i, c in enumerate(canon) if i == c]
-    absorbed: dict[int, list[int]] = {}   # last factor y -> y x for the x it absorbs
-
-    def neighbours(i):
-        if i < rows.below:
-            return [canon[v >> 1] for v in row[i * n + 1:i * n + n - 1]]
-        if not i:   # L = 0
-            return ()
-        y = rows.forms[i][-1]
-        if y not in absorbed:
-            absorbed[y] = [tab.mult(y, x) for x in range(1, n - 1)
-                           if tab.length[tab.mult(y, x)] == tab.length[y] + tab.length[x]]
-        base = rows.prefix[i] * n
-        return [canon[row[base + c] >> 1] for c in absorbed[y]]
-
-    text = _renderer(group)
+    n, row, below = rows.n, rows.row, rows.below
+    forms, prefix, tau = rows.forms, rows.prefix, rows.tau
+    keys = [i for i, t in enumerate(tau) if i <= t]
+    absorbed: dict[int, list[int]] = {}   # last factor y -> the simples y x
+    total = 0
+    for y in sorted({forms[i][-1] for i in keys if i >= below and i}):
+        absorbed[y] = _upper_interval(rows.tab, y)
+        total += len(absorbed[y])
+        if total > TABLE_LIMIT:
+            raise CapExceeded(
+                f"the boundary scan of the quotient Cayley graph to length "
+                f"{len_bound} would list at least {total} simples, over the "
+                f"limit of {TABLE_LIMIT}")
+    texts = rows.texts()
+    keys.sort(key=texts.__getitem__)
+    size = len(keys)
+    pos = [0] * len(forms)
+    for v, i in enumerate(keys):
+        pos[i] = pos[tau[i]] = v
+    at = list(itertools.chain.from_iterable(zip(pos, pos)))   # row entry -> vertex
+    boundary = bytes(map(below.__le__, keys))
+    codes: list[int] = []
+    for v, i in enumerate(keys):
+        if i < below:
+            seen = set(map(at.__getitem__, row[i * n + 1:i * n + n - 1]))
+            codes += [v * size + w if v < w else w * size + v
+                      for w in seen if v < w or boundary[w]]
+        elif i:   # at L = 0 the identity is the one key, with no edges
+            base = prefix[i] * n
+            seen = {at[row[base + z]] for z in absorbed[forms[i][-1]]}
+            codes += [v * size + w if v < w else w * size + v
+                      for w in seen if boundary[w]]
+    codes.sort()
     prov = {"group": group.family, "construction": "quotient-cayley",
             "len_bound": len_bound}
-    return _build_graph({i: text(0, rows.forms[i]) for i in keys},
-                        ((i, neighbours(i)) for i in keys), prov, (group, rows.forms))
+    return MetricGraph.from_codes([texts[i] for i in keys], array("q", codes), prov,
+                                  (group, [forms[i] for i in keys]))
 
 
 def build_cal_graph(group: CoxeterGraph, len_bound: int,

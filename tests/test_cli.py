@@ -158,6 +158,27 @@ def test_oversized_balls_and_cparab_are_refused(capsys, argv, limit, count):
     assert time.perf_counter() - t0 < 2.0
 
 
+@pytest.mark.parametrize("group,count", [("H4", "500801"), ("E6", "509720")])
+def test_oversized_quotient_cayley_boundaries_are_refused(capsys, group, count):
+    # the upper intervals the boundary scan reads are listed before any edge
+    # is formed: H4 would list 4,197,284 simples, E6 more
+    parse_group_spec(group).table()
+    t0 = time.perf_counter()
+    code, out = run(capsys, "quotient-cayley", "--group", group, "--len-bound", "1")
+    data = last_json(out)
+    assert code == 3 and data["error"] == "CapExceeded"
+    assert count in data["message"] and str(mt.TABLE_LIMIT) in data["message"]
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_largest_boundary_scan_under_the_limit_builds():
+    # B5 to length 1 lists 441,760 simples, just under the limit; it was
+    # built before the boundary scan was counted (in about 9 s), as was A6
+    # to length 1 (335,630 simples)
+    graph = mt.quotient_cayley_graph(parse_group_spec("B5"), 1)
+    assert (len(graph.vertices), len(graph.codes)) == (3839, 441760)
+
+
 def test_word_length_walk_is_refused_past_the_product_limit(capsys, monkeypatch):
     # word lengths walk the box under the ball's product limit; the limit is
     # lowered, as a real refusal (F4 Finite, (s1 s2 s3 s4)^5 at universe 3,

@@ -481,8 +481,10 @@ def test_lipschitz_check_passes():
 # --- builders against the references in oracles.py -----------------------------
 
 A1XA2 = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2")
+A2XA2 = CoxeterGraph(("s1", "s2", "s3", "s4"),
+                     ((1, 3, 2, 2), (3, 1, 2, 2), (2, 2, 1, 3), (2, 2, 3, 1)), "A2xA2")
 EQUIV_GROUPS = {"A2": I3, "A3": A3, "B3": parse_group_spec("B3"), "I2(5)": I5,
-                "A1xA2": A1XA2, "I2(6)": parse_group_spec("I2(6)"),
+                "A1xA2": A1XA2, "A2xA2": A2XA2, "I2(6)": parse_group_spec("I2(6)"),
                 "A4": parse_group_spec("A4"), "D4": parse_group_spec("D4"),
                 "H3": parse_group_spec("H3"), "A1": parse_group_spec("A1")}
 
@@ -560,20 +562,33 @@ def test_key_product_matches_multiply(spec):
             mt._nf_key(gd.multiply(g, u))
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "I2(5)", "D4"])
+@pytest.mark.parametrize("spec", ["A3", "B3", "I2(5)", "D4", "A2", "A1xA2", "A2xA2",
+                                  "I2(6)", "A4", "H3", "A1"])
 def test_renderer_matches_element_render(spec):
     group = EQUIV_GROUPS[spec]
     text = mt._renderer(group)
     for p in (-2, 0, 1):
         for fs in mt._ProductRows(group, 2).forms:
             assert text(p, fs) == gd.GarsideElement(group, p, fs).render()
+    # the quotient-Cayley keys, each rendered from its prefix's text, to
+    # length 3 where the table fits (D4 and H3 to length 2)
+    try:
+        rows = mt._ProductRows(group, 3)
+    except CapExceeded:
+        rows = mt._ProductRows(group, 2)
+    assert rows.texts() == [gd.GarsideElement(group, 0, fs).render() for fs in rows.forms]
 
 
 @pytest.mark.parametrize("spec,bound", [("A2", 3), ("A3", 3), ("B3", 2),
                                         ("I2(5)", 3), ("A1xA2", 3), ("A2", 4),
                                         ("I2(6)", 4), ("A4", 2), ("A1xA2", 4),
-                                        ("A2", 0)])
+                                        ("A2", 0), ("A3", 1), ("A1xA2", 1),
+                                        ("A1xA2", 2), ("I2(5)", 1), ("A2xA2", 2),
+                                        ("A2", 1), ("A3", 2)])
 def test_quotient_cayley_matches_two_direction_reference(spec, bound):
+    """The rows cover length 0, where the one key is a boundary key, and
+    small boundaries where the twist moves keys (A2, A3, I2(5)) or the group
+    is reducible (A1xA2, A2xA2): each edge emitted once, none missing."""
     group = EQUIV_GROUPS[spec]
     graph = mt.quotient_cayley_graph(group, bound)
     assert _pair(graph) == reference_quotient_cayley(group, bound)
