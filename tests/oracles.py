@@ -13,7 +13,12 @@ element models or tables:
 - `greedy_nf_oracle` computes the left-greedy normal form of a positive word
   by brute-force maximal simple prefixes over the positive closure.
 
-The reference graph builders and searches at the end are the exception:
+`reference_table` is one exception: it searches the library's root model,
+then derives every list of `coxeter.SimpleTable` directly (a sort for the
+shortlex order, words folded for inverses, products with w0 for tau and
+left_comp), and the tests require the table's recurrences to agree.
+
+The reference graph builders and searches at the end are the other:
 they are the plain forms of the builders in `garsidehyp.metrics`, and of
 the searches the library replaced by exact answers or by its one walk of
 the box, on the library's kernel.  They form every product they need, with
@@ -187,6 +192,86 @@ def greedy_nf_oracle(oracle: WordOracle, word):
     while factors and factors[-1] == 0:
         factors.pop()
     return power, factors
+
+
+# ---------------------------------------------------------------------------
+# Reference table of W
+# ---------------------------------------------------------------------------
+
+def reference_table(graph):
+    """Every list of `coxeter.SimpleTable`, by the direct derivation.
+
+    The breadth-first search of the library's root-permutation model, then:
+    a sort of (length, lex-least word) tuples for the shortlex order,
+    inverses by folding each word through left multiplication, descents by
+    comparing lengths, supports from the words, and tau and left_comp by
+    multiplying with w0.  Returns a dict keyed by attribute name.
+    """
+    from garsidehyp.coxeter import _root_permutations
+
+    ident, perms = _root_permutations(graph)
+    key_id = {ident: 0}
+    keys, bfs_len, left = [ident], [0], []
+    for x, key in enumerate(keys):  # grows as new elements are found
+        row = []
+        for perm in perms:
+            prod = tuple([perm[k] for k in key])
+            y = key_id.get(prod)
+            if y is None:
+                y = key_id[prod] = len(keys)
+                keys.append(prod)
+                bfs_len.append(bfs_len[x] + 1)
+            row.append(y)
+        left.append(row)
+    size = len(keys)
+
+    # The lex-least reduced word starts with the least left descent.
+    word = [()] * size
+    for x in range(1, size):
+        for s, y in enumerate(left[x]):
+            if bfs_len[y] < bfs_len[x]:
+                word[x] = (s,) + word[y]
+                break
+
+    ordered = sorted(range(size), key=lambda x: (bfs_len[x], word[x]))
+    index = [0] * size
+    for i, x in enumerate(ordered):
+        index[x] = i
+    length = [bfs_len[x] for x in ordered]
+    word = [word[x] for x in ordered]
+    lmult = [[index[y] for y in left[x]] for x in ordered]
+    w0 = size - 1
+
+    # x^{-1} is the word of x read through left multiplication, and
+    # x s = (s x^{-1})^{-1}.
+    inverse = [0] * size
+    for x, w in enumerate(word):
+        acc = 0
+        for s in w:
+            acc = lmult[acc][s]
+        inverse[x] = acc
+    rmult = [[inverse[y] for y in lmult[inverse[x]]] for x in range(size)]
+
+    rdesc, ldesc, support = [0] * size, [0] * size, [0] * size
+    for x in range(size):
+        for s in range(graph.rank):
+            if length[rmult[x][s]] < length[x]:
+                rdesc[x] |= 1 << s
+            if length[lmult[x][s]] < length[x]:
+                ldesc[x] |= 1 << s
+        for s in word[x]:
+            support[x] |= 1 << s
+
+    def mult(x, y):
+        for s in word[y]:
+            x = rmult[x][s]
+        return x
+
+    return {"size": size, "length": length, "word": word, "lmult": lmult,
+            "rmult": rmult, "inverse": inverse, "ldesc": ldesc, "rdesc": rdesc,
+            "support": support, "w0": w0,
+            "left_comp": [mult(w0, inverse[x]) for x in range(size)],
+            "tau": [mult(mult(w0, x), w0) for x in range(size)]}
 
 
 # ---------------------------------------------------------------------------

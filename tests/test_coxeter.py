@@ -14,7 +14,7 @@ from garsidehyp.errors import (
     UnknownFamily,
 )
 
-from oracles import WordOracle
+from oracles import WordOracle, reference_table
 
 # Reducible diagrams: a dihedral closed form inside a product, and an A2 on
 # s1, s3 beside an isolated s2, so root blocks and generator order interleave.
@@ -223,8 +223,9 @@ def test_dihedral_alias_same_table():
 
 # sha256 of the compact JSON of a table's word, lmult, rmult, inverse, tau and
 # left_comp lists, recorded with the per-family element models that preceded
-# the root-permutation model.  They pin the shortlex index order that normal
-# forms, censuses and graph exports are written in.
+# the root-permutation model (the A6, B5 and D6 rows with the sort-based
+# derivation of `oracles.reference_table`).  They pin the shortlex index order
+# that normal forms, censuses and graph exports are written in.
 TABLE_DIGESTS = {
     "A1": "9d7b3fc1ca6801a517194aff866453e5c6d23530269924ab067ce55a07fa0bdd",
     "A1xI2(7)": "eca1e849c13de44f24cad9115bfdd81e44117d859e8e77ddc425562ecfde3514",
@@ -233,11 +234,14 @@ TABLE_DIGESTS = {
     "A3": "c16dda6eba7f1aa37eec8ffc2a73756f14e53425e52066f14ae24292e6ac3e3c",
     "A4": "3c9e69058cdda373c194780ab596ed841bda30e26f39ae03938493d9f44ee00f",
     "A5": "af3bd4f83041e578a300f29265ea38300ed1f5e0c6590ccdf9d61607b156860b",
+    "A6": "0c809d1e319db921b4d332da8cf357e91aded467f82a4c14ef9489fcc656fc4a",
     "B2": "3d54aab8f1211b4ce76b7fb7f1b71eda3e209fc7ec757649feedc3ca88a6959b",
     "B3": "061ef543caa47cd75e9b429580483f1178b49e10fcaac4708b8a219408e4ddec",
     "B4": "0e0e44954c660ee37d8e303cc7c1ef9bf784f453d7eef9a6cc7ad6d0bf26731d",
+    "B5": "8cf52b72421bb159980ff5542e2da8ab7a0af447f6cd2056249fd0136870da83",
     "D4": "993070e1a67755da82a23a0efccaabfa564969ee6de02f709ed44f51c5bc9d6f",
     "D5": "920c9a1cc7858015664381deb63540660ab3117d1bf3f6ad8cb1345911ecb721",
+    "D6": "7e55cb3366827957ca6a154392a59cbfefb655a948125ccd1e69f8e5c4c285f1",
     "E6": "d7acc6a9d36a16c3971280744c08b78d6c1c87dd83e980037f2cbca95c717fa1",
     "F4": "e43a6843b3813672b35aa742851f53e403b574bc734d31ebaa397e4e8eccb596",
     "H3": "de0033c6d28604b181b1e55208ff21e5e40133921f56d35828712921256e83d3",
@@ -254,3 +258,11 @@ def test_index_order_digest(spec):
     blob = json.dumps([tab.word, tab.lmult, tab.rmult, tab.inverse, tab.tau,
                        tab.left_comp], separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == TABLE_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE_DIGESTS))
+def test_table_matches_reference(spec):
+    """Every list the recurrences build equals the direct derivation."""
+    g = _graph(spec)
+    tab, ref = g.table(), reference_table(g)
+    assert [name for name, value in ref.items() if getattr(tab, name) != value] == []
