@@ -551,7 +551,8 @@ class SimpleTable:
         w0 = size - 1
 
         word: list[tuple[int, ...]] = [()] * size
-        support, inverse, pre, last = [0] * size, [0] * size, [0] * size, first[:]
+        support, inverse, pre = [0] * size, [0] * size, [0] * size
+        last = first[:]  # kept where the tail is the identity
         for x in range(1, size):
             f, t = first[x], tail[x]
             word[x] = (f,) + word[t]
