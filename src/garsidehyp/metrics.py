@@ -25,11 +25,19 @@ steps, wherever g lies: exact when d + 1 is 2, since the predicate
 rejected g, an upper bound when larger, and unknown when the walk ends
 first.
 
-Ball rule: balls (`bounded_ball_graph`) and word lengths
-(`word_length_bound`) share one breadth-first walk of the box, `_BoxWalk`.
-Every vertex it reaches lies in the box of bound B, but the generator used
-for a step need not; a step from one box vertex to another may use any
-member of the generating set.  Such a step u = g^-1 h, g and h in the box,
+Ball rule: a ball of the simples is read off their closed form, with no
+walk (`_simples_ball`).  Its vertices are the box elements D^p a, of
+|p| <= B and len a <= min(B, r), whose length max(p + len a, 0) - min(p, 0)
+is at most r, for the word above stays in the box; each edge is emitted
+once, from the end that leaves it by a positive simple, as x y = 1 has no
+positive solutions x, y != 1; its |V| (n - 1) products are counted before
+any is formed; and it is refused as stalled exactly when r exceeds the
+box's largest length, 2B (B in A1), plus 1.  For the other kinds, balls
+(`bounded_ball_graph`) and word lengths (`word_length_bound`) share one
+breadth-first walk of the box, `_BoxWalk`.  Every vertex it reaches lies in
+the box of bound B, but the generator used for a step need not; a step
+from one box vertex to another may use any member of the generating set.
+Such a step u = g^-1 h, g and h in the box,
 has canonical length <= 2B and -3B <= inf u <= 2B, as len is subadditive,
 inf superadditive and inf(g^-1) = -sup g >= -2B; so a ball steps by the
 members with |inf| <= 3B and length <= 2B (`_box_step_generators`).  A
@@ -136,9 +144,13 @@ reached every vertex, which tells connectedness).  `_bfs_layers` remains the
 one breadth-first search for walks that discover their vertices.
 
 X_NP uses Delta^2 parity: D^2 is central, so D^p x commutes with Omega_T
-exactly when D^(p mod 2) x does.  Membership tests that on keys with
-`_key_product`, and enumeration filters the positive factor tuples x of the
-box by it at both parities, giving every power of a passing parity.
+exactly when D^(p mod 2) x does.  D x commutes with Omega_T exactly when
+x Omega_T = Omega_t(T) x, as Omega_T D = D t(Omega_T) and t(Omega_T) =
+Omega_t(T), t permuting the proper irreducible subsets.  So the two key
+products x Omega and Omega x per Omega_T, formed with `_key_product`, decide
+both parities.  Membership reads the parity of its power, and enumeration
+filters the positive factor tuples x of the box at both parities, giving
+every power of a passing parity.
 
 C_parab works on ids.  Omega_T is formed once per subset T; each candidate
 key Omega_P = a^-1 Omega_T a (it depends only on P, Cumplido, Gebhardt,
@@ -186,10 +198,10 @@ KIND_SIMPLES = "Simples"
 KIND_FINITE = "FiniteS_plus_Delta2"
 KINDS = (KIND_XP, KIND_XNP, KIND_XABS, KIND_SIMPLES, KIND_FINITE)
 
-# The XNP enumerator tests two elements per positive factor tuple of its box,
-# two key products per Omega_T each, so a box costs about 0.01-0.04 ms per
-# element (A3 at bound 3: 8,183 elements in 0.2 s; D4 at bound 2: 45,125 in
-# 1.5 s; 2 vCPUs, Python 3.11); a box above this many elements is refused
+# The XNP enumerator tests both parities of each positive factor tuple of its
+# box with two key products per Omega_T, so a box costs about 0.004-0.011 ms
+# per element (A3 at bound 3: 8,183 elements in 34 ms; D4 at bound 2: 45,125
+# in 0.5 s; 2 vCPUs, Python 3.11); a box above this many elements is refused
 # rather than filtered.
 XNP_BOX_LIMIT = 100_000
 
@@ -210,15 +222,16 @@ TABLE_LIMIT = 500_000
 # B3 fit, those of F4 (1.3 M) do not.
 RENORM_CACHE = 1 << 16
 
-# Products a walk of the box (`_BoxWalk`) may read: before each layer it
-# expands, and before a ball's edge pass, the walk adds its vertices times
-# the steps the box inequalities keep for them.  A product costs 1-3 us: ball
-# F4 Simples r1 u2 reads 5.3 M in 5.3 s, while the F4 FiniteS_plus_Delta2
-# walk of the box of bound 3 reads its first 10 layers, under 2 M products,
-# in 5.5 s, about 2.7 us a product, most of it in the memo's recursion over
-# prefixes (2 vCPUs, Python 3.11).  Every other ball of the tests and the
-# benchmark reads under 300,000.  A walk over this many is refused before it
-# reads them.
+# Products a ball may form.  A ball of the simples counts its |V| (n - 1)
+# products before it forms any: B3 to radius 3 in the box of bound 3 forms
+# 1,996,137 in about 1.3 s.  A walk of the box (`_BoxWalk`) adds, before each
+# layer it expands and before a ball's edge pass, its vertices times the
+# steps the box inequalities keep for them.  A walked product costs 1-3 us:
+# the F4 FiniteS_plus_Delta2 walk of the box of bound 3 reads its first 10
+# layers, under 2 M products, in 5.5 s, about 2.7 us a product, most of it
+# in the memo's recursion over prefixes (2 vCPUs, Python 3.11).  Every other
+# walked ball of the tests and the benchmark reads under 300,000.  A ball or
+# a walk over this many is refused before it forms them.
 BALL_PRODUCT_LIMIT = 2_000_000
 
 # Candidate subgroups C_parab may form: proper irreducible subsets times the
@@ -548,16 +561,21 @@ def _xnp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
     tab = group.table()
     omegas = [_nf_key(gd.omega_of(group, labels).element)
               for labels in pb.proper_irreducible_subsets(group)]
+    # k -> the index of t(Omega_k) = Omega_(t(T)), t permuting the subsets
+    tau_index = [omegas.index((p, tuple(tab.tau[x] for x in fs))) for p, fs in omegas]
 
-    def commutes(p: int, fs: tuple[int, ...]) -> bool:
-        """Whether D^p fs commutes with some Omega_T: D^2 is central, so
-        D^(p mod 2) fs is tested, on keys."""
-        key = (p % 2, fs)
-        return any(_key_product(tab, key, om) == _key_product(tab, om, key)
-                   for om in omegas)
+    def passing(fs: tuple[int, ...]) -> tuple[bool, bool]:
+        """Whether D^p fs commutes with some Omega_T, for p even and odd,
+        from the two products fs Omega and Omega fs per Omega, on keys: D^2
+        is central, and D fs Omega = Omega D fs = D t(Omega) fs exactly when
+        fs Omega = t(Omega) fs."""
+        left = [_key_product(tab, (0, fs), om) for om in omegas]
+        right = [_key_product(tab, om, (0, fs)) for om in omegas]
+        return (any(map(operator.eq, left, right)),
+                any(map(operator.eq, left, map(right.__getitem__, tau_index))))
 
     def membership(g: GarsideElement) -> bool:
-        return commutes(g.power, g.factors)
+        return passing(g.factors)[g.power % 2]
 
     def enumerate_up_to(bound: int, length: int | None = None) -> list[GarsideElement]:
         """The nonidentity members of the box: each positive factor tuple
@@ -573,9 +591,9 @@ def _xnp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
         out = []
         for ell in range(length + 1):
             for fs in gd.iter_positive_factor_tuples(group, ell):
-                passing = [commutes(parity, fs) for parity in (0, 1)]
+                parities = passing(fs)
                 out.extend(GarsideElement(group, p, fs) for p in range(-bound, bound + 1)
-                           if passing[p % 2] and (p or fs))
+                           if parities[p % 2] and (p or fs))
         out.sort(key=lambda e: e.sort_key())
         return out
 
@@ -1037,15 +1055,22 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
     member, whether or not that member lies in the box (see the module
     docstring).  Distances in the result are upper bounds for d_X.
 
-    The vertices are the first `radius` layers of a `_BoxWalk`.  A walk
-    that ends before layer radius - 1 is refused as stalled, unless the
-    generating set is empty (module docstring).  The products of the
-    unexpanded last layer are counted with the walk's before the edge pass
-    reads them.
+    A ball of the simples is read off the closed form of their word length
+    (`_simples_ball`).  For the other kinds the vertices are the first
+    `radius` layers of a `_BoxWalk`.  A walk that ends before layer
+    radius - 1 is refused as stalled, unless the generating set is empty
+    (module docstring).  The products of the unexpanded last layer are
+    counted with the walk's before the edge pass reads them.
     """
     if radius < 0:
         raise UniverseTooSmall("radius must be >= 0")
     group = oracle.group
+    prov = {"group": group.family, "construction": f"ball[{oracle.kind}]",
+            "radius": radius, "universe_len": universe_len}
+    if oracle.notes:
+        prov["notes"] = oracle.notes
+    if oracle.kind == KIND_SIMPLES:
+        return MetricGraph.from_codes(*_simples_ball(group, radius, universe_len), prov)
     walk = _BoxWalk(group, universe_len,
                     [_nf_key(u) for u in _box_step_generators(oracle, universe_len)]
                     if radius else [])
@@ -1061,13 +1086,106 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
                 f"ball expansion stalled at radius {d + 1} < {radius}")
     walk.count(layer)   # the last layer was never expanded; its edges look ids up only
     adjacency = ((v, walk.neighbours(v)) for v in walk.dist)
-
-    prov = {"group": group.family, "construction": f"ball[{oracle.kind}]",
-            "radius": radius, "universe_len": universe_len}
-    if oracle.notes:
-        prov["notes"] = oracle.notes
     text = _renderer(group)
     return _build_graph({v: text(*walk.key(v)) for v in walk.dist}, adjacency, prov)
+
+
+def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[str], array]:
+    """The vertices, sorted by text, and the sorted edge codes of the ball of
+    radius r of the simples and their inverses in the box of bound B.
+
+    Vertices.  They are the box elements D^p a (a of inf 0, len a <= B,
+    |p| <= B) whose simples length max(p + len a, 0) - min(p, 0) is at most
+    r: so len a <= min(B, r) and -min(B, r) <= p <= min(B, r - len a).
+    Lemma: distance in the box from 1 is the simples length.  It is no
+    shorter, as the length is the word length in the whole group (module
+    docstring).  The certificate word stays in the box, by cases on g:
+    - inf g >= 0: its prefixes D^j (j <= p) and D^p a_1..a_i of the normal
+      form of g have inf <= p <= B and length <= len g <= B;
+    - sup g <= 0: g^-1 = D^q b_1..b_k, with q + k = -inf g <= B, and the
+      prefixes of the word of g are the inverses of the suffixes of that
+      form, (b_i..b_k)^-1 and (D^j b_1..b_k)^-1 with j <= q: inf -(k - i
+      + 1) or -(j + k), both >= -B, and length <= k <= len g;
+    - inf g < 0 < sup g: g = a^-1 b, the np normal form, with a ^ b = 1,
+      sup a = -inf g and sup b = sup g (Charney, Math. Ann. 292, 1992).
+      The prefixes (a_i..a_m)^-1 of the word of a^-1 have |inf| <= sup a
+      <= B and length <= sup a <= len g; a prefix a^-1 b' with b' a prefix
+      of b is again np normal (a ^ b' = 1), of inf inf g and length
+      sup a + sup b' <= len g.
+    So every element of the box lies at its simples length from 1, the
+    walk of the box by the same steps reaches exactly these vertices, and
+    the box is walked out at its largest simples length: B + B, or B in
+    A1, where no positive normal form but the powers of D exists (an atom
+    s != D, present for rank >= 2, has the normal form s^k of each
+    length k).
+
+    Edges.  Each is emitted once, from the end that leaves it by a positive
+    simple x != 1 (D included), as the code of its two sorted indices.
+    Lemma: no edge is found from both ends, nor twice from one.  An edge
+    {g, h} has g^-1 h a simple or an inverse simple other than 1, so one
+    end leaves it by a positive x; were it found from both, g x = h and
+    h y = g with x, y positive and nontrivial, so x y = 1, which is
+    impossible, as the exponent sum is additive and positive on them.  And
+    g x = g x' forces x = x'.  The products of a form a come from one row of
+    a `_ProductMemo`: a x = D^d c with d = 0 or 1, so D^p a x = D^(p+d) c,
+    a vertex when len c <= min(B, r) and p + d is in its range.
+
+    Refusals.  A radius past the box's largest simples length plus 1 is
+    refused as stalled, as the walk is.  The |V| (n - 1) products, n the
+    number of simples, are counted before any is formed and refused past
+    BALL_PRODUCT_LIMIT.  So no ball the walk would build is refused: at
+    B >= 1 the walk keeps at least the n - 1 steps by D or D^-1 (|p| <= B
+    leaves one of them) and the positive simples at each vertex, so it
+    counted no fewer, and at B = 0 the one vertex's n - 1 products are
+    under the limit for any table (DEFAULT_ORDER_CAP).
+    """
+    tab = group.table()
+    n = tab.size
+    low = min(bound, radius)   # the largest -p, and the longest form, of a vertex
+    counts = [gd.count_positive_nf(group, ell) for ell in range(low + 1)]
+    size = sum(c * (low + min(bound, radius - ell) + 1) for ell, c in enumerate(counts))
+    if size * (n - 1) > BALL_PRODUCT_LIMIT:
+        raise CapExceeded(
+            f"the ball of radius {radius} of the simples in the box of bound "
+            f"{bound} would form {size * (n - 1)} products, over the limit of "
+            f"{BALL_PRODUCT_LIMIT}")
+    longest = bound + (bound if group.rank > 1 else 0)
+    if longest + 1 < radius:
+        raise UniverseTooSmall(f"ball expansion stalled at radius {longest + 1} < {radius}")
+    memo = _ProductMemo(group)
+    forms, ids = memo.forms, memo.ids
+    for ell in range(1, low + 1):
+        for fs in gd.iter_positive_factor_tuples(group, ell):
+            memo.id_of(fs)   # every vertex form has its id before any product
+    # a vertex D^p a is the code i W + p + B, a of id i; the spare column
+    # W - 1 = 2B + 1 holds the power B + 1 a product may reach
+    width = 2 * bound + 2
+    words = _simple_words(group)
+    codes, texts = [], []
+    for i, fs in enumerate(forms):
+        tail = "".join([" | " + words[x] for x in fs])
+        for p in range(-low, min(bound, radius - len(fs)) + 1):
+            codes.append(i * width + p + bound)
+            texts.append(f"D^{p}{tail}")
+    order = sorted(range(size), key=texts.__getitem__)
+    pos = [-1] * (len(forms) * width)
+    for k, v in enumerate(order):
+        pos[codes[v]] = k
+    edges = []
+    times, get = memo.times, ids.get
+    for i, fs in enumerate(forms):
+        bases = []   # the code of a x less p, for each product a x of a vertex form
+        for x in range(1, n):
+            d, c = times(i, x)
+            j = get(c)
+            if j is not None:
+                bases.append(j * width + d + bound)
+        for p in range(-low, min(bound, radius - len(fs)) + 1):
+            v = pos[i * width + p + bound]
+            edges += [v * size + w if v < w else w * size + v
+                      for w in map(pos.__getitem__, [b + p for b in bases]) if w >= 0]
+    edges.sort()
+    return [texts[v] for v in order], array("q", edges)
 
 
 @dataclasses.dataclass(frozen=True)

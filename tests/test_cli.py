@@ -142,20 +142,24 @@ def test_oversized_product_tables_are_refused(capsys, argv):
 
 @pytest.mark.parametrize("argv,limit,count", [
     (("ball", "--group", "F4", "--kind", "Simples", "--radius", "3", "--universe", "3"),
-     "BALL_PRODUCT_LIMIT", "5301506"),
+     "BALL_PRODUCT_LIMIT", "358586477571"),
     (("cparab", "--group", "A4", "--p0", "std:s1,s2", "--conj-len", "3", "--hops", "2"),
      "CPARAB_CANDIDATE_LIMIT", "679401"),
+    (("ball", "--group", "D4", "--kind", "XNP", "--radius", "2", "--universe", "1"),
+     "BALL_PRODUCT_LIMIT", "2818710"),
 ])
 def test_oversized_balls_and_cparab_are_refused(capsys, argv, limit, count):
-    # the products the ball's edge pass would read, and the candidates of
-    # C_parab, are counted before any is formed
+    # the products a ball would read, and the candidates of C_parab, are
+    # counted before any is formed: a ball of the simples counts its
+    # |V| (n - 1) products from the closed form, with no walk, and a walk
+    # those of each layer before it expands it
     parse_group_spec(argv[2]).table()
     t0 = time.perf_counter()
     code, out = run(capsys, *argv)
     data = last_json(out)
     assert code == 3 and data["error"] == "CapExceeded"
     assert count in data["message"] and str(getattr(mt, limit)) in data["message"]
-    assert time.perf_counter() - t0 < 2.0
+    assert time.perf_counter() - t0 < (1.0 if "Simples" in argv else 2.0)
 
 
 @pytest.mark.parametrize("group,count", [("H4", "500801"), ("E6", "509720")])

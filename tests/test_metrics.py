@@ -483,10 +483,12 @@ def test_lipschitz_check_passes():
 A1XA2 = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2")
 A2XA2 = CoxeterGraph(("s1", "s2", "s3", "s4"),
                      ((1, 3, 2, 2), (3, 1, 2, 2), (2, 2, 1, 3), (2, 2, 3, 1)), "A2xA2")
+A1XA1 = CoxeterGraph(("s1", "s2"), ((1, 2), (2, 1)), "A1xA1")
 EQUIV_GROUPS = {"A2": I3, "A3": A3, "B3": parse_group_spec("B3"), "I2(5)": I5,
                 "A1xA2": A1XA2, "A2xA2": A2XA2, "I2(6)": parse_group_spec("I2(6)"),
                 "A4": parse_group_spec("A4"), "D4": parse_group_spec("D4"),
-                "H3": parse_group_spec("H3"), "A1": parse_group_spec("A1")}
+                "H3": parse_group_spec("H3"), "A1": parse_group_spec("A1"),
+                "A1xA1": A1XA1, "I2(8)": parse_group_spec("I2(8)")}
 
 
 def _pair(graph):
@@ -619,6 +621,12 @@ def test_quotient_cayley_matches_reference_on_d4_and_h3(spec):
     ("A1xA2", mt.KIND_XNP, 2, 1), ("A2", mt.KIND_SIMPLES, 0, 2),
     ("D4", mt.KIND_FINITE, 3, 3), ("A3", mt.KIND_XNP, 3, 1),
     ("D4", mt.KIND_FINITE, 3, 2),
+    # the simples' closed form: A1, whose positive elements are powers of D,
+    # a reducible group, a large and a dihedral table, and the whole box
+    # (radius 2B + 1) of A1 and A1xA1
+    ("A1", mt.KIND_SIMPLES, 3, 2), ("A1xA1", mt.KIND_SIMPLES, 3, 1),
+    ("D4", mt.KIND_SIMPLES, 2, 1), ("I2(8)", mt.KIND_SIMPLES, 4, 2),
+    ("B3", mt.KIND_SIMPLES, 3, 2),
     # X_NP and X_abs of A1 are empty: the ball is the identity at any universe
     ("A1", mt.KIND_XNP, 2, 0), ("A1", mt.KIND_XNP, 3, 1), ("A1", mt.KIND_XABS, 2, 1),
 ])
@@ -639,21 +647,28 @@ def test_ball_matches_reference(spec, kind, radius, universe):
 ])
 def test_ball_stall_is_refused_as_by_the_reference(spec, kind, radius, universe):
     # the reference stalls on a product outside the box, the walk when it
-    # ends early; in A1 every step is a power of D
+    # ends early, and the simples' ball past the box's largest length plus
+    # 1: 2B + 1, or B + 1 in A1, where every step is a power of D
     oracle = mt.genset_oracle(EQUIV_GROUPS[spec], kind)
-    with pytest.raises(UniverseTooSmall, match="stalled"):
+    with pytest.raises(UniverseTooSmall) as want:
         reference_ball(oracle, radius, universe)
-    with pytest.raises(UniverseTooSmall, match="stalled"):
+    with pytest.raises(UniverseTooSmall) as got:
         mt.bounded_ball_graph(oracle, radius, universe)
+    assert str(got.value) == str(want.value)
+    pinned = {("A2", 6, 2): "5 < 6", ("A1", 8, 2): "3 < 8"}
+    if kind == mt.KIND_SIMPLES and universe:
+        assert str(got.value) == f"ball expansion stalled at radius {pinned[spec, radius, universe]}"
 
 
 def test_ball_with_every_vertex_expanded():
-    # the BFS runs out after its last layer, so no vertex is multiplied again
-    oracle = mt.genset_oracle(I3, mt.KIND_SIMPLES)
-    full = mt.bounded_ball_graph(oracle, 2, 1)
+    # the BFS runs out after its last layer, so no vertex is multiplied
+    # again; X_P of A2 walks its box of bound 1 out at layer 3
+    oracle = mt.genset_oracle(I3, mt.KIND_XP)
+    full = mt.bounded_ball_graph(oracle, 3, 1)
     dist = full.bfs_distances(full.index_of("D^0"))
     radius = max(dist.values()) + 1
     graph = mt.bounded_ball_graph(oracle, radius, 1)
+    assert radius == 4 and (len(graph.vertices), len(graph.codes)) == (15, 25)
     assert _pair(graph) == reference_ball(oracle, radius, 1) == _pair(full)
 
 
@@ -841,6 +856,26 @@ def test_xnp_membership_matches_commute(spec):
         assert oracle.membership(g) == want
         got[want] += 1
     assert got[True] and got[False]
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "I2(5)", "A1xA2"])
+def test_xnp_parities_match_commute(spec):
+    # D^0 x and D x for every positive x to length 2, which the oracle
+    # decides from the same two products x Omega and Omega x per Omega_T
+    group = EQUIV_GROUPS[spec]
+    omegas = [gd.omega_of(group, labels).element
+              for labels in pb.proper_irreducible_subsets(group)]
+    oracle = mt.genset_oracle(group, mt.KIND_XNP)
+    got = collections.Counter()
+    for ell in range(3):
+        for fs in gd.iter_positive_factor_tuples(group, ell):
+            for p in (0, 1):
+                g = gd.GarsideElement(group, p, fs)
+                want = any(gd.commute(g, om) for om in omegas)
+                assert oracle.membership(g) == want
+                got[p, want] += 1
+    # every element of A1xA2 commutes with the Omega_T of its A1 factor
+    assert got[1, True] and (spec == "A1xA2" or got[1, False])
 
 
 @pytest.mark.parametrize("spec,bound", [("A3", 3), ("B3", 2), ("D4", 1),

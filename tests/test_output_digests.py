@@ -14,7 +14,9 @@ import io
 
 import pytest
 
-from garsidehyp import cli
+from garsidehyp import cli, graphio
+from garsidehyp import metrics as mt
+from garsidehyp.coxeter import CoxeterGraph
 
 GRAPH_EXPORTS = {
     ("quotient-cayley", "--group", "A3", "--len-bound", "2"):
@@ -56,6 +58,22 @@ GRAPH_EXPORTS = {
     # the export of the square step box too, whose run took 145 s
     ("ball", "--group", "B3", "--kind", "Xabs", "--radius", "2", "--universe", "1"):
         "faeb170596ec1b1a377f06f5bd053a052013c892f2698dbed775ba4bf382e8f8",
+    # balls of the simples, recorded when they were still walked: the whole
+    # box of bound 1 in B3, and I2(5) to radius 5 at universe 3
+    ("ball", "--group", "B3", "--kind", "Simples", "--radius", "2", "--universe", "1"):
+        "a86eff5c15c41a7a54d1bb6dd2355466c9ff442dd9e4693283c8e18e3ba12273",
+    ("ball", "--group", "I2(5)", "--kind", "Simples", "--radius", "5", "--universe", "3"):
+        "93fa579ee0eae4c6ee3743cd27cad067ed29392c00819248d8872de8cf58d124",
+}
+
+A1XA2 = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2")
+
+# exports of graphs in groups that the command line does not name, built by
+# the library: (group, kind, radius, universe) -> sha256 of the JSON export
+LIBRARY_BALLS = {
+    # the simples of a reducible group, recorded when they were still walked
+    (A1XA2, mt.KIND_SIMPLES, 3, 2):
+        "8e15eefbae8a7ce61c8dbc1901d393b47f23ea933be7a9ef652cc4d7adfd98b2",
 }
 
 
@@ -153,6 +171,14 @@ def test_graph_export_digest(argv, tmp_path):
     code, _ = _run(argv + ("--out", str(out)))
     assert code == 0
     assert _sha(out.read_bytes()) == GRAPH_EXPORTS[argv]
+
+
+@pytest.mark.parametrize("key", list(LIBRARY_BALLS), ids=lambda k: f"{k[0].family} {k[1]} {k[2]} {k[3]}")
+def test_library_ball_export_digest(key, tmp_path):
+    group, kind, radius, universe = key
+    out = tmp_path / "graph.json"
+    graphio.export_json(mt.bounded_ball_graph(mt.genset_oracle(group, kind), radius, universe), out)
+    assert _sha(out.read_bytes()) == LIBRARY_BALLS[key]
 
 
 @pytest.mark.parametrize("argv", list(PRINTED), ids=" ".join)
