@@ -655,9 +655,8 @@ def test_ball_stall_is_refused_as_by_the_reference(spec, kind, radius, universe)
     with pytest.raises(UniverseTooSmall) as got:
         mt.bounded_ball_graph(oracle, radius, universe)
     assert str(got.value) == str(want.value)
-    pinned = {("A2", 6, 2): "5 < 6", ("A1", 8, 2): "3 < 8"}
-    if kind == mt.KIND_SIMPLES and universe:
-        assert str(got.value) == f"ball expansion stalled at radius {pinned[spec, radius, universe]}"
+    if kind == mt.KIND_SIMPLES and universe:   # 2B + 1 in A2, B + 1 in A1
+        assert str(got.value).endswith({"A2": " 5 < 6", "A1": " 3 < 8"}[spec])
 
 
 def test_ball_with_every_vertex_expanded():
