@@ -1141,7 +1141,7 @@ def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[st
     """
     tab = group.table()
     n = tab.size
-    low = min(bound, radius)   # the largest -p, and the longest form, of a vertex
+    low = min(bound, radius)   # the largest |p|, and the longest form, of a vertex
     counts = [gd.count_positive_nf(group, ell) for ell in range(low + 1)]
     size = sum(c * (low + min(bound, radius - ell) + 1) for ell, c in enumerate(counts))
     if size * (n - 1) > BALL_PRODUCT_LIMIT:
@@ -1157,15 +1157,15 @@ def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[st
     for ell in range(1, low + 1):
         for fs in gd.iter_positive_factor_tuples(group, ell):
             memo.id_of(fs)   # every vertex form has its id before any product
-    # a vertex D^p a is the code i W + p + B, a of id i; the spare column
-    # W - 1 = 2B + 1 holds the power B + 1 a product may reach
-    width = 2 * bound + 2
+    # a vertex D^p a, |p| <= low, is the code i W + p + low, a of id i; the
+    # spare column W - 1 = 2 low + 1 holds the power low + 1 a product may reach
+    width = 2 * low + 2
     words = _simple_words(group)
     codes, texts = [], []
     for i, fs in enumerate(forms):
         tail = "".join([" | " + words[x] for x in fs])
         for p in range(-low, min(bound, radius - len(fs)) + 1):
-            codes.append(i * width + p + bound)
+            codes.append(i * width + p + low)
             texts.append(f"D^{p}{tail}")
     order = sorted(range(size), key=texts.__getitem__)
     pos = [-1] * (len(forms) * width)
@@ -1179,9 +1179,9 @@ def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[st
             d, c = times(i, x)
             j = get(c)
             if j is not None:
-                bases.append(j * width + d + bound)
+                bases.append(j * width + d + low)
         for p in range(-low, min(bound, radius - len(fs)) + 1):
-            v = pos[i * width + p + bound]
+            v = pos[i * width + p + low]
             edges += [v * size + w if v < w else w * size + v
                       for w in map(pos.__getitem__, [b + p for b in bases]) if w >= 0]
     edges.sort()

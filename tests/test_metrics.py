@@ -627,6 +627,9 @@ def test_quotient_cayley_matches_reference_on_d4_and_h3(spec):
     ("A1", mt.KIND_SIMPLES, 3, 2), ("A1xA1", mt.KIND_SIMPLES, 3, 1),
     ("D4", mt.KIND_SIMPLES, 2, 1), ("I2(8)", mt.KIND_SIMPLES, 4, 2),
     ("B3", mt.KIND_SIMPLES, 3, 2),
+    # a universe far past the radius: vertex codes span the powers of the
+    # ball, |p| <= min(B, r), not those of the box
+    ("A3", mt.KIND_SIMPLES, 2, 10**4),
     # X_NP and X_abs of A1 are empty: the ball is the identity at any universe
     ("A1", mt.KIND_XNP, 2, 0), ("A1", mt.KIND_XNP, 3, 1), ("A1", mt.KIND_XABS, 2, 1),
 ])
