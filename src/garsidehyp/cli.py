@@ -278,11 +278,18 @@ def cmd_delta_estimate(args) -> int:
         graph = mt.quotient_cayley_graph(group, args.len_bound)
     graph.provenance["seed"] = args.seed
     graph.provenance["sample"] = args.sample
-    delta = mt.estimate_delta(graph, args.sample, seed=args.seed)
+    delta, quad = mt.estimate_delta(graph, args.sample, seed=args.seed, certify=True)
     _export(graph, args)
     examined, total = mt.delta_quadruples(len(graph.vertices), args.sample, args.seed)
-    exactness = "exact for the truncation" if examined == total else "sampled lower bound"
+    if examined < total:
+        exactness = "sampled lower bound"
+    elif args.construction == "cal":
+        exactness = "exact for the truncation"
+    else:   # the truncation is the ball, isometrically (metrics.coset_distance)
+        exactness = (f"exact δ of the radius-{args.len_bound} ball of Cay(A)/⟨Δ⟩; "
+                     "a lower bound for Cay(A)/⟨Δ⟩")
     _emit({"delta_estimate": str(delta), "delta_exactness": exactness,
+           "delta_certificate": quad and [graph.vertices[i] for i in quad],
            "quadruples_examined": examined, "quadruples_total": total,
            "vertices": len(graph.vertices), "provenance": graph.provenance})
     return EXIT_PASS

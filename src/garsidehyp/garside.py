@@ -343,6 +343,23 @@ def count_positive_nf(group: CoxeterGraph, length: int) -> int:
     return sum(counts.values())
 
 
+def positive_nf_counts(group: CoxeterGraph, length: int) -> list[int]:
+    """Numbers of positive normal forms of canonical length 0, 1, ..., length,
+    counted in one pass over the lengths."""
+    tab = group.table()
+    out = [1]
+    counts = {x: 1 for x in range(1, tab.size) if x != tab.w0}
+    for ell in range(1, length + 1):
+        out.append(sum(counts.values()))
+        if ell < length:
+            nxt: dict[int, int] = {}
+            for x, c in counts.items():
+                for y in tab.follows(x):
+                    nxt[y] = nxt.get(y, 0) + c
+            counts = nxt
+    return out
+
+
 def iter_positive_elements(group: CoxeterGraph, max_len: int) -> Iterator[GarsideElement]:
     """Positive elements (inf 0) of canonical length 1..max_len, level by level."""
     for ell in range(1, max_len + 1):

@@ -31,8 +31,9 @@ walk (`_simples_ball`).  Its vertices are the box elements D^p a, of
 is at most r, for the word above stays in the box; each edge is emitted
 once, from the end that leaves it by a positive simple, as x y = 1 has no
 positive solutions x, y != 1; its |V| (n - 1) products are counted before
-any is formed; and it is refused as stalled exactly when r exceeds the
-box's largest length, 2B (B in A1), plus 1.  For the other kinds, balls
+any is formed, and then read from one table of its forms; and it is
+refused as stalled exactly when r exceeds the box's largest length, 2B
+(B in A1), plus 1.  For the other kinds, balls
 (`bounded_ball_graph`) and word lengths (`word_length_bound`) share one
 breadth-first walk of the box, `_BoxWalk`.  Every vertex it reaches lies in
 the box of bound B, but the generator used for a step need not; a step
@@ -54,13 +55,16 @@ standard generator or D^2, both outside it, unless it is empty: X_NP and
 X_abs of A1, whose ball is the identity at any radius.
 
 Graph builders work on normal-form keys (power, factors) and render each
-vertex once; the quotient-Cayley builder renders each form of its table
-once, from its prefix's text.  Products by a simple come from one prefix
-recurrence.  The
-table of `quotient_cayley_graph`, `_ProductRows`, numbers every inf-0
-normal form of length <= L and holds, for each form a shorter than L and
-each simple x, the D-power and the id of a x in flat int rows.  Prefix
-recurrence: with a = a' y and renorm(y, x) = (p, q), that is
+vertex once; the builders on a table render each form of it once, from its
+prefix's text.  Products by a simple come from one prefix recurrence, in
+one of two stores.  Table/memo rule: a builder that knows every form it
+will multiply before it forms any product reads a table, and a search that
+discovers its forms as it goes asks a memo.  The table, `_ProductRows`,
+numbers every inf-0 normal form of length <= L and holds, for each form a
+shorter than L and each simple x, the D-power and the id of a x in flat
+int rows; `quotient_cayley_graph` reads it, and the ball of the simples
+also has it fill the rows of the forms of length L (`fill_longest`).
+Prefix recurrence: with a = a' y and renorm(y, x) = (p, q), that is
 y x = p q with (p, q) left-weighted, a x = (a' p) q, and a' p is the row of
 the shorter a' at p.  Appending q keeps the form normal: a' p = D^d c with c
 normal, and the last factor of c and q are left-weighted by the domino rule
@@ -103,7 +107,10 @@ keys instead of searching the graph.
 The walk of the box needs the products of the few forms it visits, often
 by a few simples only, so it forms them with the same recurrence in a
 `_ProductMemo`, which keeps only the products of prefixes: its cost follows
-the walk, where a table to length L would cost |W|^L whatever the walk.  A
+the walk, where a table to length L would cost |W|^L whatever the walk.
+The memo's recursion and tuple keys cost several times a table's read, so
+it serves only such searches (the walk, and the complements of
+`_coset_pair_distances`, whose forms follow the sampled pairs).  A
 vertex D^p a is the code i W + p + B (W = 2B + 1) of its power p and the
 memo id i of a, and a step D^q u reaches D^p a D^q u = D^(p+q) t^q(a) u.
 So the product depends on p only through p + q: each form id keeps one
@@ -156,6 +163,14 @@ C_parab works on ids.  Omega_T is formed once per subset T; each candidate
 key Omega_P = a^-1 Omega_T a (it depends only on P, Cumplido, Gebhardt,
 Gonzalez-Meneses and Wiest, Adv. Math. 352, 2019) is formed with
 `_key_product` on normal-form keys, and the distinct keys are numbered.
+A conjugator g whose first factor has a left descent s in T is skipped,
+as it repeats the key of a listed one: the first factor's left descent
+set is that of g, so g = s g' with g' positive; g' has inf 0, for D <= g'
+would give D <= s g' = g, and sup g' <= sup g, for a right divisor of g
+divides D^(sup g) on the right and so on the left; so g' is listed, and
+as Omega_T is central in A_T, g^-1 Omega_T g = g'^-1 s^-1 Omega_T s g' =
+g'^-1 Omega_T g'.  By induction on the letter length, every key is that
+of a conjugator that is not skipped.
 Two vertices are adjacent when the keys of Omega_a Omega_b and
 Omega_b Omega_a agree.  Each expanded vertex keeps its row of adjacent
 ids; the edge pass tests only the pairs of unexpanded kept vertices.  The
@@ -223,22 +238,27 @@ TABLE_LIMIT = 500_000
 RENORM_CACHE = 1 << 16
 
 # Products a ball may form.  A ball of the simples counts its |V| (n - 1)
-# products before it forms any: B3 to radius 3 in the box of bound 3 forms
-# 1,996,137 in about 1.3 s.  A walk of the box (`_BoxWalk`) adds, before each
-# layer it expands and before a ball's edge pass, its vertices times the
-# steps the box inequalities keep for them.  A walked product costs 1-3 us:
-# the F4 FiniteS_plus_Delta2 walk of the box of bound 3 reads its first 10
-# layers, under 2 M products, in 5.5 s, about 2.7 us a product, most of it
-# in the memo's recursion over prefixes (2 vCPUs, Python 3.11).  Every other
+# products before it forms any, and reads them from one table at about
+# 0.2 us a counted product: B3 to radius 3 in the box of bound 3 counts
+# 1,996,137 and builds in 0.45 s (1.1 s from the memo), A4 to radius 3 in
+# the box of bound 2 counts 1,694,917 and builds in 0.37 s.  The limit is
+# 4 TABLE_LIMIT, which keeps that table under TABLE_LIMIT (`_simples_ball`).
+# A walk of the box (`_BoxWalk`) adds, before each layer it expands and
+# before a ball's edge pass, its vertices times the steps the box
+# inequalities keep for them.  A walked product costs 1-3 us: the F4
+# FiniteS_plus_Delta2 walk of the box of bound 3 reads its first 10 layers,
+# under 2 M products, in 5.5 s, about 2.7 us a product, most of it in the
+# memo's recursion over prefixes (2 vCPUs, Python 3.11).  Every other
 # walked ball of the tests and the benchmark reads under 300,000.  A ball or
 # a walk over this many is refused before it forms them.
 BALL_PRODUCT_LIMIT = 2_000_000
 
 # Candidate subgroups C_parab may form: proper irreducible subsets times the
-# positive conjugators of canonical length <= conj-len.  With hops 2 a
-# candidate costs 65-95 us: A4 at conj-len 2 (31,779) takes 2.4 s, B3 at 3
-# (52,065) 3.4 s and D4 at 2 (90,250) 8.5 s (2 vCPUs, Python 3.11).  Above
-# this many the graph is refused before any candidate is formed.
+# positive conjugators of canonical length <= conj-len, skipped ones
+# included.  With hops 2 a candidate costs 58-78 us, most of it in the
+# commute tests of the kept vertices: A4 at conj-len 2 (31,779) takes 2.3 s,
+# B3 at 3 (52,065) 3.0 s and D4 at 2 (90,250) 7.0 s (2 vCPUs, Python 3.11).
+# Above this many the graph is refused before any candidate is formed.
 CPARAB_CANDIDATE_LIMIT = 50_000
 
 # Row entries of a walk of the box (`_BoxWalk`): not yet formed, and a
@@ -256,21 +276,28 @@ def _nf_key(g: GarsideElement) -> tuple[int, tuple[int, ...]]:
 
 class _ProductRows:
     """Every inf-0 normal form of length <= L under an integer id, with the
-    product of each form shorter than L by every simple (module docstring).
+    product of each form shorter than L by every simple (module docstring),
+    and of the forms of length L too after `fill_longest`.
 
     Forms are numbered level by level and each level in factor-tuple order,
-    so the ids of one length compare as their tuples do.  `prefix[i]` is
-    the id of forms[i][:-1] and `tau[i]` the id of the tau-twisted form.
-    For a form i shorter than L (i < `below`), `row[i*n + x]` is
-    2 id(c) + d where forms[i] x = D^d c; d is 0 or 1 because
-    inf(a x) <= inf a + sup x.  `first[i]` and `slot[i][y]` give the id
-    forms[i] + (y,) of a left-weighted extension.
+    so the ids of one length compare as their tuples do, and the forms of
+    length <= m have the ids below their count.  `prefix[i]` is the id of
+    forms[i][:-1] and `tau[i]` the id of the tau-twisted form.  For a form
+    i shorter than L (i < `below`), or any form after `fill_longest`,
+    `row[i*n + x]` is 2 id(c) + d where forms[i] x = D^d c; d is 0 or 1
+    because inf(a x) <= inf a + sup x.  An entry is -1 when c is longer
+    than L, which only a form of length L can reach.  `first[i]` and
+    `slot[i][y]` give the id forms[i] + (y,) of a left-weighted extension.
+    `quotient_cayley_graph` does not ask for the rows of length L: its
+    boundary scan reads fewer (B3 to length 3: 95,614 absorbed simples
+    against the 462,816 entries of those rows).
 
     A table of more than TABLE_LIMIT row entries is refused while its forms
     are listed, level by level, before the level past the limit.  A form of
     length L extends a shorter one by one of the n - 2 simples other than 1
     and D, so there are fewer forms than row entries and the limit bounds
-    both.
+    both.  `fill_longest` adds no check of its own: its one caller,
+    `_simples_ball`, bounds the forms by its product count first.
     """
 
     def __init__(self, group: CoxeterGraph, length: int):
@@ -311,14 +338,31 @@ class _ProductRows:
                 y = tab.tau[forms[i][-1]]
                 tau.append(first[t] + slot[t][y])
             lo, hi = hi, len(forms)
-        self.below = below = lo
-        row = self.row = array("l")
-        if not below:
-            return
-        row.extend(2 * (first[0] + slot[0][x]) for x in range(n))
-        row[0], row[n - 1] = 0, 1   # the identity, and D
-        renorms: dict[int, list[tuple[int, int]]] = {}   # y -> renorm(y, x) per x
-        for i in range(1, below):
+        self.below = lo
+        self.row = array("l")
+        self._renorms: dict[int, list[tuple[int, int]]] = {}
+        self._fill(0, lo)
+
+    def fill_longest(self) -> None:
+        """Give the forms of length L their rows too, so that `row[i*n + x]`
+        is read for every form i; an entry whose product is longer than L
+        is -1."""
+        self._fill(self.below, len(self.forms))
+
+    def _fill(self, lo: int, hi: int) -> None:
+        """Append the rows of the forms lo..hi-1, by the prefix recurrence:
+        for a = a' y and renorm(y, x) = (p, q), the row of a' at p is
+        a' p = D^d c, and a x = D^d c q.  When q is a factor and c has
+        length L, which a' p can only reach when a has length L, a x has
+        length L + 1 and its entry is -1."""
+        tab, n, row, below = self.tab, self.n, self.row, self.below
+        forms, prefix, first, slot = self.forms, self.prefix, self.first, self.slot
+        renorms = self._renorms   # y -> renorm(y, x) per x
+        if lo == 0 < hi:   # the identity: x itself, 1 and D, or a form of length 1
+            row.extend([0, *(2 * (first[0] + slot[0][x]) if below else -1
+                             for x in range(1, n - 1)), 1])
+            lo = 1
+        for i in range(lo, hi):
             base = prefix[i] * n
             y = forms[i][-1]
             if y not in renorms:
@@ -326,19 +370,24 @@ class _ProductRows:
             for p, q in renorms[y]:
                 v = row[base + p]   # a' p = D^d c, and c q is normal
                 if q:
-                    c = v >> 1   # shorter than L: a' p is no longer than a
-                    v = 2 * (first[c] + slot[c][q]) + (v & 1)
+                    c = v >> 1
+                    v = 2 * (first[c] + slot[c][q]) + (v & 1) if c < below else -1
                 row.append(v)
 
-    def texts(self) -> list[str]:
-        """The text key of every form, in id order, each rendered from its
-        prefix's: the text of a' y is that of a' followed by the word of y."""
+    def tails(self) -> list[str]:
+        """The words of the factors of every form, " | w_1 | ... | w_k", in
+        id order, each rendered from its prefix's: the tail of a' y is that
+        of a' followed by the word of y."""
         words = _simple_words(self.tab.graph)
-        texts = ["D^0"]
+        tails = [""]
         for p, fs in zip(itertools.islice(self.prefix, 1, None),
                          itertools.islice(self.forms, 1, None)):
-            texts.append(f"{texts[p]} | {words[fs[-1]]}")
-        return texts
+            tails.append(f"{tails[p]} | {words[fs[-1]]}")
+        return tails
+
+    def texts(self) -> list[str]:
+        """The text key of every form, in id order."""
+        return ["D^0" + tail for tail in self.tails()]
 
 
 class _ProductMemo:
@@ -508,8 +557,7 @@ def _subgroup_members(group: CoxeterGraph, subsets: Sequence[Sequence[str]],
     subs = [group.subgraph(group.gen_indices(labels)) for labels in subsets]
     if any(sub.rank == group.rank for sub in subs):
         raise GroupMismatch("proper subsets only")
-    size = (2 * bound + 1) * sum(gd.count_positive_nf(sub, ell)
-                                 for sub in subs for ell in range(length + 1))
+    size = (2 * bound + 1) * sum(sum(gd.positive_nf_counts(sub, length)) for sub in subs)
     if size > XNP_BOX_LIMIT:
         raise CapExceeded(
             f"XP enumeration would walk {size} subgroup elements for the box "
@@ -582,8 +630,7 @@ def _xnp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
         of the box is tested at both parities, and a passing parity gives
         every power of that parity."""
         length = bound if length is None else length
-        size = (2 * bound + 1) * sum(gd.count_positive_nf(group, ell)
-                                     for ell in range(length + 1))
+        size = (2 * bound + 1) * sum(gd.positive_nf_counts(group, length))
         if size > XNP_BOX_LIMIT:
             raise CapExceeded(
                 f"XNP enumeration would filter the box of bound {bound}, "
@@ -1119,6 +1166,17 @@ def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[st
     s != D, present for rank >= 2, has the normal form s^k of each
     length k).
 
+    Vertex order.  The text of D^p a is "D^p" followed by the tail of a
+    (`_ProductRows.tails`), empty or beginning " | ".  So texts sort by the
+    string of p first, then by tail: where neither power string is a
+    prefix of the other they differ inside it, and where "D^p" is a proper
+    prefix of "D^q" the next character of "D^q" is a digit, above the end
+    of a text and above " ".  The vertices of one power form a block, and
+    the vertex of a form is its block's start plus its rank in tail order
+    among the forms of the block, those of length <= m(p) = min(low, r - p),
+    low = min(B, r).  Only the forms' tails are sorted, not the vertices'
+    texts.
+
     Edges.  Each is emitted once, from the end that leaves it by a positive
     simple x != 1 (D included), as the code of its two sorted indices.
     Lemma: no edge is found from both ends, nor twice from one.  An edge
@@ -1126,9 +1184,18 @@ def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[st
     end leaves it by a positive x; were it found from both, g x = h and
     h y = g with x, y positive and nontrivial, so x y = 1, which is
     impossible, as the exponent sum is additive and positive on them.  And
-    g x = g x' forces x = x'.  The products of a form a come from one row of
-    a `_ProductMemo`: a x = D^d c with d = 0 or 1, so D^p a x = D^(p+d) c,
-    a vertex when len c <= min(B, r) and p + d is in its range.
+    g x = g x' forces x = x'.  The products come from one `_ProductRows`
+    table to length low with `fill_longest`, as every form of the ball is
+    known before any product is formed: a x = D^d c with d = 0 or 1, -1
+    when c is longer than low, so D^p a x = D^(p+d) c, a vertex when
+    p + d <= low and len c <= m(p + d).  So the edges from the block of p
+    to that of p + d depend on p only through m(p), m(p + d) and the two
+    blocks' starts: each (d, m(p), m(p + d)) has its codes from rank
+    pairs, sorted once, and each block reads them shifted by its starts.
+    The codes whose lower end lies in the block of p are its own edges and
+    those to or from the blocks of p - 1 and p + 1 that come later in
+    vertex order, so taken block by block in vertex order they are sorted,
+    and no list of all the codes is held.
 
     Refusals.  A radius past the box's largest simples length plus 1 is
     refused as stalled, as the walk is.  The |V| (n - 1) products, n the
@@ -1137,12 +1204,22 @@ def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[st
     B >= 1 the walk keeps at least the n - 1 steps by D or D^-1 (|p| <= B
     leaves one of them) and the positive simples at each vertex, so it
     counted no fewer, and at B = 0 the one vertex's n - 1 products are
-    under the limit for any table (DEFAULT_ORDER_CAP).
+    under the limit for any table (DEFAULT_ORDER_CAP).  Nor can the table
+    refuse a ball that passed the count: its largest check is F n against
+    TABLE_LIMIT, F the number of forms shorter than low.  Each form has at
+    least low + 1 vertices, so |V| >= (low + 1) F', F' the number of all
+    the forms.  In rank >= 2 the form counts do not shrink with length:
+    appending an atom of the last factor's right descent set, never D,
+    maps the forms of length k into those of length k + 1, and there are
+    n - 2 >= 1 of length 1.  So F / low <= F' / (low + 1), and with
+    BALL_PRODUCT_LIMIT = 4 TABLE_LIMIT, F n <= 4 low / (low + 1)^2
+    n / (n - 1) TABLE_LIMIT, at most TABLE_LIMIT for low >= 3 (n >= 4) and
+    for low = 2 and n >= 9.  Otherwise F n is n (n - 1) < 72 at low = 2,
+    n <= DEFAULT_ORDER_CAP at low = 1, and 2 in A1, whose one form is 1.
     """
-    tab = group.table()
-    n = tab.size
+    n = group.table().size
     low = min(bound, radius)   # the largest |p|, and the longest form, of a vertex
-    counts = [gd.count_positive_nf(group, ell) for ell in range(low + 1)]
+    counts = gd.positive_nf_counts(group, low)
     size = sum(c * (low + min(bound, radius - ell) + 1) for ell, c in enumerate(counts))
     if size * (n - 1) > BALL_PRODUCT_LIMIT:
         raise CapExceeded(
@@ -1152,40 +1229,59 @@ def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[st
     longest = bound + (bound if group.rank > 1 else 0)
     if longest + 1 < radius:
         raise UniverseTooSmall(f"ball expansion stalled at radius {longest + 1} < {radius}")
-    memo = _ProductMemo(group)
-    forms, ids = memo.forms, memo.ids
-    for ell in range(1, low + 1):
-        for fs in gd.iter_positive_factor_tuples(group, ell):
-            memo.id_of(fs)   # every vertex form has its id before any product
-    # a vertex D^p a, |p| <= low, is the code i W + p + low, a of id i; the
-    # spare column W - 1 = 2 low + 1 holds the power low + 1 a product may reach
-    width = 2 * low + 2
-    words = _simple_words(group)
-    codes, texts = [], []
-    for i, fs in enumerate(forms):
-        tail = "".join([" | " + words[x] for x in fs])
-        for p in range(-low, min(bound, radius - len(fs)) + 1):
-            codes.append(i * width + p + low)
-            texts.append(f"D^{p}{tail}")
-    order = sorted(range(size), key=texts.__getitem__)
-    pos = [-1] * (len(forms) * width)
-    for k, v in enumerate(order):
-        pos[codes[v]] = k
-    edges = []
-    times, get = memo.times, ids.get
-    for i, fs in enumerate(forms):
-        bases = []   # the code of a x less p, for each product a x of a vertex form
-        for x in range(1, n):
-            d, c = times(i, x)
-            j = get(c)
-            if j is not None:
-                bases.append(j * width + d + low)
-        for p in range(-low, min(bound, radius - len(fs)) + 1):
-            v = pos[i * width + p + low]
-            edges += [v * size + w if v < w else w * size + v
-                      for w in map(pos.__getitem__, [b + p for b in bases]) if w >= 0]
-    edges.sort()
-    return [texts[v] for v in order], array("q", edges)
+    rows = _ProductRows(group, low)
+    rows.fill_longest()
+    row, tails = rows.row, rows.tails()
+    ends = list(itertools.accumulate(counts))   # the forms of length <= m: ids < ends[m]
+    powers = sorted(range(-low, low + 1), key=str)   # in the text order of "D^p"
+    top = {p: min(low, radius - p) for p in powers}   # m(p)
+    by_tail = sorted(range(ends[low]), key=tails.__getitem__)
+    ranks = {}   # m -> the rank of each id < ends[m] among those ids in tail order
+    for m in set(top.values()):
+        rank = ranks[m] = [0] * ends[m]
+        for k, i in enumerate([i for i in by_tail if i < ends[m]]):
+            rank[i] = k
+    texts, start = [], {}   # start[p]: the index of the first vertex of power p
+    for p in powers:
+        start[p] = len(texts)
+        head, end = f"D^{p}", ends[top[p]]
+        texts += [head + tails[i] for i in by_tail if i < end]
+    size = len(texts)
+    # d -> for each id of a form a, the ids of the c with a x = D^d c, x positive
+    targets = ([], [])
+    for i in range(ends[low]):
+        got = [v for v in row[i * n + 1:i * n + n] if v >= 0]
+        targets[0].append([v >> 1 for v in got if not v & 1])
+        targets[1].append([v >> 1 for v in got if v & 1])
+
+    @functools.cache
+    def block(d, ms, mt, flip):
+        """The sorted codes of the edges from a block of m(p) = ms to one of
+        m(p + d) = mt, both starting at 0, as rank pairs (a, b) coded
+        a * size + b, or b * size + a with `flip`."""
+        rs, rt, et = ranks[ms], ranks[mt], ends[mt]
+        got = [(rs[i], rt[j]) for i, js in enumerate(targets[d][:ends[ms]])
+               for j in js if j < et]
+        if d == 0:
+            got = [a * size + b if a < b else b * size + a for a, b in got]
+        else:
+            got = [b * size + a if flip else a * size + b for a, b in got]
+        got.sort()
+        return array("q", got)
+
+    edges = array("q")   # filled block by block in vertex order (docstring)
+    for p in powers:
+        o = start[p]
+        run = list(map((o * (size + 1)).__add__, block(0, top[p], top[p], False)))
+        if p < low and start[p + 1] > o:
+            run += map((o * size + start[p + 1]).__add__,
+                       block(1, top[p], top[p + 1], False))
+        if p > -low and start[p - 1] > o:
+            run += map((o * size + start[p - 1]).__add__,
+                       block(1, top[p - 1], top[p], True))
+        run.sort()
+        edges.extend(run)
+    return texts, edges
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1445,26 +1541,32 @@ def build_cparab_neighborhood(p0: ParabolicSubgroup, conj_len: int,
     hops-ball around P0.  Edges: commuting minimal central elements.
 
     Works on ids of the distinct keys Omega_P = g^-1 Omega_T g, formed on
-    normal-form keys (module docstring).  The candidates are counted first,
-    and more than CPARAB_CANDIDATE_LIMIT are refused.
+    normal-form keys, with no key formed for a g whose first factor has a
+    left descent in T, as a shorter conjugator gives it (module docstring).
+    The candidates, skipped ones included, are counted first, and more than
+    CPARAB_CANDIDATE_LIMIT are refused.
     """
     group = p0.group
     tab = group.table()
     subsets = pb.proper_irreducible_subsets(group)
-    size = len(subsets) * sum(gd.count_positive_nf(group, ell)
-                              for ell in range(conj_len + 1))
+    size = len(subsets) * sum(gd.positive_nf_counts(group, conj_len))
     if size > CPARAB_CANDIDATE_LIMIT:
         raise CapExceeded(
             f"C_parab would form {size} candidate subgroups for conj-len "
             f"{conj_len}, over the limit of {CPARAB_CANDIDATE_LIMIT}")
-    conjugators = [(_nf_key(gd.invert(GarsideElement(group, 0, fs))), (0, fs))
+    # (left descent set of g, key of g^-1, key of g), g = 1 with none
+    conjugators = [(tab.ldesc[fs[0]] if fs else 0,
+                    _nf_key(gd.invert(GarsideElement(group, 0, fs))), (0, fs))
                    for ell in range(conj_len + 1)
                    for fs in gd.iter_positive_factor_tuples(group, ell)]
     ids = {_nf_key(p0.omega): 0}   # Omega_P -> vertex id
     for labels in subsets:
         omega_t = _nf_key(gd.omega_of(group, labels).element)
-        for inv, g in conjugators:
-            ids.setdefault(_key_product(tab, _key_product(tab, inv, omega_t), g), len(ids))
+        mask = tab.mask_of(group.gen_indices(labels))
+        for ldesc, inv, g in conjugators:
+            if not ldesc & mask:   # else g = s g' gives the key of g' (module docstring)
+                ids.setdefault(_key_product(tab, _key_product(tab, inv, omega_t), g),
+                               len(ids))
     omegas = list(ids)
 
     def commute(a, b):
@@ -1625,13 +1727,17 @@ def delta_quadruples(n: int, sample: int, seed: int = 0) -> tuple[int, int]:
     return len({tuple(q) for q in _quadruples(n, sample, seed)}), total
 
 
-def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0) -> Fraction:
+def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0, *,
+                   certify: bool = False
+                   ) -> Fraction | tuple[Fraction, tuple[int, ...] | None]:
     """Four-point-condition defect, maximized over sampled 4-tuples.
 
     Exact when `sample` is at least the number of 4-subsets.  The sampler is
     seeded and recorded by callers in provenance.  The 4-tuples are drawn
     twice from the same seed: once to collect the pairs they need, and once
-    to read their distances.  A disconnected graph is refused.
+    to read their distances.  A disconnected graph is refused.  With
+    `certify`, returns (delta, the vertex indices of the first examined
+    4-tuple that attains it, or None with fewer than 4 vertices).
 
     The distances come from one of two methods, chosen by a size known
     before anything is drawn.  A quotient-Cayley graph built in memory
@@ -1651,7 +1757,7 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0) -> Fraction:
     """
     n = len(graph.vertices)
     if n == 0:
-        return Fraction(0)
+        return (Fraction(0), None) if certify else Fraction(0)
     quads_total = math.comb(n, 4)
     exhaustive = sample >= quads_total
     # each 4-tuple sorted, so every pair (i, j) has i < j
@@ -1671,12 +1777,15 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0) -> Fraction:
         if not connected:
             raise DisconnectedInput("graph is disconnected")
 
-    best = 0   # twice the four-point defect
-    for a, b, c, d in quads():
+    best, witness = -1, None   # twice the four-point defect, and its 4-tuple
+    for quad in quads():
+        a, b, c, d = quad
         sums = sorted((dist[a, b] + dist[c, d], dist[a, c] + dist[b, d],
                        dist[a, d] + dist[b, c]))
-        best = max(best, sums[2] - sums[1])
-    return Fraction(best, 2)
+        if sums[2] - sums[1] > best:
+            best, witness = sums[2] - sums[1], quad
+    delta = Fraction(max(best, 0), 2)
+    return (delta, witness and tuple(witness)) if certify else delta
 
 
 # ---------------------------------------------------------------------------

@@ -108,13 +108,28 @@ def test_delta_estimate(capsys, tmp_path):
     drawn = {tuple(sorted(rng.sample(range(n), 4))) for _ in range(400)}
     assert data["quadruples_examined"] == len(drawn)
     assert data["delta_exactness"] == "sampled lower bound"
-    # every 4-subset examined: exact for the truncation
+    assert len(data["delta_certificate"]) == 4
+    # every 4-subset examined: the quotient-Cayley truncation is the ball of
+    # radius L, isometrically, so its delta is exact and bounds the graph's
     code, out = run(capsys, "delta-estimate", "--group", "A2", "--len-bound", "2",
                     "--sample", "35")
     data = last_json(out)
     assert code == 0 and data["vertices"] == 7
     assert data["quadruples_examined"] == data["quadruples_total"] == 35
+    assert data["delta_exactness"] == \
+        "exact δ of the radius-2 ball of Cay(A)/⟨Δ⟩; a lower bound for Cay(A)/⟨Δ⟩"
+    # the first 4-subset examined attains delta 0
+    assert data["delta_certificate"] == ["D^0", "D^0 | a", "D^0 | a | a", "D^0 | a | ab"]
+    # the cal graph is exact for its truncation only
+    code, out = run(capsys, "delta-estimate", "--group", "A2", "--len-bound", "2",
+                    "--sample", "35", "--construction", "cal")
+    data = last_json(out)
+    assert data["quadruples_examined"] == data["quadruples_total"] == 35
     assert data["delta_exactness"] == "exact for the truncation"
+    # fewer than 4 vertices: no 4-tuple, no certificate
+    code, out = run(capsys, "delta-estimate", "--group", "A1", "--len-bound", "1")
+    data = last_json(out)
+    assert code == 0 and data["vertices"] == 1 and data["delta_certificate"] is None
     # 34 draws of the 35 4-subsets repeat some and examine 23 distinct ones
     code, out = run(capsys, "delta-estimate", "--group", "A2", "--len-bound", "2",
                     "--sample", "34")

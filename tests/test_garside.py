@@ -230,6 +230,18 @@ def test_positive_nf_enumeration_counts():
                            for i in range(len(tup) - 1))
 
 
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B3", "D4", "H3", "I2(5)",
+                                  "A1xA2"])
+def test_positive_nf_counts_in_one_pass(spec):
+    group = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2") \
+        if spec == "A1xA2" else parse_group_spec(spec)
+    counts = gd.positive_nf_counts(group, 3)
+    assert counts == [gd.count_positive_nf(group, ell) for ell in range(4)]
+    assert counts == [sum(1 for _ in gd.iter_positive_factor_tuples(group, ell))
+                      for ell in range(4)]
+    assert gd.positive_nf_counts(group, 0) == [1]
+
+
 # One group of each family the kernel meets, A1 (where s = w0 and w0 s^-1 is
 # the identity) and a reducible diagram.
 PROPERTY_GROUPS = {spec: parse_group_spec(spec) for spec in

@@ -520,6 +520,36 @@ def test_product_rows_match_key_product(spec, bound):
     assert rows.below == len(rows.forms) - gd.count_positive_nf(group, bound)
 
 
+@pytest.mark.parametrize("spec,bound", [("A1", 0), ("A1", 1), ("A1", 2), ("A3", 2),
+                                        ("B3", 2), ("I2(5)", 4), ("A1xA2", 3), ("D4", 1)])
+def test_full_product_rows_match_key_product(spec, bound):
+    # the table of a ball of the simples: every form has its row, and -1
+    # marks exactly the products longer than L
+    group = EQUIV_GROUPS[spec]
+    tab = group.table()
+    rows = mt._ProductRows(group, bound)
+    rows.fill_longest()
+    assert len(rows.row) == len(rows.forms) * tab.size
+    ids = {fs: i for i, fs in enumerate(rows.forms)}
+    for i, fs in enumerate(rows.forms):
+        for x in range(tab.size):
+            d, res = mt._key_product(tab, (0, fs), (0, (x,) if x else ()))
+            want = 2 * ids[res] + d if len(res) <= bound else -1
+            assert rows.row[i * tab.size + x] == want
+
+
+def test_simples_ball_reads_the_table_not_the_memo(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a ball of the simples formed a _ProductMemo")
+
+    monkeypatch.setattr(mt._ProductMemo, "__init__", refused)
+    graph = mt.bounded_ball_graph(mt.genset_oracle(A3, mt.KIND_SIMPLES), 3, 2)
+    assert (len(graph.vertices), len(graph.codes)) == (771, 8566)
+    # the proof at `_simples_ball` that its table is never refused once its
+    # product count has passed rests on this ratio of the two limits
+    assert mt.BALL_PRODUCT_LIMIT <= 4 * mt.TABLE_LIMIT
+
+
 @pytest.mark.parametrize("spec,bound", [("A3", 3), ("B3", 2), ("I2(5)", 4),
                                         ("A1xA2", 3), ("D4", 1)])
 def test_product_memo_matches_key_product(spec, bound):
@@ -682,6 +712,28 @@ def test_exhaustive_delta_matches_reference():
     assert mt.estimate_delta(graph, quads) == reference_delta(graph, quads)
     cal = mt.build_cal_graph(I3, 3)
     assert mt.estimate_delta(cal, 10**6) == reference_delta(cal, 10**6)
+
+
+@pytest.mark.parametrize("build,sample,seed", [
+    (lambda: mt.quotient_cayley_graph(A3, 2), 200, 3),
+    (lambda: mt.quotient_cayley_graph(I3, 2), 35, 0),
+    (lambda: mt.build_cal_graph(I3, 2), 35, 0),
+    (lambda: mt.bounded_ball_graph(mt.genset_oracle(I5, mt.KIND_SIMPLES), 3, 2), 500, 1),
+])
+def test_delta_certificate_is_the_first_tuple_attaining_delta(build, sample, seed):
+    graph = build()
+    delta, quad = mt.estimate_delta(graph, sample, seed, certify=True)
+    assert delta == mt.estimate_delta(graph, sample, seed)
+    dist = [graph.bfs_distances(i) for i in range(len(graph.vertices))]
+
+    def defect(a, b, c, d):
+        sums = sorted((dist[a][b] + dist[c][d], dist[a][c] + dist[b][d],
+                       dist[a][d] + dist[b][c]))
+        return Fraction(sums[2] - sums[1], 2)
+
+    quads = [tuple(q) for q in mt._quadruples(len(graph.vertices), sample, seed)]
+    assert defect(*quad) == delta
+    assert all(defect(*q) < delta for q in quads[:quads.index(quad)])
 
 
 def test_delta_with_distances_past_a_byte():
