@@ -278,7 +278,7 @@ def cmd_delta_estimate(args) -> int:
         graph = mt.quotient_cayley_graph(group, args.len_bound)
     graph.provenance["seed"] = args.seed
     graph.provenance["sample"] = args.sample
-    delta, quad = mt.estimate_delta(graph, args.sample, seed=args.seed, certify=True)
+    delta, quad = mt.estimate_delta(graph, args.sample, seed=args.seed)
     _export(graph, args)
     examined, total = mt.delta_quadruples(len(graph.vertices), args.sample, args.seed)
     if examined < total:

@@ -330,17 +330,7 @@ def iter_positive_factor_tuples(group: CoxeterGraph, length: int,
 
 def count_positive_nf(group: CoxeterGraph, length: int) -> int:
     """Number of positive normal forms of exactly this canonical length."""
-    tab = group.table()
-    if length == 0:
-        return 1
-    counts = {x: 1 for x in range(1, tab.size) if x != tab.w0}
-    for _ in range(length - 1):
-        nxt: dict[int, int] = {}
-        for x, c in counts.items():
-            for y in tab.follows(x):
-                nxt[y] = nxt.get(y, 0) + c
-        counts = nxt
-    return sum(counts.values())
+    return positive_nf_counts(group, length)[length]
 
 
 def positive_nf_counts(group: CoxeterGraph, length: int) -> list[int]:

@@ -1727,17 +1727,16 @@ def delta_quadruples(n: int, sample: int, seed: int = 0) -> tuple[int, int]:
     return len({tuple(q) for q in _quadruples(n, sample, seed)}), total
 
 
-def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0, *,
-                   certify: bool = False
-                   ) -> Fraction | tuple[Fraction, tuple[int, ...] | None]:
-    """Four-point-condition defect, maximized over sampled 4-tuples.
+def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0
+                   ) -> tuple[Fraction, tuple[int, ...] | None]:
+    """Four-point-condition defect, maximized over sampled 4-tuples, and the
+    vertex indices of the first examined 4-tuple that attains it (None with
+    fewer than 4 vertices).
 
     Exact when `sample` is at least the number of 4-subsets.  The sampler is
     seeded and recorded by callers in provenance.  The 4-tuples are drawn
     twice from the same seed: once to collect the pairs they need, and once
-    to read their distances.  A disconnected graph is refused.  With
-    `certify`, returns (delta, the vertex indices of the first examined
-    4-tuple that attains it, or None with fewer than 4 vertices).
+    to read their distances.  A disconnected graph is refused.
 
     The distances come from one of two methods, chosen by a size known
     before anything is drawn.  A quotient-Cayley graph built in memory
@@ -1757,7 +1756,7 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0, *,
     """
     n = len(graph.vertices)
     if n == 0:
-        return (Fraction(0), None) if certify else Fraction(0)
+        return Fraction(0), None
     quads_total = math.comb(n, 4)
     exhaustive = sample >= quads_total
     # each 4-tuple sorted, so every pair (i, j) has i < j
@@ -1784,8 +1783,7 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0, *,
                        dist[a, d] + dist[b, c]))
         if sums[2] - sums[1] > best:
             best, witness = sums[2] - sums[1], quad
-    delta = Fraction(max(best, 0), 2)
-    return (delta, witness and tuple(witness)) if certify else delta
+    return Fraction(max(best, 0), 2), witness and tuple(witness)
 
 
 # ---------------------------------------------------------------------------

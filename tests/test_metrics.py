@@ -437,18 +437,18 @@ def test_cparab_image_diameter():
 
 def test_estimate_delta_trees_and_cycles():
     path = mt.MetricGraph(("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 3)), {})
-    assert mt.estimate_delta(path, 10) == 0
+    assert mt.estimate_delta(path, 10)[0] == 0
     cyc = mt.MetricGraph(("a", "b", "c", "d"),
                          ((0, 1), (0, 3), (1, 2), (2, 3)), {})
-    assert mt.estimate_delta(cyc, 10) == Fraction(1)
+    assert mt.estimate_delta(cyc, 10)[0] == Fraction(1)
     two = mt.MetricGraph(("a", "b"), (), {})
     with pytest.raises(DisconnectedInput):
-        mt.estimate_delta(two, 5)
+        mt.estimate_delta(two, 5)[0]
 
 
 def test_estimate_delta_quotient_ball():
     q = mt.quotient_cayley_graph(I3, 6)
-    val = mt.estimate_delta(q, 2000, seed=11)
+    val = mt.estimate_delta(q, 2000, seed=11)[0]
     assert val >= 0
 
 
@@ -626,7 +626,7 @@ def test_quotient_cayley_matches_two_direction_reference(spec, bound):
     assert _pair(graph) == reference_quotient_cayley(group, bound)
     # the dict-row delta draws the same 4-tuples and finds the same defect
     for seed in (1, 2):
-        assert mt.estimate_delta(graph, 300, seed) == \
+        assert mt.estimate_delta(graph, 300, seed)[0] == \
             reference_delta(graph, 300, seed)
 
 
@@ -667,7 +667,7 @@ def test_ball_matches_reference(spec, kind, radius, universe):
     oracle = mt.genset_oracle(EQUIV_GROUPS[spec], kind)
     graph = mt.bounded_ball_graph(oracle, radius, universe)
     assert _pair(graph) == reference_ball(oracle, radius, universe)
-    assert mt.estimate_delta(graph, 200, 5) == reference_delta(graph, 200, 5)
+    assert mt.estimate_delta(graph, 200, 5)[0] == reference_delta(graph, 200, 5)
 
 
 @pytest.mark.parametrize("spec,kind,radius,universe", [
@@ -709,9 +709,9 @@ def test_exhaustive_delta_matches_reference():
     n = len(graph.vertices)
     quads = n * (n - 1) * (n - 2) * (n - 3) // 24
     assert 4 <= n and quads <= 5000
-    assert mt.estimate_delta(graph, quads) == reference_delta(graph, quads)
+    assert mt.estimate_delta(graph, quads)[0] == reference_delta(graph, quads)
     cal = mt.build_cal_graph(I3, 3)
-    assert mt.estimate_delta(cal, 10**6) == reference_delta(cal, 10**6)
+    assert mt.estimate_delta(cal, 10**6)[0] == reference_delta(cal, 10**6)
 
 
 @pytest.mark.parametrize("build,sample,seed", [
@@ -722,8 +722,7 @@ def test_exhaustive_delta_matches_reference():
 ])
 def test_delta_certificate_is_the_first_tuple_attaining_delta(build, sample, seed):
     graph = build()
-    delta, quad = mt.estimate_delta(graph, sample, seed, certify=True)
-    assert delta == mt.estimate_delta(graph, sample, seed)
+    delta, quad = mt.estimate_delta(graph, sample, seed)
     dist = [graph.bfs_distances(i) for i in range(len(graph.vertices))]
 
     def defect(a, b, c, d):
@@ -742,9 +741,9 @@ def test_delta_with_distances_past_a_byte():
     n = 300
     names = tuple(f"v{i:03d}" for i in range(n))
     path = mt.MetricGraph(names, tuple((i, i + 1) for i in range(n - 1)), {})
-    assert mt.estimate_delta(path, 50, seed=1) == 0
+    assert mt.estimate_delta(path, 50, seed=1)[0] == 0
     cycle = mt.MetricGraph(names, path.edges[:1] + ((0, n - 1),) + path.edges[1:], {})
-    got = mt.estimate_delta(cycle, 50, seed=1)
+    got = mt.estimate_delta(cycle, 50, seed=1)[0]
     assert got == reference_delta(cycle, 50, seed=1) and got > 0
 
 
@@ -769,7 +768,7 @@ def test_per_component_delta_skips_unreached_pairs():
                             ((0, 1), (0, 3), (1, 2), (2, 3),
                              (4, 5), (4, 7), (5, 6), (6, 7)), {})
     with pytest.raises(DisconnectedInput):
-        mt.estimate_delta(cycles, 100)
+        mt.estimate_delta(cycles, 100)[0]
 
 
 def test_export_json_streams_the_same_bytes(tmp_path):
@@ -1007,7 +1006,7 @@ def test_pair_distances_that_resolve_before_the_first_source_spans(batch, monkey
 def test_estimate_delta_matches_reference_for_seeds(spec, bound):
     graph = mt.quotient_cayley_graph(EQUIV_GROUPS[spec], bound)
     for seed in (1, 2, 3, 4):
-        assert mt.estimate_delta(graph, 100, seed) == reference_delta(graph, 100, seed)
+        assert mt.estimate_delta(graph, 100, seed)[0] == reference_delta(graph, 100, seed)
 
 
 def test_b3_quotient_graph_gives_the_benchmark_answers():
@@ -1017,7 +1016,7 @@ def test_b3_quotient_graph_gives_the_benchmark_answers():
     digest = hashlib.sha256(json.dumps([graph.vertices, graph.edges]).encode())
     assert digest.hexdigest() == \
         "65f099c72052d9ce50f42b5263d46d127a5823f1a7c9ff1f7f0ef848f6f9ea34"
-    got = [str(mt.estimate_delta(graph, 50, seed)) for seed in (1, 2, 3, 4)]
+    got = [str(mt.estimate_delta(graph, 50, seed)[0]) for seed in (1, 2, 3, 4)]
     assert got == ["1", "1/2", "1/2", "1/2"]
 
 
@@ -1056,10 +1055,10 @@ def test_small_sample_delta_reads_the_closed_form(spec, bound, tmp_path, monkeyp
     assert back.cosets is None
     with monkeypatch.context() as patch:
         patch.setattr(mt, "_pair_distances", None)   # the closed form only
-        got = [mt.estimate_delta(graph, 50, seed) for seed in (1, 2, 3, 4)]
+        got = [mt.estimate_delta(graph, 50, seed)[0] for seed in (1, 2, 3, 4)]
     assert got == [reference_delta(graph, 50, seed) for seed in (1, 2, 3, 4)]
     monkeypatch.setattr(mt, "_coset_pair_distances", None)   # the pass only
-    assert mt.estimate_delta(back, 50, 1) == got[0]
+    assert mt.estimate_delta(back, 50, 1)[0] == got[0]
 
 
 def test_delta_method_follows_the_pair_count(monkeypatch):
@@ -1074,8 +1073,8 @@ def test_delta_method_follows_the_pair_count(monkeypatch):
             return real(*args)
         monkeypatch.setattr(mt, name, spy)
     for sample in (104, 105):
-        assert mt.estimate_delta(graph, sample, 3) == reference_delta(graph, sample, 3)
+        assert mt.estimate_delta(graph, sample, 3)[0] == reference_delta(graph, sample, 3)
     ball = mt.bounded_ball_graph(mt.genset_oracle(I3, mt.KIND_SIMPLES), 3, 2)
     for other in (mt.build_cal_graph(I3, 3), ball):
-        assert mt.estimate_delta(other, 1, 3) == reference_delta(other, 1, 3)
+        assert mt.estimate_delta(other, 1, 3)[0] == reference_delta(other, 1, 3)
     assert calls == ["_coset_pair_distances"] + ["_pair_distances"] * 3
