@@ -636,14 +636,18 @@ class SimpleTable:
         return meet
 
     def longest_in(self, subset_mask: int) -> int:
-        """w0 of the standard parabolic W_T, T given as a bitmask."""
+        """w0 of the standard parabolic W_T, T given as a bitmask.  Each step
+        lengthens x by one, so a consistent table ends within l(w0) steps,
+        and one whose rdesc and rmult disagree raises instead of looping."""
         x = 0
-        while True:
+        for _ in range(self.length[self.w0] + 1):
             free = subset_mask & ~self.rdesc[x]
             if not free:
                 return x
             s = (free & -free).bit_length() - 1
             x = self.rmult[x][s]
+        raise RuntimeError(f"no longest element of the subset {subset_mask:#b} "
+                           f"within l(w0) steps: rdesc and rmult disagree")
 
 
 _tables: dict[CoxeterGraph, SimpleTable] = {}
@@ -709,10 +713,6 @@ def _check_same_group(u: SimpleElement, v: SimpleElement):
 def element_multiply(u: SimpleElement, v: SimpleElement) -> SimpleElement:
     _check_same_group(u, v)
     return SimpleElement(u.group, u.group.table().mult(u.index, v.index))
-
-
-def element_inverse(u: SimpleElement) -> SimpleElement:
-    return SimpleElement(u.group, u.group.table().inverse[u.index])
 
 
 def descents(w: SimpleElement, side: str) -> frozenset[str]:

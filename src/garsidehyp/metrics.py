@@ -292,6 +292,11 @@ class _ProductRows:
     boundary scan reads fewer (B3 to length 3: 95,614 absorbed simples
     against the 462,816 entries of those rows).
 
+    Forms are listed level by level: the extensions of a form are its
+    tuple followed by each simple y != 1, D with (its last factor, y)
+    left-weighted, which depends only on the last factor's right descent
+    set, so each descent mask's follower list is made once, as 1-tuples,
+    and a form's extensions are one `map` of its tuple's `+` over it.
     A table of more than TABLE_LIMIT row entries is refused while its forms
     are listed, level by level, before the level past the limit.  A form of
     length L extends a shorter one by one of the n - 2 simples other than 1
@@ -305,14 +310,16 @@ class _ProductRows:
         n = self.n = tab.size
         ldesc, rdesc = tab.ldesc, tab.rdesc
         full = (1 << group.rank) - 1
-        slots: dict[int, list[int]] = {}   # mask -> simple -> position among followers
+        # mask -> (simple -> position among the followers, the followers as 1-tuples)
+        slots: dict[int, tuple[list[int], list[tuple[int]]]] = {}
 
         def slot_of(m):
             if m not in slots:
-                got = slots[m] = [-1] * n
-                for pos, y in enumerate(y for y in range(1, n - 1)
-                                        if not ldesc[y] & ~m):
+                followers = [y for y in range(1, n - 1) if not ldesc[y] & ~m]
+                got = [-1] * n
+                for pos, y in enumerate(followers):
                     got[y] = pos
+                slots[m] = got, [(y,) for y in followers]
             return slots[m]
 
         forms = self.forms = [()]
@@ -328,11 +335,11 @@ class _ProductRows:
                     f"{len(forms) * n} row entries, over the limit of {TABLE_LIMIT}")
             for i in range(lo, hi):
                 fs = forms[i]
-                sl = slot_of(rdesc[fs[-1]] if fs else full)
+                sl, ends = slot_of(rdesc[fs[-1]] if fs else full)
                 first.append(len(forms))
                 slot.append(sl)
-                forms.extend(fs + (y,) for y, pos in enumerate(sl) if pos >= 0)
-                prefix.extend([i] * (len(forms) - len(prefix)))
+                forms.extend(map(fs.__add__, ends))
+                prefix.extend([i] * len(ends))
             for i in range(hi, len(forms)):
                 t = tau[prefix[i]]
                 y = tab.tau[forms[i][-1]]
@@ -752,7 +759,7 @@ class MetricGraph:
     of the codes is the lexicographic order of the pairs, so the codes of
     the edges from i to its higher neighbours form one run, which begins
     at the kept index starts[i] = bisect_left(codes, i*n) and ends where
-    run i + 1 begins (`runs`).  `edges` is the tuple of pairs (i, j) in
+    run i + 1 begins (`starts`).  `edges` is the tuple of pairs (i, j) in
     code order, derived from the codes on each use and not stored.
 
     `MetricGraph(vertices, edges, provenance)` takes pairs in strictly
@@ -818,14 +825,11 @@ class MetricGraph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(divmod, self._codes, itertools.repeat(len(self.vertices))))
 
-    def runs(self, names: Sequence) -> Iterator[tuple[int, list]]:
-        """(i, the names[j] of the higher neighbours j of i in increasing
-        order) for every vertex i that has one, in vertex order."""
-        n = len(self.vertices)
-        named = list(map(names.__getitem__, map(operator.mod, self._codes, itertools.repeat(n))))
-        for i, (lo, hi) in enumerate(itertools.pairwise(self._starts)):
-            if lo < hi:
-                yield i, named[lo:hi]
+    @property
+    def starts(self) -> array:
+        """The n + 1 indices into `codes` at which the runs of the vertices
+        0..n-1 begin, and the end of the last."""
+        return self._starts
 
     def index_of(self, key: str) -> int:
         if key not in self._index:
@@ -839,14 +843,20 @@ class MetricGraph:
         """Each vertex's neighbours in increasing order, built once."""
         if self._adj is None:
             # every entry is one of the n objects of `ids`, so that the
-            # entries lie together in memory for the passes that read them
+            # entries lie together in memory for the passes that read them;
+            # run i is read after every lower run, so adj[i] gets its lower
+            # neighbours in order before its higher ones
             ids = list(range(len(self.vertices)))
+            higher = list(map(ids.__getitem__, map(operator.mod, self._codes,
+                                                   itertools.repeat(len(ids)))))
             adj: list[list[int]] = [[] for _ in ids]
-            for i, higher in self.runs(ids):
-                adj[i] += higher
-                lower = ids[i]
-                for j in higher:
-                    adj[j].append(lower)
+            for i, (lo, hi) in enumerate(itertools.pairwise(self._starts)):
+                if lo < hi:
+                    run = higher[lo:hi]
+                    adj[i] += run
+                    lower = ids[i]
+                    for j in run:
+                        adj[j].append(lower)
             self._adj = adj
         return self._adj
 
@@ -1449,28 +1459,44 @@ def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
     No key sees its own coset, for a x = D^e t^k(a) forces l(x) = e l(D).
     So an interior key emits its higher interior neighbours and all its
     boundary neighbours, a boundary key only its boundary neighbours, and
-    each edge is emitted once.  Two simples x != y reach one coset from a
-    key a when a x = t(a) t(y) (x = t(y) on a t-fixed key; D^e with e != 0
-    would force |l(x) - l(y)| = l(D)), so each key's neighbours are taken
-    as a set.  The codes are sorted once, and `_adopt` refuses any repeat.
+    each edge is emitted once.
+
+    Repeat lemma: two simples x != y reach one coset from a key a only
+    when a x = t(a) t(y), so where D is central (t the identity: B3, D4,
+    H3, F4, I2(m) with m even) no key reaches a coset twice.  Proof: the
+    coset of a y is {D^j (a y) D^k} = {D^(j+k) t^k(a y)}, so a x in it
+    means a x = D^e t^k(a) t^k(y) for some e and k in {0, 1}.  Then
+    l(x) = e l(D) + l(y), and 0 < l(x), l(y) < l(D) force e = 0; k = 0
+    would give a x = a y and x = y, so k = 1.  With t the identity that is
+    again a x = a y.  So a key's cosets are distinct where D is central and
+    are kept as read; in the other groups a x = t(a) t(y) does occur (on
+    t-fixed keys with x = t(y), and in A3 and A4 on keys that t moves too),
+    and each key's cosets are taken as a set.  With the once-per-edge lemma every edge code is formed once; the
+    codes are sorted once, and `_adopt` refuses any repeat.
 
     Vertices are the keys sorted by text (`_ProductRows.texts`); `pos` maps
-    each form id, either form of a coset, to its coset's vertex index.
+    each form id, either form of a coset, to its coset's vertex index.  An
+    interior key maps its own row through that table.  Each prefix row is
+    mapped once through its boundary part, -1 for an interior vertex, and a
+    boundary key a' y reads the row of a' at the simples y x with one
+    `itemgetter` per last factor y.
     """
     rows = _ProductRows(group, len_bound)
     n, row, below = rows.n, rows.row, rows.below
     forms, prefix, tau = rows.forms, rows.prefix, rows.tau
     keys = [i for i, t in enumerate(tau) if i <= t]
-    absorbed: dict[int, list[int]] = {}   # last factor y -> the simples y x
+    absorbed: dict[int, Callable] = {}   # last factor y -> reader of the simples y x
     total = 0
     for y in sorted({forms[i][-1] for i in keys if i >= below and i}):
-        absorbed[y] = _upper_interval(rows.tab, y)
-        total += len(absorbed[y])
+        zs = _upper_interval(rows.tab, y)
+        total += len(zs)
         if total > TABLE_LIMIT:
             raise CapExceeded(
                 f"the boundary scan of the quotient Cayley graph to length "
                 f"{len_bound} would list at least {total} simples, over the "
                 f"limit of {TABLE_LIMIT}")
+        if len(zs) > 1:   # a coatom y absorbs only d(y), and a' D = D t(a') is interior
+            absorbed[y] = operator.itemgetter(*zs)
     texts = rows.texts()
     keys.sort(key=texts.__getitem__)
     size = len(keys)
@@ -1479,17 +1505,25 @@ def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
         pos[i] = pos[tau[i]] = v
     at = list(itertools.chain.from_iterable(zip(pos, pos)))   # row entry -> vertex
     boundary = bytes(map(below.__le__, keys))
+    # the prefix rows mapped once to boundary vertices, -1 for an interior one
+    at_boundary = [-1] * (2 * below) + at[2 * below:]
+    mapped = [list(map(at_boundary.__getitem__, row[p * n:p * n + n]))
+              for p in range(below)]
+    central = rows.tab.tau == list(range(n))
     codes: list[int] = []
     for v, i in enumerate(keys):
+        c = v * size
         if i < below:
-            seen = set(map(at.__getitem__, row[i * n + 1:i * n + n - 1]))
-            codes += [v * size + w if v < w else w * size + v
+            seen = map(at.__getitem__, row[i * n + 1:i * n + n - 1])
+            if not central:
+                seen = set(seen)
+            codes += [c + w if v < w else w * size + v
                       for w in seen if v < w or boundary[w]]
-        elif i:   # at L = 0 the identity is the one key, with no edges
-            base = prefix[i] * n
-            seen = {at[row[base + z]] for z in absorbed[forms[i][-1]]}
-            codes += [v * size + w if v < w else w * size + v
-                      for w in seen if boundary[w]]
+        elif i and forms[i][-1] in absorbed:   # at L = 0 the one key has no edges
+            seen = absorbed[forms[i][-1]](mapped[prefix[i]])
+            if not central:
+                seen = set(seen)
+            codes += [c + w if v < w else w * size + v for w in seen if w >= 0]
     codes.sort()
     prov = {"group": group.family, "construction": "quotient-cayley",
             "len_bound": len_bound}

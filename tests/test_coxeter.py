@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 
@@ -145,6 +146,11 @@ def test_longest_elements():
     assert w0_12.word_labels == ("s1", "s2", "s1")
     with pytest.raises(EmptySubset):
         cx.longest_element(a3, ())
+    # a table whose rdesc disagrees with rmult raises instead of looping
+    broken = copy.copy(a3.table())
+    broken.rdesc = [0] * broken.size
+    with pytest.raises(RuntimeError, match="rdesc and rmult disagree"):
+        broken.longest_in(0b11)
 
 
 def test_weak_order():

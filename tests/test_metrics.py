@@ -616,11 +616,15 @@ def test_renderer_matches_element_render(spec):
                                         ("I2(6)", 4), ("A4", 2), ("A1xA2", 4),
                                         ("A2", 0), ("A3", 1), ("A1xA2", 1),
                                         ("A1xA2", 2), ("I2(5)", 1), ("A2xA2", 2),
-                                        ("A2", 1), ("A3", 2)])
+                                        ("A2", 1), ("A3", 2),
+                                        ("B3", 1), ("I2(8)", 3), ("A1xA1", 3)])
 def test_quotient_cayley_matches_two_direction_reference(spec, bound):
     """The rows cover length 0, where the one key is a boundary key, and
     small boundaries where the twist moves keys (A2, A3, I2(5)) or the group
-    is reducible (A1xA2, A2xA2): each edge emitted once, none missing."""
+    is reducible (A1xA2, A2xA2): each edge emitted once, none missing.  Keys
+    take their cosets as a set only where D is not central: A3 at lengths 2
+    and 3 and A4 at length 2 have keys that reach a coset twice, and B3,
+    I2(6), I2(8), A1xA1, and D4 and H3 below, keep the cosets as read."""
     group = EQUIV_GROUPS[spec]
     graph = mt.quotient_cayley_graph(group, bound)
     assert _pair(graph) == reference_quotient_cayley(group, bound)
@@ -784,6 +788,13 @@ def test_export_json_streams_the_same_bytes(tmp_path):
               # an isolated middle vertex, and two-digit numerals
               mt.MetricGraph(tuple("abcdefghijkl"),
                              ((0, 1), (0, 11), (1, 3), (3, 10), (9, 10), (10, 11)), {})]
+    # past one write chunk of runs and of vertices: a path, one run a vertex;
+    # then exactly one chunk of runs and two of vertices, and exactly two of runs
+    chunk = graphio.WRITE_CHUNK
+    for n, pairs in ((chunk + chunk // 2, [(i, i + 1) for i in range(chunk + chunk // 2 - 1)]),
+                     (2 * chunk, [(2 * i, 2 * i + 1) for i in range(chunk)]),
+                     (2 * chunk + 1, [(i, i + 1) for i in range(2 * chunk)])):
+        graphs.append(mt.MetricGraph(tuple(f"v{i:06d}" for i in range(n)), pairs, {}))
     for graph in graphs:
         path = tmp_path / "g.json"
         graphio.export_json(graph, path)
