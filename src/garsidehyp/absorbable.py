@@ -137,9 +137,6 @@ class FatTriangle:
     side_top: tuple[GarsideElement, ...]    # x .. xy
     side_xy: tuple[GarsideElement, ...]     # 1 .. xy
 
-    def corners(self) -> tuple[GarsideElement, GarsideElement, GarsideElement]:
-        return (gd.identity_element(self.group), self.x, self.xy)
-
 
 def _prefixes(g: GarsideElement) -> list[GarsideElement]:
     return [GarsideElement(g.group, 0, g.factors[:i])

@@ -202,9 +202,6 @@ def double_first_strand(word: LetterWord, n: int) -> GarsideElement:
 class DeltaFactorization:
     parts: tuple[tuple[GarsideElement, tuple[str, ...]], ...]
 
-    def elements(self) -> tuple[GarsideElement, ...]:
-        return tuple(e for e, _ in self.parts)
-
 
 def _fits_proper_irreducible(group: CoxeterGraph, support_mask: int):
     for labels in pb.proper_irreducible_subsets(group):

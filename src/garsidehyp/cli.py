@@ -254,9 +254,8 @@ def cmd_qi_constants(args) -> int:
     if not stds:
         raise RankTooSmall(f"{group.family} has no proper irreducible standard parabolic")
     graph = mt.build_cparab_neighborhood(stds[0], args.conj_len, args.hops)
-    qi = mt.qi_constants(graph, [p.key() for p in stds], [],
-                         {p.key(): 1 for p in stds})
-    payload = {"M1": qi.m1, "M1_exact": qi.m1_exact, "M2": qi.m2, "M3": qi.m3}
+    qi = mt.qi_constants(graph, [p.key() for p in stds])
+    payload = {"M1": qi.m1, "M1_exact": qi.m1_exact}
     code = EXIT_PASS
     if args.lipschitz_samples:
         rep = mt.lipschitz_path_check(group, stds[0], args.lipschitz_samples,
@@ -286,8 +285,8 @@ def cmd_delta_estimate(args) -> int:
     elif args.construction == "cal":
         exactness = "exact for the truncation"
     else:   # the truncation is the ball, isometrically (metrics.coset_distance)
-        exactness = (f"exact δ of the radius-{args.len_bound} ball of Cay(A)/⟨Δ⟩; "
-                     "a lower bound for Cay(A)/⟨Δ⟩")
+        exactness = (f"exact delta of the radius-{args.len_bound} ball of Cay(A)/<D>; "
+                     "a lower bound for Cay(A)/<D>")
     _emit({"delta_estimate": str(delta), "delta_exactness": exactness,
            "delta_certificate": quad and [graph.vertices[i] for i in quad],
            "quadruples_examined": examined, "quadruples_total": total,

@@ -50,7 +50,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     EmptySubset,
-    GroupMismatch,
     NonSpherical,
     OrderOverflow,
     RankOutOfRange,
@@ -61,9 +60,6 @@ from .errors import (
 # Large enough for E6 (51,840 elements), whose table builds in about 0.2 s
 # (Python 3.11, one Xeon core).
 DEFAULT_ORDER_CAP = 52_000
-
-LEFT = "left"
-RIGHT = "right"
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +107,6 @@ class CoxeterGraph:
     def is_dihedral(self) -> bool:
         return self.rank == 2
 
-    def m(self, i: int, j: int) -> int:
-        return self.matrix[i][j]
-
     def gen_index(self, label: str) -> int:
         try:
             return self.generators.index(label)
@@ -122,15 +115,6 @@ class CoxeterGraph:
 
     def gen_indices(self, labels: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.gen_index(lab) for lab in labels)
-
-    def edges(self) -> list[tuple[int, int, int]]:
-        """Labeled diagram edges (i, j, m) with m >= 3."""
-        out = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if self.matrix[i][j] >= 3:
-                    out.append((i, j, self.matrix[i][j]))
-        return out
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components of the underlying labeled graph."""
@@ -195,7 +179,7 @@ class CoxeterGraph:
         except AttributeError:
             tab = _tables.get(self)
             if tab is None:
-                tab = _tables[self] = SimpleTable(self, DEFAULT_ORDER_CAP)
+                tab = _tables[self] = SimpleTable(self)
             object.__setattr__(self, "_table", tab)
             return tab
 
@@ -386,17 +370,16 @@ class GraphProperties:
     rank: int
 
 
-def graph_properties(g: CoxeterGraph, cap: int | None = None) -> GraphProperties:
+def graph_properties(g: CoxeterGraph) -> GraphProperties:
     """Connectivity, |W| (closed form per classified family) and rank.
 
-    Raises OrderOverflow when |W| exceeds the cap; the cap is the same one that
+    Raises OrderOverflow when |W| exceeds DEFAULT_ORDER_CAP, the cap that
     guards element enumeration, so a group whose order is reported here can
     also be tabulated.
     """
-    cap = DEFAULT_ORDER_CAP if cap is None else cap
     order = g.coxeter_order()
-    if order > cap:
-        raise OrderOverflow(f"|W| = {order} exceeds cap {cap}")
+    if order > DEFAULT_ORDER_CAP:
+        raise OrderOverflow(f"|W| = {order} exceeds cap {DEFAULT_ORDER_CAP}")
     return GraphProperties(g.irreducible, order, g.rank)
 
 
@@ -501,10 +484,10 @@ class SimpleTable:
       left_comp[x] = sigma(last[x]) left_comp[pre[x]], left_comp[0] = w0.
     """
 
-    def __init__(self, graph: CoxeterGraph, cap: int):
+    def __init__(self, graph: CoxeterGraph):
         order = graph.coxeter_order()
-        if order > cap:
-            raise OrderOverflow(f"|W| of {graph.family} exceeds cap {cap}")
+        if order > DEFAULT_ORDER_CAP:
+            raise OrderOverflow(f"|W| of {graph.family} exceeds cap {DEFAULT_ORDER_CAP}")
         ident, perms = _root_permutations(graph)
         rank = graph.rank
 
@@ -651,92 +634,3 @@ class SimpleTable:
 
 
 _tables: dict[CoxeterGraph, SimpleTable] = {}
-
-
-# ---------------------------------------------------------------------------
-# Elements of W
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class SimpleElement:
-    """An element of the finite Coxeter group W, canonical per (group, index)."""
-
-    group: CoxeterGraph
-    index: int
-
-    @property
-    def length(self) -> int:
-        return self.group.table().length[self.index]
-
-    @property
-    def word(self) -> tuple[int, ...]:
-        return self.group.table().word[self.index]
-
-    @property
-    def word_labels(self) -> tuple[str, ...]:
-        return tuple(self.group.generators[s] for s in self.word)
-
-    def render(self) -> str:
-        return "".join(self.word_labels) if self.word else "e"
-
-    @property
-    def is_identity(self) -> bool:
-        return self.index == 0
-
-    @property
-    def is_longest(self) -> bool:
-        return self.index == self.group.table().w0
-
-
-def identity_element(g: CoxeterGraph) -> SimpleElement:
-    return SimpleElement(g, 0)
-
-
-def generator_element(g: CoxeterGraph, label: str) -> SimpleElement:
-    tab = g.table()
-    return SimpleElement(g, tab.rmult[0][g.gen_index(label)])
-
-
-def element_from_labels(g: CoxeterGraph, labels: Iterable[str]) -> SimpleElement:
-    tab = g.table()
-    x = 0
-    for lab in labels:
-        x = tab.rmult[x][g.gen_index(lab)]
-    return SimpleElement(g, x)
-
-
-def _check_same_group(u: SimpleElement, v: SimpleElement):
-    if u.group != v.group:
-        raise GroupMismatch("elements live in different groups")
-
-
-def element_multiply(u: SimpleElement, v: SimpleElement) -> SimpleElement:
-    _check_same_group(u, v)
-    return SimpleElement(u.group, u.group.table().mult(u.index, v.index))
-
-
-def descents(w: SimpleElement, side: str) -> frozenset[str]:
-    """Generators s with l(sw) < l(w) (left) or l(ws) < l(w) (right)."""
-    tab = w.group.table()
-    mask = tab.ldesc[w.index] if side == LEFT else tab.rdesc[w.index]
-    return frozenset(w.group.generators[s] for s in range(w.group.rank)
-                     if mask >> s & 1)
-
-
-def longest_element(g: CoxeterGraph, subset: Iterable[str]) -> SimpleElement:
-    labels = tuple(subset)
-    if not labels:
-        raise EmptySubset("longest_element needs a nonempty subset")
-    tab = g.table()
-    return SimpleElement(g, tab.longest_in(tab.mask_of(g.gen_indices(labels))))
-
-
-def weak_order_divides(u: SimpleElement, v: SimpleElement, side: str) -> bool:
-    """Left: u is a prefix of v in the weak order; right: a suffix."""
-    _check_same_group(u, v)
-    tab = u.group.table()
-    if side == LEFT:
-        rest = tab.mult(tab.inverse[u.index], v.index)
-    else:
-        rest = tab.mult(v.index, tab.inverse[u.index])
-    return u.length + tab.length[rest] == v.length

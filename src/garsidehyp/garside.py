@@ -303,18 +303,13 @@ def omega_of(group: CoxeterGraph, subset: Iterable[str]) -> OmegaResult:
 # Enumeration of positive normal forms
 # ---------------------------------------------------------------------------
 
-def iter_positive_factor_tuples(group: CoxeterGraph, length: int,
-                                after: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All left-weighted factor tuples of the given length, in index order.
-
-    With `after`, only tuples that may follow that simple are produced.
-    """
+def iter_positive_factor_tuples(group: CoxeterGraph, length: int) -> Iterator[tuple[int, ...]]:
+    """All left-weighted factor tuples of the given length, in index order."""
     tab = group.table()
     if length == 0:
         yield ()
         return
-    first = tab.follows(after) if after is not None else \
-        tuple(x for x in range(1, tab.size) if x != tab.w0)
+    first = tuple(x for x in range(1, tab.size) if x != tab.w0)
     buf = [0] * length
 
     def rec(depth: int, options):
@@ -326,11 +321,6 @@ def iter_positive_factor_tuples(group: CoxeterGraph, length: int,
                 yield from rec(depth + 1, tab.follows(x))
 
     yield from rec(0, first)
-
-
-def count_positive_nf(group: CoxeterGraph, length: int) -> int:
-    """Number of positive normal forms of exactly this canonical length."""
-    return positive_nf_counts(group, length)[length]
 
 
 def positive_nf_counts(group: CoxeterGraph, length: int) -> list[int]:

@@ -140,11 +140,10 @@ products each layer of the walk, and then a ball's edge pass, would read
 BALL_PRODUCT_LIMIT is refused, for a ball and a word length alike.
 
 Distances among chosen vertices (the pairs of sampled 4-tuples, the
-representatives of M1, a projected triangle) come from one bit-parallel
-breadth-first pass, `_pair_distances`: a vertex's mask has bit k set once
-source k has reached it, and each layer ORs every vertex's mask with its
-neighbours' masks, so all sources advance together and only the wanted
-pairs are read.  Sources run in batches of `SOURCE_BATCH`, which bounds the
+representatives of M1) come from one bit-parallel breadth-first pass,
+`_pair_distances`: a vertex's mask has bit k set once source k has
+reached it, and each layer ORs every vertex's mask with its neighbours'
+masks, so all sources advance together and only the wanted pairs are read.  Sources run in batches of `SOURCE_BATCH`, which bounds the
 masks' memory whatever the number of pairs, and a batch stops at the layer
 that resolves its last pair (in the first batch, not before source 0 has
 reached every vertex, which tells connectedness).  `_bfs_layers` remains the
@@ -490,10 +489,6 @@ def _key_product(tab, key, u) -> tuple[int, tuple[int, ...]]:
 def _in_box(key, bound: int, length: int | None = None) -> bool:
     """|inf| <= bound and canonical length <= length (default: bound)."""
     return abs(key[0]) <= bound and len(key[1]) <= (bound if length is None else length)
-
-
-def in_universe(g: GarsideElement, bound: int) -> bool:
-    return _in_box(_nf_key(g), bound)
 
 
 def is_central_even_delta_power(g: GarsideElement) -> bool:
@@ -866,10 +861,6 @@ class MetricGraph:
             if d == cutoff:
                 break
         return dist
-
-    def distance(self, key_a: str, key_b: str) -> int | None:
-        da = self.bfs_distances(self.index_of(key_a))
-        return da.get(self.index_of(key_b))
 
 
 def _pair_distances(adj: Sequence[Sequence[int]], pairs: Iterable[tuple[int, int]]
@@ -1693,51 +1684,6 @@ def fat_triangle_distances(triangle: ab.FatTriangle) -> FatTriangleReport:
     return FatTriangleReport(L, tuple(pair_checks), tuple(corner_checks), all_pass)
 
 
-@dataclasses.dataclass(frozen=True)
-class ImageDiameterReport:
-    diameter: int | None  # None: some pair unreachable within the truncation
-    vertex_count: int
-    conj_len: int
-
-    def render(self) -> str:
-        d = "unreachable-within-truncation" if self.diameter is None else str(self.diameter)
-        return f"diameter<= {d} over {self.vertex_count} projected vertices " \
-               f"(conj_len {self.conj_len})"
-
-
-def cparab_image_diameter(triangle: ab.FatTriangle, conj_len: int) -> ImageDiameterReport:
-    """Upper bound for the diameter of the triangle's parabolic projection.
-
-    Projection: every triangle vertex v maps to the subgroups v A_T v^-1 over
-    proper irreducible standard T (a <D>-coset invariant family).  The
-    diameter is measured inside a conj_len truncation of the parabolic graph,
-    so it is an upper bound carrying its truncation parameters.
-    """
-    group = triangle.group
-    projected: dict[str, ParabolicSubgroup] = {}
-    vertices = set()
-    for side in (triangle.side_x, triangle.side_top, triangle.side_xy):
-        vertices.update(side)
-    for v in vertices:
-        vinv = gd.invert(v)
-        for labels in pb.proper_irreducible_subsets(group):
-            sub = pb.parabolic_from_conjugate(vinv, labels)  # v A_T v^-1
-            projected.setdefault(sub.key(), sub)
-    projs = list(projected.values())
-    if len(projs) <= 1:
-        return ImageDiameterReport(0, len(projs), conj_len)
-    base = projs[0]
-    graph = build_cparab_neighborhood(base, conj_len, hops=2 * conj_len + 4)
-    if not all(graph.has_vertex(p.key()) for p in projs):
-        return ImageDiameterReport(None, len(projs), conj_len)
-    ids = [graph.index_of(p.key()) for p in projs]
-    pairs = list(itertools.combinations(ids, 2))
-    dist, _ = _pair_distances(graph.adjacency(), pairs)
-    if len(dist) < len(pairs):
-        return ImageDiameterReport(None, len(projs), conj_len)
-    return ImageDiameterReport(max(dist.values()), len(projs), conj_len)
-
-
 # ---------------------------------------------------------------------------
 # Hyperbolicity estimate
 # ---------------------------------------------------------------------------
@@ -1827,31 +1773,20 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0
 @dataclasses.dataclass(frozen=True)
 class QiConstants:
     m1: int
-    m2: int
-    m3: int
     m1_exact: bool
 
 
-def qi_constants(graph: MetricGraph, orbit_reps: Sequence[str],
-                 edge_reps: Sequence[tuple[str, str]],
-                 mover_bounds: dict[str, int] | None = None,
-                 edge_mover_bounds: dict[tuple[str, str], tuple[int, int]] | None = None
-                 ) -> QiConstants:
-    """Constants (M1, M2, M3) of the cocompact-action argument.
+def qi_constants(graph: MetricGraph, orbit_reps: Sequence[str]) -> QiConstants:
+    """The constant M1 of the cocompact-action argument: the diameter of the
+    orbit representatives inside the supplied graph truncation.
 
-    M1 is the diameter of the representative set inside the supplied graph
-    truncation; a distance-2 value is certified exact because missing edges
-    are decided by the (exact) adjacency predicate used to build the graph.
-    M2 and M3 take the supplied word-length bounds for the moving elements
-    g_a (per vertex representative) and alpha_i, beta_i (per edge
-    representative); identity movers cost 0.
+    A value of at most 2 is certified exact, because a missing edge is
+    decided by the exact adjacency predicate that built the graph; a larger
+    one is only an upper bound within the truncation.
     """
     for key in orbit_reps:
         if not graph.has_vertex(key):
             raise RepresentativeMissing(f"orbit representative {key!r} missing")
-    for a, b in edge_reps:
-        if not graph.has_vertex(a) or not graph.has_vertex(b):
-            raise RepresentativeMissing("edge representative endpoint missing")
     ids = [graph.index_of(key) for key in orbit_reps]
     pairs = set(itertools.product(ids, ids))
     dist, _ = _pair_distances(graph.adjacency(), pairs)
@@ -1859,13 +1794,7 @@ def qi_constants(graph: MetricGraph, orbit_reps: Sequence[str],
         raise RepresentativeMissing(
             "representatives are disconnected inside the truncation")
     m1 = max(dist.values(), default=0)
-    exact = m1 <= 2   # past 2, only an upper bound within this truncation
-    m2 = max(mover_bounds.values(), default=0) if mover_bounds else 0
-    m3 = 0
-    if edge_mover_bounds:
-        for pa, pbnd in edge_mover_bounds.values():
-            m3 = max(m3, pa, pbnd)
-    return QiConstants(m1, m2, m3, exact)
+    return QiConstants(m1, m1 <= 2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1903,11 +1832,10 @@ def _standard_paths(group: CoxeterGraph) -> dict[tuple[str, str], list[Parabolic
 
 
 def lipschitz_path_check(group: CoxeterGraph, base: ParabolicSubgroup,
-                         samples: int, seed: int = 0,
-                         max_steps: int = 3) -> LipschitzReport:
+                         samples: int, seed: int = 0) -> LipschitzReport:
     """Certify d_X(psi(g), psi(h)) <= 2 M1 d_T(g, h) on sampled pairs.
 
-    h = g t_1 .. t_j with each t_i in the normalizer of a random standard
+    h = g t_1 .. t_j, j <= 3, with each t_i in the normalizer of a random standard
     parabolic, so d_T(g, h) <= j.  For each step the explicit path
     u P u^-1 .. u A_T u^-1 .. u t P t^-1 u^-1 of length <= 2 M1 is built from
     the precomputed standard paths, and every consecutive pair is verified by
@@ -1920,7 +1848,7 @@ def lipschitz_path_check(group: CoxeterGraph, base: ParabolicSubgroup,
     m1 = max(len(p) - 1 for p in paths.values())
     failures = 0
     for _ in range(samples):
-        j = rng.randint(1, max_steps)
+        j = rng.randint(1, 3)
         u = gd.identity_element(group)
         ok = True
         for _step in range(j):

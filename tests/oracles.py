@@ -387,7 +387,7 @@ def reference_ball(oracle, radius, universe_len):
     with a product outside the box; besides the steps, each vertex is
     multiplied by the standard generators and D^2 that are members, so that
     a box with no step (bound 0) stalls too."""
-    from garsidehyp import garside as gd, metrics as mt
+    from garsidehyp import garside as gd
     from garsidehyp.errors import UniverseTooSmall
     if radius < 0:
         raise UniverseTooSmall("radius must be >= 0")
@@ -396,17 +396,20 @@ def reference_ball(oracle, radius, universe_len):
     probes = [u for u in [*(gd.generator_element(group, lab) for lab in group.generators),
                           gd.delta_pow(group, 2)] if oracle.membership(u)]
     one = gd.identity_element(group)
+
+    def in_box(h):
+        return abs(h.inf) <= universe_len and h.canonical_length <= universe_len
+
     layers = [{one.render(): one}]
     seen = dict(layers[0])
     clipped = False
     for _ in range(radius):
         nxt = {}
         for g in layers[-1].values():
-            clipped |= not all(mt.in_universe(gd.multiply(g, u), universe_len)
-                               for u in probes)
+            clipped |= not all(in_box(gd.multiply(g, u)) for u in probes)
             for u in gens:
                 h = gd.multiply(g, u)
-                if not mt.in_universe(h, universe_len):
+                if not in_box(h):
                     clipped = True
                 elif h.render() not in seen:
                     nxt[h.render()] = seen[h.render()] = h

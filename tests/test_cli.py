@@ -90,6 +90,7 @@ def test_delta_factor_and_qi(capsys):
                     "--lipschitz-samples", "25")
     data = last_json(out)
     assert code == 0 and data["M1"] == 2 and data["lipschitz"]["failures"] == 0
+    assert set(data) == {"M1", "M1_exact", "lipschitz"}
 
 
 def test_delta_estimate(capsys, tmp_path):
@@ -117,7 +118,8 @@ def test_delta_estimate(capsys, tmp_path):
     assert code == 0 and data["vertices"] == 7
     assert data["quadruples_examined"] == data["quadruples_total"] == 35
     assert data["delta_exactness"] == \
-        "exact δ of the radius-2 ball of Cay(A)/⟨Δ⟩; a lower bound for Cay(A)/⟨Δ⟩"
+        "exact delta of the radius-2 ball of Cay(A)/<D>; a lower bound for Cay(A)/<D>"
+    assert "\\u" not in out   # the raw line reads as it parses
     # the first 4-subset examined attains delta 0
     assert data["delta_certificate"] == ["D^0", "D^0 | a", "D^0 | a | a", "D^0 | a | ab"]
     # the cal graph is exact for its truncation only

@@ -5,10 +5,8 @@ import json
 import pytest
 
 from garsidehyp import coxeter as cx
-from garsidehyp.coxeter import LEFT, RIGHT, parse_group_spec
+from garsidehyp.coxeter import parse_group_spec
 from garsidehyp.errors import (
-    EmptySubset,
-    GroupMismatch,
     NonSpherical,
     OrderOverflow,
     RankOutOfRange,
@@ -34,14 +32,14 @@ def _graph(spec):
 def test_parse_a3_path_labels():
     g = parse_group_spec("A3")
     assert g.generators == ("s1", "s2", "s3")
-    assert g.m(0, 1) == g.m(1, 2) == 3
-    assert g.m(0, 2) == 2
+    assert g.matrix[0][1] == g.matrix[1][2] == 3
+    assert g.matrix[0][2] == 2
 
 
 def test_parse_dihedral():
     g = parse_group_spec("I2(7)")
     assert g.generators == ("a", "b")
-    assert g.m(0, 1) == 7
+    assert g.matrix[0][1] == 7
 
 
 def test_parse_aliases():
@@ -86,7 +84,7 @@ def test_order_overflow():
         cx.graph_properties(e7)
     with pytest.raises(OrderOverflow):
         e7.table()
-    assert cx.graph_properties(e7, cap=3_000_000).coxeter_order == 2_903_040
+    assert e7.coxeter_order() == 2_903_040
 
 
 KNOWN_ORDERS = {
@@ -102,50 +100,59 @@ def test_enumeration_matches_closed_form(spec, order):
     assert g.table().size == order == g.coxeter_order()
 
 
+def _element(tab, word):
+    """The element of a word of generator indices, by right multiplication."""
+    x = 0
+    for s in word:
+        x = tab.rmult[x][s]
+    return x
+
+
+def _labels(g, tab, x):
+    return tuple(g.generators[s] for s in tab.word[x])
+
+
 def test_multiplication_examples():
     i5 = parse_group_spec("I2(5)")
-    a = cx.generator_element(i5, "a")
-    assert cx.element_multiply(a, a).is_identity
+    tab = i5.table()
+    a = tab.rmult[0][i5.gen_index("a")]
+    assert tab.mult(a, a) == 0 and tab.inverse[a] == a
 
     a2 = parse_group_spec("A2")
-    aba = cx.element_from_labels(a2, ("a", "b", "a"))
-    bab = cx.element_from_labels(a2, ("b", "a", "b"))
-    assert aba == bab
+    tab = a2.table()
+    assert _element(tab, (0, 1, 0)) == _element(tab, (1, 0, 1)) == tab.w0
 
     a3 = parse_group_spec("A3")
-    x = cx.element_multiply(cx.generator_element(a3, "s1"),
-                            cx.generator_element(a3, "s3"))
-    assert x.length == 2
-
-
-def test_group_mismatch():
-    with pytest.raises(GroupMismatch):
-        cx.element_multiply(cx.generator_element(parse_group_spec("A2"), "a"),
-                            cx.generator_element(parse_group_spec("B2"), "a"))
+    tab = a3.table()
+    x = tab.mult(tab.rmult[0][0], tab.rmult[0][2])
+    assert tab.length[x] == 2 and x == tab.lmult[tab.rmult[0][0]][2]
 
 
 def test_descents():
     a2 = parse_group_spec("A2")
-    w0 = cx.longest_element(a2, a2.generators)
-    assert cx.descents(w0, LEFT) == cx.descents(w0, RIGHT) == {"a", "b"}
-    assert cx.descents(cx.identity_element(a2), LEFT) == frozenset()
-    ab = cx.element_from_labels(a2, ("a", "b"))
-    assert cx.descents(ab, RIGHT) == {"b"}
-    assert cx.descents(ab, LEFT) == {"a"}
+    tab = a2.table()
+    w0 = tab.longest_in(tab.mask_of(range(a2.rank)))
+    assert tab.ldesc[w0] == tab.rdesc[w0] == 0b11
+    assert tab.ldesc[0] == tab.rdesc[0] == 0
+    ab = _element(tab, (0, 1))
+    assert tab.rdesc[ab] == 0b10
+    assert tab.ldesc[ab] == 0b01
 
 
 def test_longest_elements():
     a2 = parse_group_spec("A2")
-    assert cx.longest_element(a2, ("a", "b")).length == 3
+    tab = a2.table()
+    assert tab.length[tab.longest_in(0b11)] == 3
     i5 = parse_group_spec("I2(5)")
-    w0 = cx.longest_element(i5, ("a", "b"))
-    assert w0.length == 5
-    assert w0.word_labels == ("a", "b", "a", "b", "a")
+    tab = i5.table()
+    w0 = tab.longest_in(tab.mask_of(i5.gen_indices(("a", "b"))))
+    assert w0 == tab.w0 and tab.length[w0] == 5
+    assert _labels(i5, tab, w0) == ("a", "b", "a", "b", "a")
     a3 = parse_group_spec("A3")
-    w0_12 = cx.longest_element(a3, ("s1", "s2"))
-    assert w0_12.word_labels == ("s1", "s2", "s1")
-    with pytest.raises(EmptySubset):
-        cx.longest_element(a3, ())
+    tab = a3.table()
+    w0_12 = tab.longest_in(tab.mask_of(a3.gen_indices(("s1", "s2"))))
+    assert _labels(a3, tab, w0_12) == ("s1", "s2", "s1")
+    assert tab.longest_in(0) == 0
     # a table whose rdesc disagrees with rmult raises instead of looping
     broken = copy.copy(a3.table())
     broken.rdesc = [0] * broken.size
@@ -153,26 +160,35 @@ def test_longest_elements():
         broken.longest_in(0b11)
 
 
+def _left_divides(tab, u, v):
+    """u is a prefix of v in the weak order: l(u) + l(u^-1 v) = l(v)."""
+    return tab.length[u] + tab.length[tab.mult(tab.inverse[u], v)] == tab.length[v]
+
+
+def _right_divides(tab, u, v):
+    """u is a suffix of v in the weak order: l(v u^-1) + l(u) = l(v)."""
+    return tab.length[tab.mult(v, tab.inverse[u])] + tab.length[u] == tab.length[v]
+
+
 def test_weak_order():
-    a2 = parse_group_spec("A2")
-    a = cx.generator_element(a2, "a")
-    b = cx.generator_element(a2, "b")
-    ab = cx.element_multiply(a, b)
-    assert cx.weak_order_divides(a, ab, LEFT)
-    assert not cx.weak_order_divides(b, ab, LEFT)
-    assert cx.weak_order_divides(ab, ab, LEFT)
-    assert cx.weak_order_divides(ab, ab, RIGHT)
-    assert cx.weak_order_divides(b, ab, RIGHT)
+    tab = parse_group_spec("A2").table()
+    a, b = tab.rmult[0][0], tab.rmult[0][1]
+    ab = tab.mult(a, b)
+    assert _left_divides(tab, a, ab)
+    assert not _left_divides(tab, b, ab)
+    assert _left_divides(tab, ab, ab)
+    assert _right_divides(tab, ab, ab)
+    assert _right_divides(tab, b, ab)
+    assert not _right_divides(tab, a, ab)
 
 
 def test_w0_is_lattice_top():
     for spec in ("A3", "B3", "H3"):
         g = parse_group_spec(spec)
         tab = g.table()
-        w0 = cx.SimpleElement(g, tab.w0)
-        assert cx.descents(w0, LEFT) == frozenset(g.generators)
+        assert tab.ldesc[tab.w0] == tab.mask_of(range(g.rank))
         for x in range(tab.size):
-            assert cx.weak_order_divides(cx.SimpleElement(g, x), w0, LEFT)
+            assert _left_divides(tab, x, tab.w0)
 
 
 def test_renorm_slides():

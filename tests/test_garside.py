@@ -222,7 +222,7 @@ def test_positive_nf_enumeration_counts():
         group = parse_group_spec(spec)
         for ell in (1, 2, 3):
             listed = list(gd.iter_positive_factor_tuples(group, ell))
-            assert len(listed) == gd.count_positive_nf(group, ell)
+            assert len(listed) == gd.positive_nf_counts(group, ell)[ell]
             assert len(set(listed)) == len(listed)
             tab = group.table()
             for tup in listed:

@@ -1,0 +1,82 @@
+"""Every public name of the package has a use in the package or the benchmark.
+
+The modules of `src/garsidehyp` and `perfbench` are parsed, never imported.
+A public top-level function or class, or a public method, passes when its
+name appears somewhere in those files as a name, an attribute, or a string
+that is a dotted name ending in it (as the tracer names what it wraps).  The
+allow-list holds the few names kept for a use beyond a caller, each with its
+reason; a name that leaves the package must leave the list too.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "garsidehyp"
+
+ALLOWED = {
+    "parabolic.standardize":
+        "the standardizer of a parabolic subgroup (Cumplido, Gebhardt, "
+        "Gonzalez-Meneses & Wiest, Adv. Math. 352, 2019), checked against "
+        "oracles.reference_standardize",
+    "parabolic.simultaneous_standardize":
+        "the simultaneous standardizer of a pair of parabolic subgroups, from "
+        "the same paper and checked against the same oracle",
+    "braidtop.curve_parabolic_dictionary":
+        "the curve <-> parabolic-subgroup dictionary on which the paper's "
+        "analogy rests",
+    "metrics.coset_key":
+        "the only public way to name an element's vertex for MetricGraph.index_of",
+    "graphio.import_json":
+        "reads an exported graph through the validating graph_from_json_dict: "
+        "input from outside the program",
+    "graphio.graph_to_json_dict":
+        "the reference that the streaming JSON writer is tested against",
+}
+
+
+def _sources():
+    return sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _public_definitions():
+    """(module.name or module.Class.method) for every public definition."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            out.add(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out.update(f"{module}.{node.name}.{item.name}" for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and not item.name.startswith("_"))
+    return out
+
+
+def _referenced_names():
+    refs = set()
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    refs.add(parts[-1])
+    return refs
+
+
+def test_every_public_name_is_used_or_allowed():
+    refs = _referenced_names()
+    unused = sorted(name for name in _public_definitions() - ALLOWED.keys()
+                    if name.rsplit(".", 1)[1] not in refs)
+    assert unused == [], f"public names with no use in src/ or perfbench/: {unused}"
+
+
+def test_allowed_names_still_exist():
+    assert sorted(ALLOWED.keys() - _public_definitions()) == []
