@@ -4,19 +4,24 @@ Absorbable elements, the dihedral census, and fat triangles.
 An element y is absorbable when inf(y) = 0 or sup(y) = 0 and some witness x
 of the same canonical length L satisfies inf(x) = inf(xy) = 0 and
 sup(x) = sup(xy) = L.  (For sup(y) = 0 the test is applied to y^-1, whose
-inf is 0.)  The oracle is exact relative to this inf/sup formulation; see
-the package docs for why the census below can rely on it.
+inf is 0.)  The oracle is exact relative to this inf/sup formulation; the
+census below relies on it through the prefix property of the last paragraph,
+which `tests/test_absorbable.py::test_census_equals_the_unpruned_search`
+checks against a census that tests every positive normal form.
 
 The witness search enumerates positive normal forms of length exactly L in
-index order (shortlex).  It is exhaustive up to `witness_bound` candidates
-and answers `unknown` when truncated before a witness appears.
+index order (shortlex) and answers "yes" with the first witness, or "no"
+once every candidate fails.  There are nearly |W|^L candidates, so a search
+that passes `WITNESS_CANDIDATE_LIMIT` of them without a witness is refused
+(CapExceeded) rather than answered.
 
 The census uses that absorbability is inherited by normal-form prefixes:
 if x absorbs y then the last j factors of x absorb y_1..y_j with the same
 inf/sup equalities.  Absorbable elements of length l + 1 therefore extend
 absorbable elements of length l, so the enumeration grows level by level and
-stops at the first empty level (or at sup_bound).  For dihedral groups the
-census is exact and finite; elsewhere it is an explicitly bounded census.
+stops at the first empty level (or at sup_bound); a refused witness search
+stops it.  For dihedral groups the census is exact and finite; elsewhere it
+is an explicitly bounded census.
 """
 
 from __future__ import annotations
@@ -26,16 +31,16 @@ from typing import Iterator
 
 from . import garside as gd
 from .coxeter import CoxeterGraph
-from .errors import IdentityInput, NotAnAbsorptionPair, ZeroLength
+from .errors import (CapExceeded, IdentityInput, NotAnAbsorptionPair,
+                     PreconditionViolated, ZeroLength)
 from .garside import GarsideElement
 
-WITNESS_ENUM_FULL_LIMIT = 10_000_000
-WITNESS_ENUM_TRUNCATED = 1_000_000
+WITNESS_CANDIDATE_LIMIT = 10_000_000
 
 
 @dataclasses.dataclass(frozen=True)
 class AbsorbResult:
-    status: str  # "yes" | "no" | "unknown"
+    status: str  # "yes" | "no"; a search past the limit raises CapExceeded
     witness: GarsideElement | None = None
     inverted: bool = False  # the test ran on y^-1 (sup(y) = 0 case)
 
@@ -43,29 +48,21 @@ class AbsorbResult:
         return self.status == "yes"
 
 
-def _default_witness_bound(group: CoxeterGraph, length: int) -> int:
-    if group.table().size ** length <= WITNESS_ENUM_FULL_LIMIT:
-        return WITNESS_ENUM_FULL_LIMIT
-    return WITNESS_ENUM_TRUNCATED
-
-
-def is_absorbable(y: GarsideElement, witness_bound: int | None = None) -> AbsorbResult:
+def is_absorbable(y: GarsideElement) -> AbsorbResult:
     """Decide absorbability of y by exhaustive same-length witness search."""
     if y.is_identity:
         raise IdentityInput("the identity is not eligible")
     if y.sup == 0:
-        inner = is_absorbable(gd.invert(y), witness_bound)
+        inner = is_absorbable(gd.invert(y))
         return AbsorbResult(inner.status, inner.witness, inverted=True)
     if y.inf != 0:
         return AbsorbResult("no")
     ell = y.canonical_length
-    bound = witness_bound if witness_bound is not None else \
-        _default_witness_bound(y.group, ell)
-    seen = 0
-    for tup in gd.iter_positive_factor_tuples(y.group, ell):
-        if seen >= bound:
-            return AbsorbResult("unknown")
-        seen += 1
+    limit = WITNESS_CANDIDATE_LIMIT
+    for seen, tup in enumerate(gd.iter_positive_factor_tuples(y.group, ell)):
+        if seen == limit:
+            raise CapExceeded(f"the witness search at canonical length {ell} found "
+                              f"no witness within the limit of {limit} candidates")
         x = GarsideElement(y.group, 0, tup)
         xy = gd.multiply(x, y)
         if xy.inf == 0 and xy.sup == ell:
@@ -73,8 +70,7 @@ def is_absorbable(y: GarsideElement, witness_bound: int | None = None) -> Absorb
     return AbsorbResult("no")
 
 
-def enumerate_absorbable(group: CoxeterGraph, sup_bound: int,
-                         witness_bound: int | None = None) -> list[GarsideElement]:
+def enumerate_absorbable(group: CoxeterGraph, sup_bound: int) -> list[GarsideElement]:
     """All absorbable elements of canonical length <= sup_bound (none
     below 1).
 
@@ -88,7 +84,7 @@ def enumerate_absorbable(group: CoxeterGraph, sup_bound: int,
     for _ in range(sup_bound):
         found = [el for el in (GarsideElement(group, 0, tup + (x,)) for tup in level
                                for x in (tab.follows(tup[-1]) if tup else range(1, tab.w0)))
-                 if is_absorbable(el, witness_bound)]
+                 if is_absorbable(el)]
         if not found:
             break
         positives += found
@@ -109,7 +105,7 @@ class CensusSummary:
 def dihedral_census(group: CoxeterGraph, sup_bound: int) -> CensusSummary:
     """Census of absorbable elements in a dihedral group, against 4m - 8."""
     if not group.is_dihedral:
-        raise ZeroLength("dihedral census needs a rank-2 group")
+        raise PreconditionViolated("dihedral census needs a rank-2 group")
     m = group.matrix[0][1]
     elems = enumerate_absorbable(group, sup_bound)
     return CensusSummary(m, len(elems), 4 * m - 8,

@@ -142,7 +142,7 @@ def cmd_census(args) -> int:
         _emit({"m": summary.m, "count": summary.count,
                "expected": summary.expected, "elements": list(summary.elements)})
         return EXIT_PASS if summary.count == summary.expected else EXIT_FAIL
-    elems = ab.enumerate_absorbable(group, bound, args.witness_bound)
+    elems = ab.enumerate_absorbable(group, bound)
     _emit({"group": group.family, "sup_bound": bound, "count": len(elems),
            "elements": [e.render() for e in elems],
            "note": "bounded census; finiteness only known in dihedral type"})
@@ -160,8 +160,7 @@ def cmd_cparab(args) -> int:
 def cmd_cal(args) -> int:
     from . import metrics as mt
     group = parse_group_spec(args.group)
-    graph = mt.build_cal_graph(group, args.len_bound, args.abs_bound,
-                               args.witness_bound)
+    graph = mt.build_cal_graph(group, args.len_bound, args.abs_bound)
     return _emit_graph(graph, args)
 
 
@@ -175,7 +174,7 @@ def cmd_quotient_cayley(args) -> int:
 def cmd_ball(args) -> int:
     from . import metrics as mt
     group = parse_group_spec(args.group)
-    oracle = mt.genset_oracle(group, args.kind, args.witness_bound)
+    oracle = mt.genset_oracle(group, args.kind)
     graph = mt.bounded_ball_graph(oracle, args.radius, args.universe)
     return _emit_graph(graph, args)
 
@@ -183,7 +182,7 @@ def cmd_ball(args) -> int:
 def cmd_wordlen(args) -> int:
     from . import metrics as mt
     group = parse_group_spec(args.group)
-    oracle = mt.genset_oracle(group, args.kind, args.witness_bound)
+    oracle = mt.genset_oracle(group, args.kind)
     g = gd.normal_form(gd.parse_word(group, args.word))
     res = mt.word_length_bound(g, oracle, args.universe)
     _emit({"kind": res.kind, "value": res.value, "universe": res.universe_len})
@@ -366,7 +365,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = add("census", cmd_census, help="absorbable census")
     p.add_argument("--group", required=True)
     p.add_argument("--sup-bound", type=_size, required=True)
-    p.add_argument("--witness-bound", type=_size, default=None)
 
     p = add("cparab", cmd_cparab, help="parabolic-graph neighborhood")
     p.add_argument("--group", required=True)
@@ -380,7 +378,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--group", required=True)
     p.add_argument("--len-bound", type=_size, required=True)
     p.add_argument("--abs-bound", type=_size, default=None)
-    p.add_argument("--witness-bound", type=_size, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("dot", "json"), default=None)
 
@@ -395,7 +392,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--kind", choices=mt.KINDS, required=True)
     p.add_argument("--radius", type=_size, required=True)
     p.add_argument("--universe", type=_size, required=True)
-    p.add_argument("--witness-bound", type=_size, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("dot", "json"), default=None)
 
@@ -404,7 +400,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--kind", choices=mt.KINDS, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--universe", type=_size, required=True)
-    p.add_argument("--witness-bound", type=_size, default=None)
 
     p = add("fat-triangle", cmd_fat_triangle, help="fat-triangle certificate")
     p.add_argument("--group", required=True)

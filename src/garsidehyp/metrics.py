@@ -509,17 +509,15 @@ class GeneratingSetOracle:
     kind: str
     membership: Callable[[GarsideElement], bool]
     enumerate_up_to: Callable[..., list[GarsideElement]]
-    notes: str = ""
 
 
-def genset_oracle(group: CoxeterGraph, kind: str,
-                  witness_bound: int | None = None) -> GeneratingSetOracle:
+def genset_oracle(group: CoxeterGraph, kind: str) -> GeneratingSetOracle:
     if kind == KIND_XP:
         return _xp_oracle(group)
     if kind == KIND_XNP:
         return _xnp_oracle(group)
     if kind == KIND_XABS:
-        return _xabs_oracle(group, witness_bound)
+        return _xabs_oracle(group)
     if kind == KIND_SIMPLES:
         return _simples_oracle(group)
     if kind == KIND_FINITE:
@@ -649,8 +647,7 @@ def _xnp_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
     return GeneratingSetOracle(group, KIND_XNP, membership, enumerate_up_to)
 
 
-def _xabs_oracle(group: CoxeterGraph,
-                 witness_bound: int | None) -> GeneratingSetOracle:
+def _xabs_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
     dihedral = group.is_dihedral
 
     def membership(g: GarsideElement) -> bool:
@@ -658,21 +655,18 @@ def _xabs_oracle(group: CoxeterGraph,
             return False
         if dihedral and is_central_even_delta_power(g):
             return True
-        return ab.is_absorbable(g, witness_bound).status == "yes"
+        return bool(ab.is_absorbable(g))
 
     def enumerate_up_to(bound: int, length: int | None = None) -> list[GarsideElement]:
         # an absorbable of canonical length L has inf 0 or -L
         sup = bound if length is None else min(bound, length)
-        out = ab.enumerate_absorbable(group, sup, witness_bound)
+        out = ab.enumerate_absorbable(group, sup)
         if dihedral:
             out.extend(_delta_even_powers(group, bound))
         out.sort(key=lambda e: e.sort_key())
         return out
 
-    notes = "absorbable membership uses the bounded witness search; " \
-            "graphs built from it are lower approximations"
-    return GeneratingSetOracle(group, KIND_XABS, membership, enumerate_up_to,
-                               notes=notes)
+    return GeneratingSetOracle(group, KIND_XABS, membership, enumerate_up_to)
 
 
 def _simples_length(g: GarsideElement) -> int:
@@ -1115,8 +1109,6 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
     group = oracle.group
     prov = {"group": group.family, "construction": f"ball[{oracle.kind}]",
             "radius": radius, "universe_len": universe_len}
-    if oracle.notes:
-        prov["notes"] = oracle.notes
     if oracle.kind == KIND_SIMPLES:
         return MetricGraph.from_codes(*_simples_ball(group, radius, universe_len), prov)
     walk = _BoxWalk(group, universe_len,
@@ -1523,8 +1515,7 @@ def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
 
 
 def build_cal_graph(group: CoxeterGraph, len_bound: int,
-                    abs_sup_bound: int | None = None,
-                    witness_bound: int | None = None) -> MetricGraph:
+                    abs_sup_bound: int | None = None) -> MetricGraph:
     """Additional-length graph truncation: <D>-cosets with simple-or-absorbable
     edges.  Absorbable steps come from the bounded census, so missing edges
     only make distances larger (a lower approximation of the true graph).
@@ -1540,7 +1531,7 @@ def build_cal_graph(group: CoxeterGraph, len_bound: int,
     # with them never join two distinct cosets.
     steps = {_nf_key(el) for el in _simples_oracle(group).enumerate_up_to(1)}
     steps.update(_nf_key(el)
-                 for el in ab.enumerate_absorbable(group, abs_bound, witness_bound))
+                 for el in ab.enumerate_absorbable(group, abs_bound))
     tab = group.table()
     keys = _coset_keys(group, len_bound)
     adjacency = ((fs, [_coset_factors(tab.tau, _key_product(tab, (0, fs), u)[1])

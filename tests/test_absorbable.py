@@ -3,7 +3,8 @@ import pytest
 from garsidehyp import absorbable as ab
 from garsidehyp import garside as gd
 from garsidehyp.coxeter import parse_group_spec
-from garsidehyp.errors import IdentityInput, NotAnAbsorptionPair, ZeroLength
+from garsidehyp.errors import CapExceeded, IdentityInput, NotAnAbsorptionPair, \
+    PreconditionViolated, ZeroLength
 
 A3 = parse_group_spec("A3")
 
@@ -26,9 +27,38 @@ def test_absorbable_inverse_reduction():
     assert res.status == "yes" and res.inverted
 
 
-def test_witness_truncation_unknown():
-    s3 = gd.generator_element(A3, "s3")
-    assert ab.is_absorbable(gd.power(s3, 2), witness_bound=0).status == "unknown"
+def test_witness_search_is_refused_past_the_limit(monkeypatch):
+    # the limit is lowered, as a real refusal needs more than 10^7 candidates.
+    # In A3 the simple s1s2s1s3s2 absorbs nothing, so all 22 candidates of
+    # length 1 fail; s1 is absorbed by s2, the second candidate.
+    monkeypatch.setattr(ab, "WITNESS_CANDIDATE_LIMIT", 2)
+    no = gd.normal_form(gd.parse_word(A3, "s1 s2 s1 s3 s2"))
+    with pytest.raises(CapExceeded) as exc:
+        ab.is_absorbable(no)
+    assert str(exc.value) == ("the witness search at canonical length 1 found no "
+                              "witness within the limit of 2 candidates")
+    with pytest.raises(CapExceeded):
+        ab.is_absorbable(gd.invert(no))
+    res = ab.is_absorbable(gd.generator_element(A3, "s1"))
+    assert res.status == "yes"
+    assert gd.are_equal(res.witness, gd.generator_element(A3, "s2"))
+    monkeypatch.setattr(ab, "WITNESS_CANDIDATE_LIMIT", 22)
+    assert ab.is_absorbable(no).status == "no"
+
+
+@pytest.mark.parametrize("spec,sup_bound", [("A2", 4), ("I2(5)", 3), ("A3", 2), ("B3", 2)])
+def test_census_equals_the_unpruned_search(spec, sup_bound):
+    # the census extends absorbable prefixes only (module docstring); here
+    # every positive normal form of each length is tested instead
+    group = parse_group_spec(spec)
+    positives = [el for ell in range(1, sup_bound + 1)
+                 for el in (gd.GarsideElement(group, 0, tup)
+                            for tup in gd.iter_positive_factor_tuples(group, ell))
+                 if ab.is_absorbable(el)]
+    want = sorted(positives + [gd.invert(el) for el in positives],
+                  key=lambda e: e.sort_key())
+    got = ab.enumerate_absorbable(group, sup_bound)
+    assert [(e.power, e.factors) for e in got] == [(e.power, e.factors) for e in want]
 
 
 def test_witness_equalities_always_hold():
@@ -91,8 +121,13 @@ def test_fat_triangle_construction():
     # (s1, s1) fails the equalities: s1*s1 is left-weighted with sup 2.
     with pytest.raises(NotAnAbsorptionPair):
         ab.build_fat_triangle(s1, s1)
-    with pytest.raises(ZeroLength):
+    # a census of a non-dihedral group breaks a precondition; ZeroLength
+    # names the degenerate triangle of canonical length 0
+    with pytest.raises(PreconditionViolated):
         ab.dihedral_census(A3, 4)
+    one = gd.identity_element(A3)
+    with pytest.raises(ZeroLength):
+        ab.build_fat_triangle(one, one)
 
 
 def test_adjacent_generators_do_absorb():

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from garsidehyp import cli, graphio, metrics as mt
+from garsidehyp import absorbable as ab, cli, graphio, metrics as mt
 from garsidehyp.coxeter import parse_group_spec
 
 
@@ -215,6 +215,23 @@ def test_word_length_walk_is_refused_past_the_product_limit(capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("argv", [
+    ("census", "--group", "A3", "--sup-bound", "2"),
+    ("wordlen", "--group", "A3", "--kind", "Xabs", "--word", "s1 s2 s1 s3 s2",
+     "--universe", "1"),
+], ids=lambda argv: argv[0])
+def test_witness_search_is_refused_past_the_candidate_limit(capsys, monkeypatch, argv):
+    # the limit is lowered, as a real refusal needs more than 10^7 candidates;
+    # the A3 simple s1s2s1s3s2 absorbs none of the 22 candidates of length 1,
+    # so the census refuses at its first level and the word at membership
+    monkeypatch.setattr(ab, "WITNESS_CANDIDATE_LIMIT", 5)
+    code, out = run(capsys, *argv)
+    data = last_json(out)
+    assert code == 3 and data["error"] == "CapExceeded"
+    assert data["message"] == ("the witness search at canonical length 1 found no "
+                               "witness within the limit of 5 candidates")
+
+
+@pytest.mark.parametrize("argv", [
     ("quotient-cayley", "--group", "A2", "--len-bound", "-1"),
     ("ball", "--group", "A2", "--kind", "Simples", "--universe", "1", "--radius", "-1"),
     ("ball", "--group", "A2", "--kind", "Simples", "--radius", "1", "--universe", "-1"),
@@ -223,8 +240,7 @@ def test_word_length_walk_is_refused_past_the_product_limit(capsys, monkeypatch)
     ("delta-estimate", "--group", "A2", "--len-bound", "1", "--sample", "-5"),
     ("census", "--group", "A2", "--sup-bound", "-1"),
     ("cal", "--group", "A2", "--len-bound", "1", "--abs-bound", "-1"),
-    ("wordlen", "--group", "A2", "--kind", "XP", "--word", "a", "--universe", "1",
-     "--witness-bound", "-2"),
+    ("wordlen", "--group", "A2", "--kind", "XP", "--word", "a", "--universe", "-2"),
     ("qi-constants", "--group", "A3", "--lipschitz-samples", "-3"),
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_negative_sizes_are_usage_errors(capsys, argv):
