@@ -13,24 +13,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import absorbable as ab
 from . import garside as gd
 from . import parabolic as pb
 from .coxeter import CoxeterGraph, graph_properties, parse_group_spec
-from .errors import (
-    GarsideHypError,
-    ImproperSubset,
-    Inconclusive,
-    IndexOutOfRange,
-    NonSpherical,
-    RankOutOfRange,
-    RankTooSmall,
-    ReducibleSubset,
-    UnknownFamily,
-    UnknownGenerator,
-)
+from .errors import GarsideHypError, Inconclusive, RankTooSmall, UsageError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -276,9 +266,9 @@ def cmd_delta_estimate(args) -> int:
         graph = mt.quotient_cayley_graph(group, args.len_bound)
     graph.provenance["seed"] = args.seed
     graph.provenance["sample"] = args.sample
-    delta, quad = mt.estimate_delta(graph, args.sample, seed=args.seed)
+    delta, quad, examined = mt.estimate_delta(graph, args.sample, seed=args.seed)
     _export(graph, args)
-    examined, total = mt.delta_quadruples(len(graph.vertices), args.sample, args.seed)
+    total = math.comb(len(graph.vertices), 4)
     if examined < total:
         exactness = "sampled lower bound"
     elif args.construction == "cal":
@@ -498,9 +488,7 @@ def main(argv=None) -> int:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         if isinstance(exc, Inconclusive):
             return EXIT_INCONCLUSIVE
-        if isinstance(exc, (UnknownFamily, RankOutOfRange, UnknownGenerator,
-                            NonSpherical, IndexOutOfRange, RankTooSmall,
-                            ReducibleSubset, ImproperSubset)):
+        if isinstance(exc, UsageError):
             return EXIT_USAGE
         return EXIT_FAIL
     return code

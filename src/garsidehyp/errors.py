@@ -9,17 +9,21 @@ class Inconclusive(GarsideHypError):
     """A cap or a truncation prevented a definite answer; it is not a 'no'."""
 
 
+class UsageError(GarsideHypError):
+    """The input names no valid group, generator, subset or index (exit 2)."""
+
+
 # --- Coxeter / group construction -----------------------------------------
 
-class UnknownFamily(GarsideHypError):
+class UnknownFamily(UsageError):
     """Group spec token does not match any supported family."""
 
 
-class RankOutOfRange(GarsideHypError):
+class RankOutOfRange(UsageError):
     """Family is known but the rank is outside its legal range (e.g. D3)."""
 
 
-class NonSpherical(GarsideHypError):
+class NonSpherical(UsageError):
     """The diagram does not define a finite Coxeter group."""
 
 
@@ -31,7 +35,7 @@ class GroupMismatch(GarsideHypError):
     """Operands belong to different groups."""
 
 
-class UnknownGenerator(GarsideHypError):
+class UnknownGenerator(UsageError):
     """A word references a generator absent from the group."""
 
 
@@ -41,11 +45,11 @@ class EmptySubset(GarsideHypError):
 
 # --- Parabolic calculus -----------------------------------------------------
 
-class ReducibleSubset(GarsideHypError):
+class ReducibleSubset(UsageError):
     """Subset induces a disconnected sub-diagram where irreducibility is required."""
 
 
-class ImproperSubset(GarsideHypError):
+class ImproperSubset(UsageError):
     """Subset equals the whole generator set where a proper one is required."""
 
 
@@ -95,11 +99,11 @@ class MalformedGraph(GarsideHypError):
 
 # --- Braid topology ----------------------------------------------------------
 
-class RankTooSmall(GarsideHypError):
+class RankTooSmall(UsageError):
     """Strand parameter too small for the construction."""
 
 
-class IndexOutOfRange(GarsideHypError):
+class IndexOutOfRange(UsageError):
     """Puncture / generator index outside its legal range."""
 
 

@@ -30,7 +30,8 @@ walk (`_simples_ball`).  Its vertices are the box elements D^p a, of
 |p| <= B and len a <= min(B, r), whose length max(p + len a, 0) - min(p, 0)
 is at most r, for the word above stays in the box; each edge is emitted
 once, from the end that leaves it by a positive simple, as x y = 1 has no
-positive solutions x, y != 1; its |V| (n - 1) products are counted before
+positive solutions x, y != 1, and the codes are sorted once, as those of
+`quotient_cayley_graph` are; its |V| (n - 1) products are counted before
 any is formed, and then read from one table of its forms; and it is
 refused as stalled exactly when r exceeds the box's largest length, 2B
 (B in A1), plus 1.  For the other kinds, balls
@@ -62,8 +63,10 @@ will multiply before it forms any product reads a table, and a search that
 discovers its forms as it goes asks a memo.  The table, `_ProductRows`,
 numbers every inf-0 normal form of length <= L and holds, for each form a
 shorter than L and each simple x, the D-power and the id of a x in flat
-int rows; `quotient_cayley_graph` reads it, and the ball of the simples
-also has it fill the rows of the forms of length L (`fill_longest`).
+int rows; `quotient_cayley_graph` reads it, the additional-length
+truncation is that graph plus its absorbable edges (`build_cal_graph`),
+and the ball of the simples also has the table fill the rows of the forms
+of length L (`fill_longest`).
 Prefix recurrence: with a = a' y and renorm(y, x) = (p, q), that is
 y x = p q with (p, q) left-weighted, a x = (a' p) q, and a' p is the row of
 the shorter a' at p.  Appending q keeps the form normal: a' p = D^d c with c
@@ -1168,7 +1171,8 @@ def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[st
     the vertex of a form is its block's start plus its rank in tail order
     among the forms of the block, those of length <= m(p) = min(low, r - p),
     low = min(B, r).  Only the forms' tails are sorted, not the vertices'
-    texts.
+    texts, and each pair (p, form id) is mapped to its vertex index once, as
+    the texts are laid out.
 
     Edges.  Each is emitted once, from the end that leaves it by a positive
     simple x != 1 (D included), as the code of its two sorted indices.
@@ -1181,14 +1185,9 @@ def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[st
     table to length low with `fill_longest`, as every form of the ball is
     known before any product is formed: a x = D^d c with d = 0 or 1, -1
     when c is longer than low, so D^p a x = D^(p+d) c, a vertex when
-    p + d <= low and len c <= m(p + d).  So the edges from the block of p
-    to that of p + d depend on p only through m(p), m(p + d) and the two
-    blocks' starts: each (d, m(p), m(p + d)) has its codes from rank
-    pairs, sorted once, and each block reads them shifted by its starts.
-    The codes whose lower end lies in the block of p are its own edges and
-    those to or from the blocks of p - 1 and p + 1 that come later in
-    vertex order, so taken block by block in vertex order they are sorted,
-    and no list of all the codes is held.
+    p + d <= low and len c <= m(p + d), whose index the map gives.  So no
+    set of codes is kept: the codes are sorted once, as
+    `quotient_cayley_graph` sorts its own.
 
     Refusals.  A radius past the box's largest simples length plus 1 is
     refused as stalled, as the walk is.  The |V| (n - 1) products, n the
@@ -1226,55 +1225,32 @@ def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[st
     rows.fill_longest()
     row, tails = rows.row, rows.tails()
     ends = list(itertools.accumulate(counts))   # the forms of length <= m: ids < ends[m]
-    powers = sorted(range(-low, low + 1), key=str)   # in the text order of "D^p"
-    top = {p: min(low, radius - p) for p in powers}   # m(p)
     by_tail = sorted(range(ends[low]), key=tails.__getitem__)
-    ranks = {}   # m -> the rank of each id < ends[m] among those ids in tail order
-    for m in set(top.values()):
-        rank = ranks[m] = [0] * ends[m]
-        for k, i in enumerate([i for i in by_tail if i < ends[m]]):
-            rank[i] = k
-    texts, start = [], {}   # start[p]: the index of the first vertex of power p
-    for p in powers:
-        start[p] = len(texts)
-        head, end = f"D^{p}", ends[top[p]]
-        texts += [head + tails[i] for i in by_tail if i < end]
+    # p -> the vertex index of D^p a for each form id a, -1 where D^p a is no
+    # vertex (len a > m(p), or p = low + 1)
+    at = {low + 1: [-1] * ends[low]}
+    blocks = []   # (p, the ids of the forms of its vertices in vertex order, first vertex)
+    texts: list[str] = []
+    for p in sorted(range(-low, low + 1), key=str):   # in the text order of "D^p"
+        ids = [i for i in by_tail if i < ends[min(low, radius - p)]]
+        at[p] = got = [-1] * ends[low]
+        for v, i in enumerate(ids, len(texts)):
+            got[i] = v
+        blocks.append((p, ids, len(texts)))
+        head = f"D^{p}"
+        texts += [head + tails[i] for i in ids]
     size = len(texts)
-    # d -> for each id of a form a, the ids of the c with a x = D^d c, x positive
-    targets = ([], [])
-    for i in range(ends[low]):
-        got = [v for v in row[i * n + 1:i * n + n] if v >= 0]
-        targets[0].append([v >> 1 for v in got if not v & 1])
-        targets[1].append([v >> 1 for v in got if v & 1])
-
-    @functools.cache
-    def block(d, ms, mt, flip):
-        """The sorted codes of the edges from a block of m(p) = ms to one of
-        m(p + d) = mt, both starting at 0, as rank pairs (a, b) coded
-        a * size + b, or b * size + a with `flip`."""
-        rs, rt, et = ranks[ms], ranks[mt], ends[mt]
-        got = [(rs[i], rt[j]) for i, js in enumerate(targets[d][:ends[ms]])
-               for j in js if j < et]
-        if d == 0:
-            got = [a * size + b if a < b else b * size + a for a, b in got]
-        else:
-            got = [b * size + a if flip else a * size + b for a, b in got]
-        got.sort()
-        return array("q", got)
-
-    edges = array("q")   # filled block by block in vertex order (docstring)
-    for p in powers:
-        o = start[p]
-        run = list(map((o * (size + 1)).__add__, block(0, top[p], top[p], False)))
-        if p < low and start[p + 1] > o:
-            run += map((o * size + start[p + 1]).__add__,
-                       block(1, top[p], top[p + 1], False))
-        if p > -low and start[p - 1] > o:
-            run += map((o * size + start[p - 1]).__add__,
-                       block(1, top[p - 1], top[p], True))
-        run.sort()
-        edges.extend(run)
-    return texts, edges
+    codes: list[int] = []
+    for p, ids, first in blocks:
+        # row entry 2 id(c) + d -> the vertex of D^(p+d) c; the entry -1 of a
+        # product longer than low reads the last item, -1 too
+        reach = [*itertools.chain.from_iterable(zip(at[p], at[p + 1])), -1]
+        for v, i in enumerate(ids, first):
+            c = v * size
+            codes += [c + w if v < w else w * size + v
+                      for w in map(reach.__getitem__, row[i * n + 1:i * n + n]) if w >= 0]
+    codes.sort()
+    return texts, array("q", codes)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1313,13 +1289,6 @@ def word_length_bound(g: GarsideElement, oracle: GeneratingSetOracle,
 # ---------------------------------------------------------------------------
 # Quotient Cayley graph Cay(A)/<D> and the additional-length graph
 # ---------------------------------------------------------------------------
-
-def _coset_keys(group: CoxeterGraph, len_bound: int) -> set[tuple[int, ...]]:
-    """Canonical keys of the <D>-cosets of canonical length <= len_bound."""
-    tau = group.table().tau
-    return {_coset_factors(tau, fs) for ell in range(len_bound + 1)
-            for fs in gd.iter_positive_factor_tuples(group, ell)}
-
 
 def coset_distance(u: GarsideElement, v: GarsideElement) -> int:
     """Distance in Cay(A)/<D> between the vertices of u and v:
@@ -1520,27 +1489,34 @@ def build_cal_graph(group: CoxeterGraph, len_bound: int,
     edges.  Absorbable steps come from the bounded census, so missing edges
     only make distances larger (a lower approximation of the true graph).
 
-    Only the canonical key of each coset is expanded.  The step set is
-    tau-closed (tau preserves inf and sup, so it maps the simples, their
-    inverses and the absorbable census onto themselves), and the other
-    inf-0 form t(a) of a coset steps by u to the coset that a reaches by
-    t(u).
+    C_AL is Cay(A)/<D> plus the absorbable edges (Calvez & Wiest, Geom.
+    Dedicata 188, 2017), and so is its truncation: the quotient-Cayley
+    truncation to length L (`quotient_cayley_graph`, and its refusals)
+    with the edges from each coset's key to the cosets of length <= L that
+    an absorbable step reaches.  Only the key is expanded, as the steps are
+    tau-closed (tau preserves inf and sup, so it maps the absorbable census
+    onto itself), and the other inf-0 form t(a) of a coset steps by u to
+    the coset that a reaches by t(u).  The result keeps no cosets, so its
+    distances are searched, not read from the closed form of
+    `coset_distance`.
     """
     abs_bound = len_bound if abs_sup_bound is None else abs_sup_bound
-    # The nontrivial simples and their inverses; the D^{+-1} steps listed
-    # with them never join two distinct cosets.
-    steps = {_nf_key(el) for el in _simples_oracle(group).enumerate_up_to(1)}
-    steps.update(_nf_key(el)
-                 for el in ab.enumerate_absorbable(group, abs_bound))
+    simple = quotient_cayley_graph(group, len_bound)
     tab = group.table()
-    keys = _coset_keys(group, len_bound)
-    adjacency = ((fs, [_coset_factors(tab.tau, _key_product(tab, (0, fs), u)[1])
-                       for u in steps]) for fs in keys)
+    forms = simple.cosets[1]
+    index = {fs: v for v, fs in enumerate(forms)}
+    size = len(forms)
+    steps = [_nf_key(el) for el in ab.enumerate_absorbable(group, abs_bound)]
+    codes = set(simple.codes)
+    for v, fs in enumerate(forms):
+        for u in steps:
+            w = index.get(_coset_factors(tab.tau, _key_product(tab, (0, fs), u)[1]))
+            if w is not None and w != v:
+                codes.add(v * size + w if v < w else w * size + v)
     prov = {"group": group.family, "construction": "additional-length",
             "len_bound": len_bound, "abs_sup_bound": abs_bound,
             "notes": "absorbable edges from bounded census (lower approximation)"}
-    text = _renderer(group)
-    return _build_graph({k: text(0, k) for k in keys}, adjacency, prov)
+    return MetricGraph.from_codes(simple.vertices, array("q", sorted(codes)), prov)
 
 
 # ---------------------------------------------------------------------------
@@ -1679,32 +1655,25 @@ def fat_triangle_distances(triangle: ab.FatTriangle) -> FatTriangleReport:
 # Hyperbolicity estimate
 # ---------------------------------------------------------------------------
 
-def _quadruples(n: int, sample: int, seed: int) -> Iterable[Sequence[int]]:
+def _quadruples(n: int, sample: int, seed: int) -> Iterable[tuple[int, ...]]:
     """The 4-tuples of vertices `estimate_delta` reads, each sorted: every
     4-subset when `sample` reaches C(n, 4), else `sample` draws of four
     distinct vertices, which may repeat."""
     if sample >= math.comb(n, 4):
         return itertools.combinations(range(n), 4)
     rng = _random.Random(seed)
-    return (sorted(rng.sample(range(n), 4)) for _ in range(sample))
-
-
-def delta_quadruples(n: int, sample: int, seed: int = 0) -> tuple[int, int]:
-    """(distinct 4-subsets `estimate_delta` examines, C(n, 4)) for n
-    vertices; the two are equal exactly when every 4-subset is examined."""
-    total = math.comb(n, 4)
-    if sample >= total:
-        return total, total
-    return len({tuple(q) for q in _quadruples(n, sample, seed)}), total
+    return (tuple(sorted(rng.sample(range(n), 4))) for _ in range(sample))
 
 
 def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0
-                   ) -> tuple[Fraction, tuple[int, ...] | None]:
-    """Four-point-condition defect, maximized over sampled 4-tuples, and the
+                   ) -> tuple[Fraction, tuple[int, ...] | None, int]:
+    """Four-point-condition defect, maximized over sampled 4-tuples, the
     vertex indices of the first examined 4-tuple that attains it (None with
-    fewer than 4 vertices).
+    fewer than 4 vertices), and the number of distinct 4-subsets examined.
 
-    Exact when `sample` is at least the number of 4-subsets.  The sampler is
+    Exact when `sample` is at least the number of 4-subsets, C(n, 4), which
+    is then the number examined; a sample's draws may repeat, and the pass
+    that reads their distances counts the distinct ones.  The sampler is
     seeded and recorded by callers in provenance.  The 4-tuples are drawn
     twice from the same seed: once to collect the pairs they need, and once
     to read their distances.  A disconnected graph is refused.
@@ -1727,7 +1696,7 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0
     """
     n = len(graph.vertices)
     if n == 0:
-        return Fraction(0), None
+        return Fraction(0), None, 0
     quads_total = math.comb(n, 4)
     exhaustive = sample >= quads_total
     # each 4-tuple sorted, so every pair (i, j) has i < j
@@ -1748,13 +1717,16 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0
             raise DisconnectedInput("graph is disconnected")
 
     best, witness = -1, None   # twice the four-point defect, and its 4-tuple
+    drawn: set[tuple[int, ...]] = set()   # the distinct 4-tuples of a sample
     for quad in quads():
         a, b, c, d = quad
         sums = sorted((dist[a, b] + dist[c, d], dist[a, c] + dist[b, d],
                        dist[a, d] + dist[b, c]))
         if sums[2] - sums[1] > best:
             best, witness = sums[2] - sums[1], quad
-    return Fraction(max(best, 0), 2), witness and tuple(witness)
+        if not exhaustive:
+            drawn.add(quad)
+    return Fraction(max(best, 0), 2), witness, quads_total if exhaustive else len(drawn)
 
 
 # ---------------------------------------------------------------------------

@@ -286,14 +286,16 @@ def reference_graph(keys, key_edges):
     return vertices, tuple(sorted(edges))
 
 
-def reference_quotient_cayley(group, len_bound):
+def reference_quotient_cayley(group, len_bound, extra=()):
     """Cay(A)/<D> truncation, stepping from every coset by every nontrivial
-    simple and by its inverse."""
+    simple, by its inverse and by the `extra` steps, as (power, factors)
+    keys; with the keys of the absorbable census as `extra` it is the
+    additional-length truncation, searched coset by coset."""
     from garsidehyp import garside as gd, metrics as mt
     tab = group.table()
     # a simple x is (0, (x,)), its inverse D^-1 lift(w0 x^-1) is (-1, (c,))
     steps = [(0, (x,)) for x in range(1, tab.w0)] + \
-        [(-1, (tab.left_comp[x],)) for x in range(1, tab.w0)]
+        [(-1, (tab.left_comp[x],)) for x in range(1, tab.w0)] + list(extra)
 
     def key(fs):   # the factor-tuple minimum of the coset's two inf-0 forms
         return min(fs, tuple(tab.tau[x] for x in fs))

@@ -626,6 +626,22 @@ def test_quotient_cayley_matches_two_direction_reference(spec, bound):
             reference_delta(graph, 300, seed)
 
 
+@pytest.mark.parametrize("spec,bound,abs_bound", [
+    ("A2", 0, None), ("A2", 1, None), ("A2", 2, None), ("A2", 3, None), ("A2", 4, None),
+    ("I2(5)", 1, None), ("I2(5)", 2, None), ("I2(5)", 3, None),
+    ("A3", 1, 2), ("A3", 1, 3), ("A3", 2, 2), ("A3", 2, 3), ("B3", 1, 1), ("B3", 1, 2)])
+def test_cal_graph_matches_the_coset_search(spec, bound, abs_bound):
+    """The cal graph, the quotient-Cayley graph plus absorbable edges, is
+    the search that steps from every coset by every simple, inverse simple
+    and census member; it keeps no cosets, so delta searches its distances."""
+    group = EQUIV_GROUPS[spec]
+    graph = mt.build_cal_graph(group, bound, abs_bound)
+    census = ab.enumerate_absorbable(group, bound if abs_bound is None else abs_bound)
+    assert _pair(graph) == reference_quotient_cayley(
+        group, bound, [(el.power, el.factors) for el in census])
+    assert graph.cosets is None
+
+
 @pytest.mark.parametrize("spec", ["D4", "H3"])
 def test_quotient_cayley_matches_reference_on_d4_and_h3(spec):
     group = EQUIV_GROUPS[spec]
@@ -718,7 +734,7 @@ def test_exhaustive_delta_matches_reference():
 ])
 def test_delta_certificate_is_the_first_tuple_attaining_delta(build, sample, seed):
     graph = build()
-    delta, quad = mt.estimate_delta(graph, sample, seed)
+    delta, quad, examined = mt.estimate_delta(graph, sample, seed)
     dist = [graph.bfs_distances(i) for i in range(len(graph.vertices))]
 
     def defect(a, b, c, d):
@@ -726,7 +742,8 @@ def test_delta_certificate_is_the_first_tuple_attaining_delta(build, sample, see
                        dist[a][d] + dist[b][c]))
         return Fraction(sums[2] - sums[1], 2)
 
-    quads = [tuple(q) for q in mt._quadruples(len(graph.vertices), sample, seed)]
+    quads = list(mt._quadruples(len(graph.vertices), sample, seed))
+    assert examined == len(set(quads))
     assert defect(*quad) == delta
     assert all(defect(*q) < delta for q in quads[:quads.index(quad)])
 

@@ -1,11 +1,18 @@
 """Every public name of the package has a use in the package or the benchmark.
 
 The modules of `src/garsidehyp` and `perfbench` are parsed, never imported.
-A public top-level function or class, or a public method, passes when its
-name appears somewhere in those files as a name, an attribute, or a string
-that is a dotted name ending in it (as the tracer names what it wraps).  The
-allow-list holds the few names kept for a use beyond a caller, each with its
-reason; a name that leaves the package must leave the list too.
+A public top-level function or class passes when its name appears somewhere
+in those files as a name, an attribute, or a string that is a dotted name
+ending in it (as the tracer names what it wraps).  A public method passes
+only through an attribute, `x.name`, or a string with a dot, "mod.name": a
+method is never called by its bare name, so a local variable or function
+of the same name does not count for it.  The guard still matches names, not
+objects: a method passes when any attribute of its name is read, so of two
+classes with one attribute name, one may be unused and pass through the
+other's readers; a `CoxeterGraph.m()` method would pass through
+`summary.m`, the field of `absorbable.CensusSummary`.  The allow-list holds
+the few names kept for a use beyond a caller, each with its reason; a name
+that leaves the package must leave the list too.
 """
 
 import ast
@@ -57,24 +64,26 @@ def _public_definitions():
 
 
 def _referenced_names():
-    refs = set()
+    """(names, attributes): every name, attribute and dotted-name string of
+    the sources, and the attributes and the strings with a dot only."""
+    names, attrs = set(), set()
     for path in _sources():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
-                refs.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 parts = node.value.split(".")
                 if all(part.isidentifier() for part in parts):
-                    refs.add(parts[-1])
-    return refs
+                    (attrs if len(parts) > 1 else names).add(parts[-1])
+    return names | attrs, attrs
 
 
 def test_every_public_name_is_used_or_allowed():
-    refs = _referenced_names()
+    names, attrs = _referenced_names()
     unused = sorted(name for name in _public_definitions() - ALLOWED.keys()
-                    if name.rsplit(".", 1)[1] not in refs)
+                    if name.rsplit(".", 1)[1] not in (attrs if name.count(".") == 2 else names))
     assert unused == [], f"public names with no use in src/ or perfbench/: {unused}"
 
 
