@@ -46,7 +46,7 @@ import dataclasses
 import math
 import re
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptySubset,
@@ -63,6 +63,33 @@ DEFAULT_ORDER_CAP = 52_000
 
 
 # ---------------------------------------------------------------------------
+# Breadth-first search
+# ---------------------------------------------------------------------------
+
+def bfs_layers(dist: dict, start, neighbours: Callable) -> Iterator[list]:
+    """Breadth-first search from `start`, one distance layer at a time.
+
+    Yields the vertices at distance 0, 1, 2, ... and records every vertex's
+    distance in `dist` when it is first reached.  `neighbours(v)` runs once
+    for each expanded vertex, and a layer is expanded only when the next one
+    is asked for, so a caller stops at a cutoff by leaving the loop.
+    """
+    dist[start] = 0
+    layer = [start]
+    d = 0
+    while layer:
+        yield layer
+        d += 1
+        nxt = []
+        for v in layer:
+            for w in neighbours(v):
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        layer = nxt
+
+
+# ---------------------------------------------------------------------------
 # Diagrams
 # ---------------------------------------------------------------------------
 
@@ -72,12 +99,14 @@ class CoxeterGraph:
 
     The matrix stores m_{s,t} with m_{s,s} = 1; off-diagonal entries are
     finite integers >= 2 (infinite labels are rejected as non-spherical).
-    `family` is a human-readable tag such as "A3", "I2(7)" or "A1xA1".
+    `family` is derived from the matrix by the classification that checks
+    sphericity: the components' names in component order, joined by "x",
+    such as "A3", "I2(7)" or "A1xA1".
     """
 
     generators: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]
-    family: str
+    family: str = dataclasses.field(init=False, compare=False)
 
     def __post_init__(self):
         n = len(self.generators)
@@ -97,7 +126,8 @@ class CoxeterGraph:
                 if not isinstance(m, int) or m < 2:
                     raise NonSpherical("off-diagonal entries must be integers >= 2")
         # Verifies sphericity: every component must classify.
-        component_families(self)
+        object.__setattr__(self, "family",
+                           "x".join(fam for _, fam in component_families(self)))
 
     @property
     def rank(self) -> int:
@@ -116,23 +146,22 @@ class CoxeterGraph:
     def gen_indices(self, labels: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.gen_index(lab) for lab in labels)
 
+    def _reach(self, start: int, among: Iterable[int]) -> dict[int, int]:
+        """The generators of `among` that edges (labels >= 3) inside it join
+        to `start`, with their distances."""
+        reached: dict[int, int] = {}
+        for _ in bfs_layers(reached, start,
+                            lambda v: [w for w in among if self.matrix[v][w] >= 3]):
+            pass
+        return reached
+
     def components(self) -> list[tuple[int, ...]]:
-        """Connected components of the underlying labeled graph."""
-        seen: set[int] = set()
-        comps = []
+        """Connected components of the underlying labeled graph, each sorted,
+        in the order of their least generators."""
+        comps: list[tuple[int, ...]] = []
         for start in range(self.rank):
-            if start in seen:
-                continue
-            stack, comp = [start], set()
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(w for w in range(self.rank)
-                             if w != v and self.matrix[v][w] >= 3 and w not in comp)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
+            if not any(start in comp for comp in comps):
+                comps.append(tuple(sorted(self._reach(start, range(self.rank)))))
         return comps
 
     @property
@@ -142,16 +171,7 @@ class CoxeterGraph:
     def is_connected_subset(self, subset: Sequence[int]) -> bool:
         """Whether the induced sub-diagram on the given indices is connected."""
         sub = set(subset)
-        if not sub:
-            return False
-        stack, seen = [next(iter(sub))], set()
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(w for w in sub if w != v and self.matrix[v][w] >= 3 and w not in seen)
-        return seen == sub
+        return bool(sub) and self._reach(min(sub), sub).keys() == sub
 
     def subgraph(self, subset: Sequence[int]) -> "CoxeterGraph":
         """The induced diagram on a generator subset, with the same labels."""
@@ -159,10 +179,7 @@ class CoxeterGraph:
         if not idx:
             raise EmptySubset("empty generator subset")
         gens = tuple(self.generators[i] for i in idx)
-        mat = tuple(tuple(self.matrix[i][j] for j in idx) for i in idx)
-        g = CoxeterGraph(gens, mat, "?")
-        object.__setattr__(g, "family", "x".join(f for _, f in component_families(g)))
-        return g
+        return CoxeterGraph(gens, tuple(tuple(self.matrix[i][j] for j in idx) for i in idx))
 
     def coxeter_order(self) -> int:
         """|W| via the classification's closed forms, component by component."""
@@ -246,7 +263,7 @@ def _classify_component(g: CoxeterGraph, comp: tuple[int, ...]) -> str:
         if len(big) > 1:
             raise NonSpherical("path with more than one higher label")
         ends = [i for i in comp if len(sub[i]) == 1]
-        order = _path_order(sub, ends[0])
+        order = [v for layer in bfs_layers({}, ends[0], sub.__getitem__) for v in layer]
         lab_seq = [g.matrix[order[k]][order[k + 1]] for k in range(n - 1)]
         if big[0] == 4 and (lab_seq[0] == 4 or lab_seq[-1] == 4):
             return f"B{n}"
@@ -266,24 +283,13 @@ def _classify_component(g: CoxeterGraph, comp: tuple[int, ...]) -> str:
     raise NonSpherical("diagram is not of spherical type")
 
 
-def _path_order(sub: dict[int, list[int]], start: int) -> list[int]:
-    order, prev, cur = [start], None, start
-    while True:
-        nxt = [v for v in sub[cur] if v != prev]
-        if not nxt:
-            return order
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-
-
 def _arm_length(sub: dict[int, list[int]], fork: int, first: int) -> int:
-    length, prev, cur = 1, fork, first
-    while True:
-        nxt = [v for v in sub[cur] if v != prev]
-        if not nxt:
-            return length
-        prev, cur = cur, nxt[0]
-        length += 1
+    """The vertices of the arm that leaves the fork through `first`: those
+    the search from `first` reaches with the fork marked reached."""
+    arm = {fork: 0}
+    for _ in bfs_layers(arm, first, sub.__getitem__):
+        pass
+    return len(arm) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -311,56 +317,55 @@ def parse_group_spec(spec: str) -> CoxeterGraph:
         if n < 1:
             raise RankOutOfRange("A_n needs n >= 1")
         if n == 1:
-            return CoxeterGraph(("s1",), ((1,),), "A1")
+            return CoxeterGraph(("s1",), ((1,),))
         if n == 2:
             return _dihedral_graph(3)
-        return _path_graph(n, [3] * (n - 1), f"A{n}")
+        return _path_graph(n, [3] * (n - 1))
     if letter == "B":
         if n < 2:
             raise RankOutOfRange("B_n needs n >= 2")
         if n == 2:
             return _dihedral_graph(4)
-        return _path_graph(n, [3] * (n - 2) + [4], f"B{n}")
+        return _path_graph(n, [3] * (n - 2) + [4])
     if letter == "D":
         if n < 4:
             raise RankOutOfRange("D_n needs n >= 4")
-        return _fork_graph(n, attach=n - 3, family=f"D{n}")
+        return _fork_graph(n, attach=n - 3)
     if letter == "E":
         if n not in (6, 7, 8):
             raise RankOutOfRange("E_n needs n in {6, 7, 8}")
-        return _fork_graph(n, attach=2, family=f"E{n}")
+        return _fork_graph(n, attach=2)
     if letter == "F":
         if n != 4:
             raise RankOutOfRange("only F4 exists")
-        return _path_graph(4, [3, 4, 3], "F4")
+        return _path_graph(4, [3, 4, 3])
     if letter == "H":
         if n not in (3, 4):
             raise RankOutOfRange("H_n needs n in {3, 4}")
-        return _path_graph(n, [5] + [3] * (n - 2), f"H{n}")
+        return _path_graph(n, [5] + [3] * (n - 2))
     raise UnknownFamily(f"unknown family letter {letter!r}")
 
 
 def _dihedral_graph(m: int) -> CoxeterGraph:
-    fam = {3: "A2", 4: "B2"}.get(m, f"I2({m})")
-    return CoxeterGraph(("a", "b"), ((1, m), (m, 1)), fam)
+    return CoxeterGraph(("a", "b"), ((1, m), (m, 1)))
 
 
-def _path_graph(n: int, labels: list[int], family: str) -> CoxeterGraph:
+def _path_graph(n: int, labels: list[int]) -> CoxeterGraph:
     gens = tuple(f"s{i}" for i in range(1, n + 1))
     mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
     for k, m in enumerate(labels):
         mat[k][k + 1] = mat[k + 1][k] = m
-    return CoxeterGraph(gens, tuple(tuple(r) for r in mat), family)
+    return CoxeterGraph(gens, tuple(tuple(r) for r in mat))
 
 
-def _fork_graph(n: int, attach: int, family: str) -> CoxeterGraph:
+def _fork_graph(n: int, attach: int) -> CoxeterGraph:
     # Path s1..s_{n-1} plus s_n attached (label 3) to s_{attach+1} (0-based `attach`).
     gens = tuple(f"s{i}" for i in range(1, n + 1))
     mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
     for k in range(n - 2):
         mat[k][k + 1] = mat[k + 1][k] = 3
     mat[attach][n - 1] = mat[n - 1][attach] = 3
-    return CoxeterGraph(gens, tuple(tuple(r) for r in mat), family)
+    return CoxeterGraph(gens, tuple(tuple(r) for r in mat))
 
 
 @dataclasses.dataclass(frozen=True)

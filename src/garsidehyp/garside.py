@@ -28,7 +28,10 @@ commuted to the front through the tau automorphism x -> w0 x w0
 is central).
 
 The canonical text rendering is "D^p | w1 | w2 | ..." where wi is the
-lexicographically least reduced word of the i-th factor.
+lexicographically least reduced word of the i-th factor.  One renderer,
+`render_form`, writes it for elements and for the bare (power, factors)
+keys of the graph builders alike, from one word table per group
+(`simple_words`) that spells each simple once, when first asked for.
 """
 
 from __future__ import annotations
@@ -120,14 +123,37 @@ class GarsideElement:
         return self.power == 0 and not self.factors
 
     def render(self) -> str:
-        parts = [f"D^{self.power}"]
-        tab = self.group.table()
-        for f in self.factors:
-            parts.append("".join(self.group.generators[s] for s in tab.word[f]))
-        return " | ".join(parts)
+        return render_form(self.group, self.power, self.factors)
 
     def sort_key(self):
         return (len(self.factors), self.power, self.factors)
+
+
+_words: dict[SimpleTable, dict[int, str]] = {}
+
+
+def simple_words(group: CoxeterGraph) -> dict[int, str]:
+    """The word table of the group's simples, one per table: simple index
+    -> its lex-least word spelled in the generator labels, spelled when
+    first asked for."""
+    tab = group.table()
+    words = _words.get(tab)
+    if words is None:
+        labels, word = group.generators, tab.word
+
+        class Words(dict):
+            def __missing__(self, x):
+                got = self[x] = "".join([labels[s] for s in word[x]])
+                return got
+
+        words = _words[tab] = Words()
+    return words
+
+
+def render_form(group: CoxeterGraph, power: int, factors: Iterable[int]) -> str:
+    """The canonical text "D^p | w1 | ..." of the normal form D^power
+    factors, with no element built."""
+    return " | ".join([f"D^{power}", *map(simple_words(group).__getitem__, factors)])
 
 
 def _normalise(tab: SimpleTable, seq: Sequence[int],

@@ -146,11 +146,33 @@ Distances among chosen vertices (the pairs of sampled 4-tuples, the
 representatives of M1) come from one bit-parallel breadth-first pass,
 `_pair_distances`: a vertex's mask has bit k set once source k has
 reached it, and each layer ORs every vertex's mask with its neighbours'
-masks, so all sources advance together and only the wanted pairs are read.  Sources run in batches of `SOURCE_BATCH`, which bounds the
-masks' memory whatever the number of pairs, and a batch stops at the layer
-that resolves its last pair (in the first batch, not before source 0 has
-reached every vertex, which tells connectedness).  `_bfs_layers` remains the
-one breadth-first search for walks that discover their vertices.
+masks, so all sources advance together and only the wanted pairs are read.
+Sources run in batches of `SOURCE_BATCH`, which bounds the masks' memory
+whatever the number of pairs, and a batch stops at the layer that resolves
+its last pair (in the first batch, not before source 0 has reached every
+vertex, which tells connectedness).
+
+Searches.  `coxeter.bfs_layers` is the package's one breadth-first search
+of a graph that is discovered as it is walked: the walk of the box,
+C_parab's hops, `MetricGraph.bfs_distances`, the shortest standard paths
+of the Lipschitz check (`_standard_paths`, no length capped) and a
+diagram's components run on it.  Five searches stay separate, each for a
+reason:
+- the table build of W (`coxeter.SimpleTable`): it numbers each element in
+  shortlex order as it is found and fills both ends of each edge, looking a
+  key up among the next level's keys alone, which a distance map over every
+  key would not do;
+- the census's level growth (`absorbable.enumerate_absorbable`): a level
+  is the absorbable extensions of the last one, found by followers, with
+  no vertex reached twice, so no map of reached vertices is needed;
+- the form listing of `_ProductRows`: each form has one prefix, and the
+  ids must come out in factor-tuple order level by level;
+- `_pair_distances`, above: all its sources advance together;
+- `_upper_interval`: it walks graded levels, where each simple sits in one
+  level, so one set per level replaces the distance map; routed through
+  `bfs_layers`, the E6 and H4 boundary refusals of `quotient_cayley_graph`
+  at length 1 took 0.51-0.65 s and 0.36-0.39 s against 0.27-0.28 s and
+  0.18 s (three runs each; 2 vCPUs, Python 3.11).
 
 X_NP uses Delta^2 parity: D^2 is central, so D^p x commutes with Omega_T
 exactly when D^(p mod 2) x does.  D x commutes with Omega_T exactly when
@@ -196,7 +218,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import absorbable as ab
 from . import garside as gd
 from . import parabolic as pb
-from .coxeter import CoxeterGraph
+from .coxeter import CoxeterGraph, bfs_layers
 from .errors import (
     CapExceeded,
     DisconnectedInput,
@@ -271,6 +293,15 @@ UNSET, CLIPPED = -2, -1
 # this many bits.
 SOURCE_BATCH = 1024
 
+# 4-tuples and vertex pairs `estimate_delta` may read, counted before any is
+# drawn.  Peaks at the limits, from the graph's own 19-26 MB (2 vCPUs,
+# Python 3.11): 400,000 sampled 4-tuples read A3 to length 3 (624 vertices)
+# in 5.0 s at 91 MB and B3 to length 2 (771 vertices) in 6.3 s at 101 MB;
+# the 600,000 pairs of 100,000 read B3 to length 3 (10,413 vertices) in
+# 3.8 s at 106 MB.  An estimate over either limit is refused.
+DELTA_QUAD_LIMIT = 400_000
+DELTA_PAIR_LIMIT = 600_000
+
 
 def _nf_key(g: GarsideElement) -> tuple[int, tuple[int, ...]]:
     return (g.power, g.factors)
@@ -295,10 +326,11 @@ class _ProductRows:
     against the 462,816 entries of those rows).
 
     Forms are listed level by level: the extensions of a form are its
-    tuple followed by each simple y != 1, D with (its last factor, y)
-    left-weighted, which depends only on the last factor's right descent
-    set, so each descent mask's follower list is made once, as 1-tuples,
-    and a form's extensions are one `map` of its tuple's `+` over it.
+    tuple followed by each follower of its last factor (`SimpleTable.follows`,
+    D standing in for the last factor of the identity form), a list that
+    depends only on the last factor's right descent set, so each descent
+    mask's followers are turned into slots and 1-tuples once, and a form's
+    extensions are one `map` of its tuple's `+` over them.
     A table of more than TABLE_LIMIT row entries is refused while its forms
     are listed, level by level, before the level past the limit.  A form of
     length L extends a shorter one by one of the n - 2 simples other than 1
@@ -310,14 +342,17 @@ class _ProductRows:
     def __init__(self, group: CoxeterGraph, length: int):
         tab = self.tab = group.table()
         n = self.n = tab.size
-        ldesc, rdesc = tab.ldesc, tab.rdesc
-        full = (1 << group.rank) - 1
-        # mask -> (simple -> position among the followers, the followers as 1-tuples)
+        rdesc = tab.rdesc
+        # right descent set -> (simple -> position among the followers, the
+        # followers as 1-tuples)
         slots: dict[int, tuple[list[int], list[tuple[int]]]] = {}
 
-        def slot_of(m):
+        def slot_of(x):
+            """The slots and extensions after a last factor x (D for the
+            identity form, as every simple follows it)."""
+            m = rdesc[x]
             if m not in slots:
-                followers = [y for y in range(1, n - 1) if not ldesc[y] & ~m]
+                followers = tab.follows(x)
                 got = [-1] * n
                 for pos, y in enumerate(followers):
                     got[y] = pos
@@ -337,7 +372,7 @@ class _ProductRows:
                     f"{len(forms) * n} row entries, over the limit of {TABLE_LIMIT}")
             for i in range(lo, hi):
                 fs = forms[i]
-                sl, ends = slot_of(rdesc[fs[-1]] if fs else full)
+                sl, ends = slot_of(fs[-1] if fs else tab.w0)
                 first.append(len(forms))
                 slot.append(sl)
                 forms.extend(map(fs.__add__, ends))
@@ -387,7 +422,7 @@ class _ProductRows:
         """The words of the factors of every form, " | w_1 | ... | w_k", in
         id order, each rendered from its prefix's: the tail of a' y is that
         of a' followed by the word of y."""
-        words = _simple_words(self.tab.graph)
+        words = gd.simple_words(self.tab.graph)
         tails = [""]
         for p, fs in zip(itertools.islice(self.prefix, 1, None),
                          itertools.islice(self.forms, 1, None)):
@@ -718,29 +753,6 @@ def _finite_oracle(group: CoxeterGraph) -> GeneratingSetOracle:
 # Metric graphs
 # ---------------------------------------------------------------------------
 
-def _bfs_layers(dist: dict, start, neighbours: Callable) -> Iterator[list]:
-    """Breadth-first search from `start`, one distance layer at a time.
-
-    Yields the vertices at distance 0, 1, 2, ... and records every vertex's
-    distance in `dist` when it is first reached.  `neighbours(v)` runs once
-    for each expanded vertex, and a layer is expanded only when the next one
-    is asked for, so a caller stops at a cutoff by leaving the loop.
-    """
-    dist[start] = 0
-    layer = [start]
-    d = 0
-    while layer:
-        yield layer
-        d += 1
-        nxt = []
-        for v in layer:
-            for w in neighbours(v):
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        layer = nxt
-
-
 class MetricGraph:
     """Finite truncation of one of the infinite graphs.
 
@@ -854,7 +866,7 @@ class MetricGraph:
 
     def bfs_distances(self, source: int, cutoff: int | None = None) -> dict[int, int]:
         dist: dict[int, int] = {}
-        for d, _ in enumerate(_bfs_layers(dist, source, self.adjacency().__getitem__)):
+        for d, _ in enumerate(bfs_layers(dist, source, self.adjacency().__getitem__)):
             if d == cutoff:
                 break
         return dist
@@ -939,29 +951,8 @@ def _coset_factors(tau: Sequence[int], factors: tuple[int, ...]) -> tuple[int, .
     return min(factors, tuple(tau[x] for x in factors))
 
 
-def _simple_words(group: CoxeterGraph) -> dict[int, str]:
-    """The word of each simple as `GarsideElement.render` spells it, spelled
-    once, when first met."""
-    gens = group.generators
-    word = group.table().word
-
-    class Words(dict):
-        def __missing__(self, x):
-            got = self[x] = "".join([gens[s] for s in word[x]])
-            return got
-
-    return Words()
-
-
-def _renderer(group: CoxeterGraph) -> Callable[[int, Sequence[int]], str]:
-    """text(power, factors): the text of `GarsideElement.render`, with no
-    element built."""
-    words = _simple_words(group)
-    return lambda p, fs: " | ".join([f"D^{p}", *map(words.__getitem__, fs)])
-
-
 def coset_key(g: GarsideElement) -> str:
-    return GarsideElement(g.group, 0, _coset_factors(g.group.table().tau, g.factors)).render()
+    return gd.render_form(g.group, 0, _coset_factors(g.group.table().tau, g.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -1077,7 +1068,7 @@ class _BoxWalk:
             return out
 
         def layers():
-            for layer in _bfs_layers(dist, bound, step):   # code of D^0
+            for layer in bfs_layers(dist, bound, step):   # code of D^0
                 yield layer
                 count(layer)
 
@@ -1129,8 +1120,8 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
                 f"ball expansion stalled at radius {d + 1} < {radius}")
     walk.count(layer)   # the last layer was never expanded; its edges look ids up only
     adjacency = ((v, walk.neighbours(v)) for v in walk.dist)
-    text = _renderer(group)
-    return _build_graph({v: text(*walk.key(v)) for v in walk.dist}, adjacency, prov)
+    return _build_graph({v: gd.render_form(group, *walk.key(v)) for v in walk.dist},
+                        adjacency, prov)
 
 
 def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[str], array]:
@@ -1496,9 +1487,13 @@ def build_cal_graph(group: CoxeterGraph, len_bound: int,
     an absorbable step reaches.  Only the key is expanded, as the steps are
     tau-closed (tau preserves inf and sup, so it maps the absorbable census
     onto itself), and the other inf-0 form t(a) of a coset steps by u to
-    the coset that a reaches by t(u).  The result keeps no cosets, so its
-    distances are searched, not read from the closed form of
-    `coset_distance`.
+    the coset that a reaches by t(u).  Only the census members of inf 0
+    are steps, as the census is closed under inverses too: an edge from
+    the key a to the coset of a u, u of sup 0, is found from the key b of
+    that coset, by v = u^-1 of inf 0 or by t(v).  For a u = D^p c with b = c,
+    b v = D^-p a; with b = t(c), b t(v) = t(D^-p a); either is in the
+    coset of a, a vertex.  The result keeps no cosets, so its distances
+    are searched, not read from the closed form of `coset_distance`.
     """
     abs_bound = len_bound if abs_sup_bound is None else abs_sup_bound
     simple = quotient_cayley_graph(group, len_bound)
@@ -1506,7 +1501,7 @@ def build_cal_graph(group: CoxeterGraph, len_bound: int,
     forms = simple.cosets[1]
     index = {fs: v for v, fs in enumerate(forms)}
     size = len(forms)
-    steps = [_nf_key(el) for el in ab.enumerate_absorbable(group, abs_bound)]
+    steps = [_nf_key(el) for el in ab.enumerate_absorbable(group, abs_bound) if not el.inf]
     codes = set(simple.codes)
     for v, fs in enumerate(forms):
         for u in steps:
@@ -1572,7 +1567,7 @@ def build_cparab_neighborhood(p0: ParabolicSubgroup, conj_len: int,
         return row
 
     kept: dict[int, int] = {}
-    for d, _ in enumerate(_bfs_layers(kept, 0, neighbours)):
+    for d, _ in enumerate(bfs_layers(kept, 0, neighbours)):
         if d == hops:
             break
     # pairs with an expanded end are in its row
@@ -1582,8 +1577,7 @@ def build_cparab_neighborhood(p0: ParabolicSubgroup, conj_len: int,
         ((a, [b for b in last[k + 1:] if commute(a, b)]) for k, a in enumerate(last)))
     prov = {"group": group.family, "construction": "cparab",
             "p0": p0.key(), "conj_len": conj_len, "hops": hops}
-    text = _renderer(group)
-    return _build_graph({a: text(*omegas[a]) for a in kept}, adjacency, prov)
+    return _build_graph({a: gd.render_form(group, *omegas[a]) for a in kept}, adjacency, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -1676,7 +1670,10 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0
     that reads their distances counts the distinct ones.  The sampler is
     seeded and recorded by callers in provenance.  The 4-tuples are drawn
     twice from the same seed: once to collect the pairs they need, and once
-    to read their distances.  A disconnected graph is refused.
+    to read their distances.  A disconnected graph is refused, and so,
+    before anything is drawn, is an estimate that would read more than
+    DELTA_QUAD_LIMIT 4-tuples, min(sample, C(n, 4)), or more than
+    DELTA_PAIR_LIMIT pairs, min(6 min(sample, C(n, 4)), C(n, 2)).
 
     The distances come from one of two methods, chosen by a size known
     before anything is drawn.  A quotient-Cayley graph built in memory
@@ -1699,6 +1696,13 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0
         return Fraction(0), None, 0
     quads_total = math.comb(n, 4)
     exhaustive = sample >= quads_total
+    work = min(sample, quads_total)   # the 4-tuples read
+    for count, limit, what in ((work, DELTA_QUAD_LIMIT, "4-tuples"),
+                               (min(6 * work, math.comb(n, 2)), DELTA_PAIR_LIMIT,
+                                "vertex pairs")):
+        if count > limit:
+            raise CapExceeded(f"the delta estimate would read {count} {what}, "
+                              f"over the limit of {limit}")
     # each 4-tuple sorted, so every pair (i, j) has i < j
     quads = functools.partial(_quadruples, n, sample, seed)
 
@@ -1717,7 +1721,7 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0
             raise DisconnectedInput("graph is disconnected")
 
     best, witness = -1, None   # twice the four-point defect, and its 4-tuple
-    drawn: set[tuple[int, ...]] = set()   # the distinct 4-tuples of a sample
+    drawn: set[int] = set()   # the code ((a n + b) n + c) n + d of each distinct draw
     for quad in quads():
         a, b, c, d = quad
         sums = sorted((dist[a, b] + dist[c, d], dist[a, c] + dist[b, d],
@@ -1725,7 +1729,7 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0
         if sums[2] - sums[1] > best:
             best, witness = sums[2] - sums[1], quad
         if not exhaustive:
-            drawn.add(quad)
+            drawn.add(((a * n + b) * n + c) * n + d)
     return Fraction(max(best, 0), 2), witness, quads_total if exhaustive else len(drawn)
 
 
@@ -1772,25 +1776,26 @@ class LipschitzReport:
 
 
 def _standard_paths(group: CoxeterGraph) -> dict[tuple[str, str], list[ParabolicSubgroup]]:
-    """Paths of length <= 2 between standard parabolics, via commute edges."""
+    """A shortest path between every two standard parabolics that commute
+    edges join, by a breadth-first search from each: a vertex's path is its
+    parent's path extended by it, the parent being the first vertex of the
+    previous layer, in subset order, adjacent to it.  No length is capped."""
     stds = [pb.standard_parabolic(group, labels)
             for labels in pb.proper_irreducible_subsets(group)]
+    adj = [[j for j, b in enumerate(stds) if b is not a and pb.omega_commute_edge(a, b)]
+           for a in stds]
     paths: dict[tuple[str, str], list[ParabolicSubgroup]] = {}
-    for a in stds:
-        for b in stds:
-            if a.key() == b.key():
-                paths[(a.key(), b.key())] = [a]
-            elif pb.omega_commute_edge(a, b):
-                paths[(a.key(), b.key())] = [a, b]
-    for a in stds:
-        for b in stds:
-            if (a.key(), b.key()) in paths:
-                continue
-            for mid in stds:
-                if (a.key(), mid.key()) in paths and len(paths[(a.key(), mid.key())]) == 2 \
-                        and (mid.key(), b.key()) in paths and len(paths[(mid.key(), b.key())]) == 2:
-                    paths[(a.key(), b.key())] = [a, mid, b]
-                    break
+    for i, a in enumerate(stds):
+        route = {i: [a]}
+
+        def step(v):
+            for w in adj[v]:
+                route.setdefault(w, route[v] + [stds[w]])   # the first reach is by a parent
+            return adj[v]
+
+        for _ in bfs_layers({}, i, step):
+            pass
+        paths.update(((a.key(), stds[j].key()), path) for j, path in route.items())
     return paths
 
 

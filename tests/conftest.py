@@ -15,7 +15,7 @@ from oracles import reference_table
 
 CHECKED_GROUPS = ("A1", "A2", "A3", "A4", "B2", "B3", "D4", "H3", "F4",
                   "I2(5)", "I2(6)", "I2(8)")
-A1XA2 = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2")
+A1XA2 = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)))
 
 
 def pytest_sessionstart(session):

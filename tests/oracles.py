@@ -526,6 +526,7 @@ def reference_word_length(g, oracle, universe_len):
     membership predicate, 2 is exact, and a larger distance is an upper
     bound.  No product count is capped."""
     from garsidehyp import metrics as mt
+    from garsidehyp.coxeter import bfs_layers
     WordLengthResult = mt.WordLengthResult
     if g.is_identity:
         return WordLengthResult("exact", 0, universe_len)
@@ -548,7 +549,7 @@ def reference_word_length(g, oracle, universe_len):
                 out.append(k)
         return out
 
-    for d, _ in enumerate(mt._bfs_layers(dist, (0, ()), step)):
+    for d, _ in enumerate(bfs_layers(dist, (0, ()), step)):
         if target in dist:
             return WordLengthResult("exact" if d <= 2 else "upper", d, universe_len)
     return WordLengthResult("unknown", None, universe_len)

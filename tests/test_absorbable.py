@@ -3,8 +3,8 @@ import pytest
 from garsidehyp import absorbable as ab
 from garsidehyp import garside as gd
 from garsidehyp.coxeter import parse_group_spec
-from garsidehyp.errors import CapExceeded, IdentityInput, NotAnAbsorptionPair, \
-    PreconditionViolated, ZeroLength
+from garsidehyp.errors import CapExceeded, GroupMismatch, IdentityInput, \
+    NotAnAbsorptionPair, PreconditionViolated, ZeroLength
 
 A3 = parse_group_spec("A3")
 
@@ -157,6 +157,17 @@ def test_absorption_symmetry():
     for x, y in ((s1, s1), (s1, gd.delta(A3))):
         with pytest.raises(NotAnAbsorptionPair):
             ab.absorption_symmetry(x, y)
+
+
+def test_triangles_refuse_elements_of_two_groups():
+    # the product x y is formed first and refuses the pair, as the same
+    # generators of A3 and B3 would otherwise pass every inf/sup equality
+    x = gd.generator_element(A3, "s1")
+    y = gd.generator_element(parse_group_spec("B3"), "s3")
+    for check in (ab.absorption_equalities_hold, ab.build_fat_triangle,
+                  ab.absorption_symmetry):
+        with pytest.raises(GroupMismatch):
+            check(x, y)
 
 
 def test_census_pairs_have_triangles():

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 
@@ -333,6 +334,23 @@ def test_usage_and_error_exit_codes(capsys):
     assert data["message"] == "ball expansion stalled at radius 3 < 6"
     code, out = run(capsys, "qi-constants", "--group", "A3", "--hops", "0")
     assert code == 3 and last_json(out)["error"] == "RepresentativeMissing"
+    # a delta estimate counts its 4-tuples and pairs before it draws any:
+    # one 4-tuple past the limit on A3 to length 3 (624 vertices), the
+    # exhaustive pass of A3 to length 2 (106 vertices), and the 6 pairs of
+    # each of (limit / 6 + 1) 4-tuples on A4 to length 2 (1,778 vertices)
+    quads, every = mt.DELTA_QUAD_LIMIT + 1, math.comb(106, 4)
+    for spec, bound, sample, count, limit in [
+            ("A3", 3, quads, quads, mt.DELTA_QUAD_LIMIT),
+            ("A3", 2, every, every, mt.DELTA_QUAD_LIMIT),
+            ("A4", 2, mt.DELTA_PAIR_LIMIT // 6 + 1, 6 * (mt.DELTA_PAIR_LIMIT // 6 + 1),
+             mt.DELTA_PAIR_LIMIT)]:
+        t0 = time.perf_counter()
+        code, out = run(capsys, "delta-estimate", "--group", spec, "--len-bound", str(bound),
+                        "--sample", str(sample))
+        data = last_json(out)
+        assert code == 3 and data["error"] == "CapExceeded"
+        assert f" {count} " in data["message"] and data["message"].endswith(f" {limit}")
+        assert time.perf_counter() - t0 < 1.0
     code, _out = run(capsys, "census", "--group", "I2(5)", "--sup-bound", "12")
     assert code == 0
     # a malformed parabolic literal is a usage error, not a traceback

@@ -19,9 +19,9 @@ from oracles import WordOracle, reference_table
 # s1, s3 beside an isolated s2, so root blocks and generator order interleave.
 REDUCIBLE = {
     "A1xI2(7)": cx.CoxeterGraph(("s1", "a", "b"),
-                                ((1, 2, 2), (2, 1, 7), (2, 7, 1)), "A1xI2(7)"),
+                                ((1, 2, 2), (2, 1, 7), (2, 7, 1))),
     "A2xA1": cx.CoxeterGraph(("s1", "s2", "s3"),
-                             ((1, 2, 3), (2, 1, 2), (3, 2, 1)), "A2xA1"),
+                             ((1, 2, 3), (2, 1, 2), (3, 2, 1))),
 }
 
 
@@ -62,7 +62,9 @@ def test_graph_properties():
 
 
 def test_reducible_custom_graph():
-    g = cx.CoxeterGraph(("s1", "s2"), ((1, 2), (2, 1)), "A1xA1")
+    g = cx.CoxeterGraph(("s1", "s2"), ((1, 2), (2, 1)))
+    assert g.family == "A1xA1" and g.components() == [(0,), (1,)]
+    assert not g.is_connected_subset((0, 1)) and g.is_connected_subset((1,))
     props = cx.graph_properties(g)
     assert not props.irreducible
     assert props.coxeter_order == 4
@@ -70,12 +72,41 @@ def test_reducible_custom_graph():
     assert tab.size == 4
 
 
+# Every family the grammar accepts, and the name its diagram derives
+GRAMMAR_FAMILIES = {
+    **{f"{letter}{n}": f"{letter}{n}" for letter, ranks in
+       (("A", range(1, 9)), ("B", range(2, 9)), ("D", range(4, 9)),
+        ("E", range(6, 9)), ("F", (4,)), ("H", (3, 4))) for n in ranks},
+    **{f"I2({m})": f"I2({m})" for m in range(5, 13)},
+    "I2(3)": "A2", "I2(4)": "B2",
+}
+
+
+@pytest.mark.parametrize("spec,family", sorted(GRAMMAR_FAMILIES.items()))
+def test_family_is_derived_from_the_matrix(spec, family):
+    assert parse_group_spec(spec).family == family
+
+
+def test_subgraph_families():
+    # the components' names in the order of their least generators
+    for spec, subset, family in [
+            ("B3", (0, 2), "A1xA1"), ("D4", (0, 2, 3), "A1xA1xA1"),
+            ("D4", (0, 1, 3), "A3"), ("F4", (1, 2, 3), "B3"), ("H4", (0, 1), "I2(5)"),
+            ("H4", (0, 1, 2), "H3"), ("H4", (0, 2, 3), "A1xA2"),
+            ("E6", (0, 1, 2, 3, 5), "D5"), ("I2(7)", (1,), "A1")]:
+        assert parse_group_spec(spec).subgraph(subset).family == family
+    assert REDUCIBLE["A2xA1"].subgraph((1, 2)).family == "A1xA1"
+    # the family is no argument, so none can contradict the matrix
+    with pytest.raises(TypeError):
+        cx.CoxeterGraph(("s1", "s2"), ((1, 2), (2, 1)), "A2")
+
+
 def test_invalid_matrices():
     with pytest.raises(NonSpherical):
-        cx.CoxeterGraph(("a", "b"), ((1, 3), (4, 1)), "bad")
+        cx.CoxeterGraph(("a", "b"), ((1, 3), (4, 1)))
     with pytest.raises(NonSpherical):
         cx.CoxeterGraph(("a", "b", "c"),
-                        ((1, 6, 2), (6, 1, 3), (2, 3, 1)), "affine-ish")
+                        ((1, 6, 2), (6, 1, 3), (2, 3, 1)))
 
 
 def test_order_overflow():

@@ -233,7 +233,7 @@ def test_positive_nf_enumeration_counts():
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B3", "D4", "H3", "I2(5)",
                                   "A1xA2"])
 def test_positive_nf_counts_in_one_pass(spec):
-    group = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2") \
+    group = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1))) \
         if spec == "A1xA2" else parse_group_spec(spec)
     counts = gd.positive_nf_counts(group, 3)
     assert counts == [sum(1 for _ in gd.iter_positive_factor_tuples(group, ell))
@@ -246,7 +246,7 @@ def test_positive_nf_counts_in_one_pass(spec):
 PROPERTY_GROUPS = {spec: parse_group_spec(spec) for spec in
                    ("A1", "A3", "B3", "D4", "F4", "H3", "I2(5)", "I2(8)")}
 PROPERTY_GROUPS["A1xA2"] = CoxeterGraph(
-    ("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2")
+    ("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)))
 
 
 @st.composite

@@ -465,17 +465,20 @@ def test_qi_constants_cparab():
 
 
 def test_lipschitz_check_passes():
-    base = pb.standard_parabolic(A3, ("s1",))
-    rep = mt.lipschitz_path_check(A3, base, samples=60, seed=10)
-    assert rep.all_pass and rep.m1 == 2
+    # every two standard parabolics lie within two commute edges
+    for spec in ("A3", "A4", "B3", "D4"):
+        group = parse_group_spec(spec)
+        base = pb.standard_parabolic(group, ("s1",))
+        rep = mt.lipschitz_path_check(group, base, samples=60, seed=10)
+        assert rep.all_pass and rep.m1 == 2
 
 
 # --- builders against the references in oracles.py -----------------------------
 
-A1XA2 = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2")
+A1XA2 = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)))
 A2XA2 = CoxeterGraph(("s1", "s2", "s3", "s4"),
-                     ((1, 3, 2, 2), (3, 1, 2, 2), (2, 2, 1, 3), (2, 2, 3, 1)), "A2xA2")
-A1XA1 = CoxeterGraph(("s1", "s2"), ((1, 2), (2, 1)), "A1xA1")
+                     ((1, 3, 2, 2), (3, 1, 2, 2), (2, 2, 1, 3), (2, 2, 3, 1)))
+A1XA1 = CoxeterGraph(("s1", "s2"), ((1, 2), (2, 1)))
 EQUIV_GROUPS = {"A2": I3, "A3": A3, "B3": parse_group_spec("B3"), "I2(5)": I5,
                 "A1xA2": A1XA2, "A2xA2": A2XA2, "I2(6)": parse_group_spec("I2(6)"),
                 "A4": parse_group_spec("A4"), "D4": parse_group_spec("D4"),
@@ -590,10 +593,14 @@ def test_key_product_matches_multiply(spec):
                                   "I2(6)", "A4", "H3", "A1"])
 def test_renderer_matches_element_render(spec):
     group = EQUIV_GROUPS[spec]
-    text = mt._renderer(group)
+    word = group.table().word
     for p in (-2, 0, 1):
         for fs in mt._ProductRows(group, 2).forms:
-            assert text(p, fs) == gd.GarsideElement(group, p, fs).render()
+            # the definition spelled out, as `render` is `render_form` itself
+            want = " | ".join([f"D^{p}"] + ["".join(group.generators[s] for s in word[f])
+                                            for f in fs])
+            assert gd.render_form(group, p, fs) == want == \
+                gd.GarsideElement(group, p, fs).render()
     # the quotient-Cayley keys, each rendered from its prefix's text, to
     # length 3 where the table fits (D4 and H3 to length 2)
     try:

@@ -169,7 +169,7 @@ def test_graph_export_digest(argv, tmp_path):
 def test_reducible_simples_ball_export_digest(tmp_path):
     # A1xA2, which the command line does not name: the ball of the simples
     # to radius 3 at universe 2, recorded when the ball was still walked
-    a1xa2 = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)), "A1xA2")
+    a1xa2 = CoxeterGraph(("s1", "s2", "s3"), ((1, 2, 2), (2, 1, 3), (2, 3, 1)))
     out = tmp_path / "graph.json"
     graphio.export_json(
         mt.bounded_ball_graph(mt.genset_oracle(a1xa2, mt.KIND_SIMPLES), 3, 2), out)
