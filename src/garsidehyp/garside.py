@@ -18,7 +18,8 @@ of the positive lifts, so the result represents the same group element.
 A slide costs one table lookup per letter moved and is not memoized, so
 memory does not grow with the number of products.  Products comb gh from
 the junction of the two normal forms; the other entry points call the same
-loop.
+loop, but for inverses and tau twists, whose normal forms are read off the
+factors (the complement rule at `invert`).
 
 Words fold into the normal form letter by letter, each letter combed in at
 the end.  A negative letter s^-1 enters as D^-1 (w0 s^-1), using that the
@@ -242,18 +243,43 @@ def multiply(g: GarsideElement, h: GarsideElement) -> GarsideElement:
     return GarsideElement(g.group, g.power + h.power + d, fs)
 
 
+def complement_factors(tab: SimpleTable, power: int,
+                       factors: Sequence[int]) -> tuple[int, ...]:
+    """The factors y_1..y_l of the normal form D^-(p+l) y_1..y_l of the
+    inverse of D^power factors, by the complement rule of `invert`."""
+    ys = [tab.left_comp[x] for x in reversed(factors)]
+    first = (power + len(ys)) % 2   # ys[k] is y_(k+1), twisted when p + l - k - 1 is odd
+    ys[first::2] = map(tab.tau.__getitem__, ys[first::2])
+    return tuple(ys)
+
+
 def invert(g: GarsideElement) -> GarsideElement:
-    """Normal form of g^-1."""
-    tab = g.group.table()
+    """Normal form of g^-1, read off the factors of g with no combing.
+
+    Complement rule (Charney, Math. Ann. 292, 1992): g = D^p x_1..x_l has
+    the inverse D^-(p+l) y_1..y_l, where y_i is the complement
+    c(x_(l+1-i)) = w0 x_(l+1-i)^-1, twisted by t when p + l - i is odd.
+    Proof sketch:
+    - Value: x^-1 = D^-1 c(x), so g^-1 = D^-1 c(x_l) .. D^-1 c(x_1) D^-p,
+      and each D^-1 moves to the front by y D^-1 = D^-1 t(y); c(x_(l+1-i))
+      passes the l - i copies of D^-1 and the D^-p to its right.
+    - No y_i is 1 or D, as c and t permute the simples, c exchanging 1
+      and D, and no x_i is 1 or D.
+    - Left-weighted: s is a right descent of c(z) exactly when it is not a
+      left descent of z (c(z) z = w0 is reduced), and the left descents of
+      c(x) are t of the generators that are not right descents of x.  The
+      pair (y_i, y_(i+1)) is t^e of (c(x_(j+1)), t(c(x_j))), j = l - i, and
+      L(t(c(x_j))) <= R(c(x_(j+1))) says S - R(x_j) <= S - L(x_(j+1)),
+      which is the left-weightedness of (x_j, x_(j+1)).
+    So the sequence is the normal form as it stands, of inf -(p + l) and
+    sup -p.  The rule also serves standard parabolic membership, which
+    reads the supports of its factors (`parabolic.standard_membership`),
+    and, with power l, the complement u^-1 D^l of a positive u of length l
+    (`metrics._coset_pair_distances`).
+    """
     p, fs = g.power, g.factors
-    ell = len(fs)
-    ys = []
-    for i in range(1, ell + 1):
-        c = tab.left_comp[fs[ell - i]]
-        if (p + ell - i) % 2:
-            c = tab.tau[c]
-        ys.append(c)
-    return _make(g.group, -(p + ell), ys)
+    return GarsideElement(g.group, -(p + len(fs)),
+                          complement_factors(g.group.table(), p, fs))
 
 
 def power(g: GarsideElement, k: int) -> GarsideElement:
@@ -286,8 +312,8 @@ def exponent_sum(g: GarsideElement) -> int:
 
 def tau_twist(g: GarsideElement) -> GarsideElement:
     """Conjugation D^-1 g D; an automorphism, trivial when D is central."""
-    tab = g.group.table()
-    return _make(g.group, g.power, tuple(tab.tau[x] for x in g.factors))
+    tau = g.group.table().tau   # a diagram automorphism: the form stays normal
+    return GarsideElement(g.group, g.power, tuple(map(tau.__getitem__, g.factors)))
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,19 @@ SOURCE_BATCH = 1024
 DELTA_QUAD_LIMIT = 400_000
 DELTA_PAIR_LIMIT = 600_000
 
+# Cells a `_pair_distances` pass of `estimate_delta` sweeps in one layer of
+# each batch of sources, ceil(sources / SOURCE_BATCH) (n + 2|E|): a layer
+# reads the n masks and the 2|E| adjacency entries, and the sources number at
+# most min(n, 3 draws + 1).  A pass runs a batch for as many layers as the
+# graph is deep, which the cost per counted cell takes in (2 vCPUs, Python
+# 3.11): 1.4-1.6 us on I2(5) to length 8 (87,381 vertices; 4,000 draws count
+# 6,291,372 cells and took 9.1 s), 1.4 us on B3 to length 3 (100,000 draws,
+# 2,378,959 cells, 3.2 s) and 0.5 us on A4 to length 3 (100,000 draws,
+# 60,996,720 cells, 29 s).  An estimate over this many is refused before
+# anything is drawn: I2(5) to length 8 at 100,000 draws counts 45,088,166,
+# a pass of about 80 s.
+DELTA_SWEEP_LIMIT = 5_000_000
+
 
 def _nf_key(g: GarsideElement) -> tuple[int, tuple[int, ...]]:
     return (g.power, g.factors)
@@ -315,7 +328,9 @@ class _ProductRows:
     Forms are numbered level by level and each level in factor-tuple order,
     so the ids of one length compare as their tuples do, and the forms of
     length <= m have the ids below their count.  `prefix[i]` is the id of
-    forms[i][:-1] and `tau[i]` the id of the tau-twisted form.  For a form
+    forms[i][:-1] and `tau[i]` the id of the tau-twisted form; `tau` is a
+    `range` where t is the identity (B3, D4, F4, H3, I2(m) with m even),
+    and no twist is formed.  For a form
     i shorter than L (i < `below`), or any form after `fill_longest`,
     `row[i*n + x]` is 2 id(c) + d where forms[i] x = D^d c; d is 0 or 1
     because inf(a x) <= inf a + sup x.  An entry is -1 when c is longer
@@ -361,7 +376,8 @@ class _ProductRows:
 
         forms = self.forms = [()]
         prefix = self.prefix = array("l", [0])
-        tau = self.tau = array("l", [0])
+        tau = array("l", [0])
+        twisted = tab.tau != list(range(n))   # else every form is its own twist
         first = self.first = array("l")
         slot = self.slot = []
         lo, hi = 0, 1
@@ -377,11 +393,13 @@ class _ProductRows:
                 slot.append(sl)
                 forms.extend(map(fs.__add__, ends))
                 prefix.extend([i] * len(ends))
-            for i in range(hi, len(forms)):
-                t = tau[prefix[i]]
-                y = tab.tau[forms[i][-1]]
-                tau.append(first[t] + slot[t][y])
+            if twisted:
+                for i in range(hi, len(forms)):
+                    t = tau[prefix[i]]
+                    y = tab.tau[forms[i][-1]]
+                    tau.append(first[t] + slot[t][y])
             lo, hi = hi, len(forms)
+        self.tau = tau if twisted else range(len(forms))
         self.below = lo
         self.row = array("l")
         self._renorms: dict[int, list[tuple[int, int]]] = {}
@@ -768,9 +786,10 @@ class MetricGraph:
 
     `MetricGraph(vertices, edges, provenance)` takes pairs in strictly
     increasing order, checks each for 0 <= i < j < n before it is encoded,
-    and encodes them; builders hand over their codes (`from_codes`).  Either
-    way `_adopt` checks the graph, by raising, not asserting: graphs are
-    also read from files.
+    and encodes them; builders hand over the sorted list of codes they
+    hold (`from_codes`).  Either way `_adopt` checks the codes while they
+    are a list, by raising, not asserting, as graphs are also read from
+    files, and then packs them into the one array the graph keeps.
     """
 
     __slots__ = ("vertices", "provenance", "cosets", "_codes", "_starts",
@@ -779,25 +798,28 @@ class MetricGraph:
     def __init__(self, vertices: Sequence[str], edges: Sequence[tuple[int, int]],
                  provenance: dict):
         n = len(vertices)
-        codes = array("q", [i * n + j for i, j in edges if 0 <= i < j < n])
+        codes = [i * n + j for i, j in edges if 0 <= i < j < n]
         if len(codes) != len(edges):   # a pair out of range was left unencoded
             raise MalformedGraph("edge endpoints must be valid and distinct")
         self._adopt(vertices, codes, provenance, None)
 
     @classmethod
-    def from_codes(cls, vertices: Sequence[str], codes: array, provenance: dict,
+    def from_codes(cls, vertices: Sequence[str], codes: Sequence[int], provenance: dict,
                    cosets: tuple[CoxeterGraph, list[tuple[int, ...]]] | None = None
                    ) -> MetricGraph:
-        """The graph of a builder's sorted edge codes, checked as any other."""
+        """The graph of a builder's sorted edge codes, a list or an array,
+        checked as any other."""
         graph = cls.__new__(cls)
         graph._adopt(vertices, codes, provenance, cosets)
         return graph
 
-    def _adopt(self, vertices, codes: array, provenance: dict, cosets) -> None:
-        """Check the vertices and the edge codes, then keep them.  Codes that
-        strictly increase, lie in [0, n^2) and begin each nonempty run i
-        with a code past i*n + i are exactly the codes of distinct pairs
-        i < j < n: a run's codes lie in [i*n, i*n + n)."""
+    def _adopt(self, vertices, codes: Sequence[int], provenance: dict, cosets) -> None:
+        """Check the vertices and the edge codes, then keep the codes as one
+        `array('q')`.  Codes that strictly increase, lie in [0, n^2) and
+        begin each nonempty run i with a code past i*n + i are exactly the
+        codes of distinct pairs i < j < n: a run's codes lie in
+        [i*n, i*n + n).  The checks read a list faster than an array, whose
+        every read makes an int."""
         n = len(vertices)
         self.vertices = tuple(vertices)
         self._index = {k: i for i, k in enumerate(self.vertices)}
@@ -812,7 +834,7 @@ class MetricGraph:
         if not all(codes[lo] > i * (n + 1)
                    for i, (lo, hi) in enumerate(itertools.pairwise(starts)) if lo < hi):
             raise MalformedGraph("edge endpoints must be valid and distinct")
-        self._codes, self._starts = codes, starts
+        self._codes, self._starts = array("q", codes), starts
         self.provenance = provenance
         # A quotient-Cayley graph built in memory keeps its group and the
         # inf-0 factor tuple of each vertex, in vertex order, so that
@@ -939,7 +961,7 @@ def _build_graph(text: dict, adjacency: Iterable[tuple], provenance: dict) -> Me
         codes.update([i * n + j if i < j else j * n + i
                       for j in map(get, nbrs) if j is not None and j != i])
     codes = sorted(codes)   # the set is freed before the array is made
-    return MetricGraph.from_codes([text[k] for k in order], array("q", codes), provenance)
+    return MetricGraph.from_codes([text[k] for k in order], codes, provenance)
 
 
 def _coset_factors(tau: Sequence[int], factors: tuple[int, ...]) -> tuple[int, ...]:
@@ -1124,7 +1146,7 @@ def bounded_ball_graph(oracle: GeneratingSetOracle, radius: int,
                         adjacency, prov)
 
 
-def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[str], array]:
+def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[str], list[int]]:
     """The vertices, sorted by text, and the sorted edge codes of the ball of
     radius r of the simples and their inverses in the box of bound B.
 
@@ -1241,7 +1263,7 @@ def _simples_ball(group: CoxeterGraph, radius: int, bound: int) -> tuple[list[st
             codes += [c + w if v < w else w * size + v
                       for w in map(reach.__getitem__, row[i * n + 1:i * n + n]) if w >= 0]
     codes.sort()
-    return texts, array("q", codes)
+    return texts, codes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1309,11 +1331,10 @@ def coset_distance(u: GarsideElement, v: GarsideElement) -> int:
 
     Complement form (`_coset_pair_distances`): for u = x_1..x_k of inf 0,
     u^-1 = c_u D^-k with c_u = u^-1 D^k = d(x_k) t(d(x_(k-1))) ..
-    t^(k-1)(d(x_1)), d(y) = y^-1 D, a normal form of length k by the
-    boundary lemma of `quotient_cayley_graph` (no x_i is 1 or D, so no
-    factor is D or 1).  Then u^-1 t^e(v) = c_u t^(k+e)(v) D^-k, and the
-    distance is the least canonical length of the positive products c_u v
-    and c_u t(v).
+    t^(k-1)(d(x_1)), d(y) = y^-1 D, a normal form of length k: the
+    complement rule of `garside.invert` with power k.  Then u^-1 t^e(v) =
+    c_u t^(k+e)(v) D^-k, and the distance is the least canonical length of
+    the positive products c_u v and c_u t(v).
     """
     inv = gd.invert(u)
     return min(gd.multiply(inv, w).canonical_length for w in (v, gd.tau_twist(v)))
@@ -1326,20 +1347,19 @@ def _coset_pair_distances(group: CoxeterGraph, forms: Sequence[tuple[int, ...]],
     c_u gets a `_ProductMemo` id, and c_u v and c_u t(v) are chained from
     it factor by factor, so no element is built."""
     memo = _ProductMemo(group)
-    tau, comp = memo.tab.tau, memo.tab.left_comp   # d(y) = t(comp[y])
+    tab = memo.tab
     sources: dict[int, int] = {}   # a -> memo id of c_u
     dist: dict[tuple[int, int], int] = {}
     for a, b in pairs:
         if (a, b) in dist:
             continue
         c = sources.get(a)
-        if c is None:
-            c = sources[a] = memo.id_of(tuple(
-                comp[x] if i % 2 else tau[comp[x]]
-                for i, x in enumerate(reversed(forms[a]))))
+        if c is None:   # c_u = u^-1 D^k: the complement rule with power k
+            u = forms[a]
+            c = sources[a] = memo.id_of(gd.complement_factors(tab, len(u), u))
         v = forms[b]
         dist[a, b] = min(len(memo.chain(c, 0, v)[1]),
-                         len(memo.chain(c, 0, [tau[x] for x in v])[1]))
+                         len(memo.chain(c, 0, [tab.tau[x] for x in v])[1]))
     return dist
 
 
@@ -1365,8 +1385,9 @@ def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
     docstring), and a key of length L only by the simples x that its last
     factor x_L absorbs.  Boundary lemma: let a = x_1..x_L be left-weighted
     and x simple.  Then a^-1 D^L = d(x_L) t(d(x_(L-1))) .. is left-weighted,
-    with d(y) = y^-1 D the complement and t the twist (Charney 1992), so a
-    simple x is a prefix of a^-1 D^L exactly when it is a prefix of d(x_L),
+    with d(y) = y^-1 D = t(w0 y^-1) and t the twist (the complement rule
+    of `garside.invert`, with power L), so a simple x is a prefix of
+    a^-1 D^L exactly when it is a prefix of d(x_L),
     that is when x_L x is simple.  Hence:
     - if x_L x is simple, a x = x_1..x_(L-1) (x_L x) has sup <= L and stays
       in the box; it is read from the row of the prefix at x_L x;
@@ -1470,7 +1491,7 @@ def quotient_cayley_graph(group: CoxeterGraph, len_bound: int) -> MetricGraph:
     codes.sort()
     prov = {"group": group.family, "construction": "quotient-cayley",
             "len_bound": len_bound}
-    return MetricGraph.from_codes([texts[i] for i in keys], array("q", codes), prov,
+    return MetricGraph.from_codes([texts[i] for i in keys], codes, prov,
                                   (group, [forms[i] for i in keys]))
 
 
@@ -1511,7 +1532,7 @@ def build_cal_graph(group: CoxeterGraph, len_bound: int,
     prov = {"group": group.family, "construction": "additional-length",
             "len_bound": len_bound, "abs_sup_bound": abs_bound,
             "notes": "absorbable edges from bounded census (lower approximation)"}
-    return MetricGraph.from_codes(simple.vertices, array("q", sorted(codes)), prov)
+    return MetricGraph.from_codes(simple.vertices, sorted(codes), prov)
 
 
 # ---------------------------------------------------------------------------
@@ -1543,7 +1564,7 @@ def build_cparab_neighborhood(p0: ParabolicSubgroup, conj_len: int,
             f"{conj_len}, over the limit of {CPARAB_CANDIDATE_LIMIT}")
     # (left descent set of g, key of g^-1, key of g), g = 1 with none
     conjugators = [(tab.ldesc[fs[0]] if fs else 0,
-                    _nf_key(gd.invert(GarsideElement(group, 0, fs))), (0, fs))
+                    (-len(fs), gd.complement_factors(tab, 0, fs)), (0, fs))
                    for ell in range(conj_len + 1)
                    for fs in gd.iter_positive_factor_tuples(group, ell)]
     ids = {_nf_key(p0.omega): 0}   # Omega_P -> vertex id
@@ -1672,8 +1693,9 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0
     twice from the same seed: once to collect the pairs they need, and once
     to read their distances.  A disconnected graph is refused, and so,
     before anything is drawn, is an estimate that would read more than
-    DELTA_QUAD_LIMIT 4-tuples, min(sample, C(n, 4)), or more than
-    DELTA_PAIR_LIMIT pairs, min(6 min(sample, C(n, 4)), C(n, 2)).
+    DELTA_QUAD_LIMIT 4-tuples, min(sample, C(n, 4)), more than
+    DELTA_PAIR_LIMIT pairs, min(6 min(sample, C(n, 4)), C(n, 2)), or, in a
+    `_pair_distances` pass, more than DELTA_SWEEP_LIMIT sweep cells.
 
     The distances come from one of two methods, chosen by a size known
     before anything is drawn.  A quotient-Cayley graph built in memory
@@ -1697,9 +1719,14 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0
     quads_total = math.comb(n, 4)
     exhaustive = sample >= quads_total
     work = min(sample, quads_total)   # the 4-tuples read
+    closed = graph.cosets is not None and 6 * work <= n
+    # a 4-tuple a < b < c < d has the sources a, b and c, and vertex 0 is one
+    sweep = 0 if closed else \
+        -(-min(n, 3 * work + 1) // SOURCE_BATCH) * (n + 2 * len(graph.codes))
     for count, limit, what in ((work, DELTA_QUAD_LIMIT, "4-tuples"),
                                (min(6 * work, math.comb(n, 2)), DELTA_PAIR_LIMIT,
-                                "vertex pairs")):
+                                "vertex pairs"),
+                               (sweep, DELTA_SWEEP_LIMIT, "sweep cells")):
         if count > limit:
             raise CapExceeded(f"the delta estimate would read {count} {what}, "
                               f"over the limit of {limit}")
@@ -1711,7 +1738,7 @@ def estimate_delta(graph: MetricGraph, sample: int, seed: int = 0
     else:
         needed = (p for a, b, c, d in quads()
                   for p in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)))
-    if graph.cosets is not None and 6 * min(sample, quads_total) <= n:
+    if closed:
         dist = _coset_pair_distances(*graph.cosets, needed)
     else:
         # Vertex 0 is the first source, so the pass also tells connectedness.

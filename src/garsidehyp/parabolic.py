@@ -16,7 +16,10 @@ a and b have no common left divisor.  Standard parabolic submonoids are
 closed under left divisors and left gcds, so g lies in A_T exactly when both
 a and b lie in A_T^+ (Paris, "Parabolic subgroups of Artin groups",
 J. Algebra 196, 1997; Dehornoy et al., Foundations of Garside Theory,
-EMS Tracts 22, 2015).
+EMS Tracts 22, 2015).  The normal form of a is D^(m-j) y_1..y_j, the
+complement rule of `garside.invert` on x_1..x_j with power -m, so the test
+reads the supports of those factors and of x_{j+1}..x_k, and builds no
+element.  In both cases the power of D to test is |p + j| (j = 0 for p >= 0).
 """
 
 from __future__ import annotations
@@ -88,17 +91,11 @@ def standard_membership(g: GarsideElement, subset: Iterable[str]) -> bool:
     """Whether g lies in the standard parabolic A_T (exact; see module docstring)."""
     labels = subset_labels(g.group, subset)
     tab = g.group.table()
-    outside = ~tab.mask_of(g.group.gen_indices(labels))
-
-    def positive_member(power: int, factors: Iterable[int]) -> bool:
-        return (power == 0 or tab.support[tab.w0] & outside == 0) and \
-            all(tab.support[x] & outside == 0 for x in factors)
-
-    if g.power >= 0:
-        return positive_member(g.power, g.factors)
-    j = min(-g.power, len(g.factors))
-    a = gd.invert(GarsideElement(g.group, g.power, g.factors[:j]))
-    return positive_member(a.power, a.factors) and positive_member(0, g.factors[j:])
+    outside, support = ~tab.mask_of(g.group.gen_indices(labels)), tab.support
+    j = min(max(-g.power, 0), len(g.factors))
+    return (g.power + j == 0 or not support[tab.w0] & outside) and not any(
+        support[x] & outside for x in itertools.chain(
+            gd.complement_factors(tab, g.power, g.factors[:j]), g.factors[j:]))
 
 
 def normalizer_membership(g: GarsideElement, subset: Iterable[str]) -> bool:

@@ -18,7 +18,12 @@ then derives every list of `coxeter.SimpleTable` directly (a sort for the
 shortlex order, words folded for inverses, products with w0 for tau and
 left_comp), and the tests require the table's recurrences to agree.
 
-The reference graph builders and searches at the end are the other:
+`recombed_invert` and `invert_based_membership` are the library's earlier
+inverse and standard parabolic membership, on its kernel: they comb the
+complement sequence with the library's sliding loop and build and invert
+the negative prefix, where the library now reads both off g's factors.
+
+The reference graph builders and searches at the end are the rest:
 they are the plain forms of the builders in `garsidehyp.metrics`, and of
 the searches the library replaced by exact answers or by its one walk of
 the box, on the library's kernel.  They form every product they need, with
@@ -272,6 +277,51 @@ def reference_table(graph):
             "support": support, "w0": w0,
             "left_comp": [mult(w0, inverse[x]) for x in range(size)],
             "tau": [mult(mult(w0, x), w0) for x in range(size)]}
+
+
+# ---------------------------------------------------------------------------
+# Reference inverse and standard parabolic membership
+# ---------------------------------------------------------------------------
+
+def recombed_invert(g):
+    """g^-1 as the library formed it before the complement rule: the
+    sequence D^-(p+l) y_1..y_l of complements, y_i twisted when p + l - i
+    is odd, combed again by the library's sliding loop, which merges or
+    drops factors where the sequence is not left-weighted."""
+    from garsidehyp import garside as gd
+    tab = g.group.table()
+    p, fs = g.power, g.factors
+    ell = len(fs)
+    ys = []
+    for i in range(1, ell + 1):
+        c = tab.left_comp[fs[ell - i]]
+        if (p + ell - i) % 2:
+            c = tab.tau[c]
+        ys.append(c)
+    d, out = gd._normalise(tab, ys)
+    return gd.GarsideElement(g.group, -(p + ell) + d, out)
+
+
+def invert_based_membership(g, labels):
+    """Whether g lies in A_T, as the library decided it before reading the
+    supports off g's factors: for p = -m < 0 the prefix D^-m x_1..x_j,
+    j = min(m, k), is built as an element and inverted (by
+    `recombed_invert`), and a and b = x_(j+1)..x_k of g = a^-1 b must both
+    have every factor, and D if their power is positive, supported in T."""
+    from garsidehyp import garside as gd
+    group = g.group
+    tab = group.table()
+    outside = ~tab.mask_of(group.gen_indices(labels))
+
+    def positive_member(power, factors):
+        return (power == 0 or tab.support[tab.w0] & outside == 0) and \
+            all(tab.support[x] & outside == 0 for x in factors)
+
+    if g.power >= 0:
+        return positive_member(g.power, g.factors)
+    j = min(-g.power, len(g.factors))
+    a = recombed_invert(gd.GarsideElement(group, g.power, g.factors[:j]))
+    return positive_member(a.power, a.factors) and positive_member(0, g.factors[j:])
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,22 @@ def test_usage_and_error_exit_codes(capsys):
         assert code == 3 and data["error"] == "CapExceeded"
         assert f" {count} " in data["message"] and data["message"].endswith(f" {limit}")
         assert time.perf_counter() - t0 < 1.0
+    # and a distance pass counts its sweep cells: I2(5) to length 8 has
+    # 87,381 vertices and 218,450 edges, so n // 6 + 1 draws leave the closed
+    # form, and their 3 draws + 1 sources fill 43 batches of 524,281 cells
+    # (about 30 s of work); the graph builds in about 1.2 s
+    n, e = 87_381, 218_450
+    draws = n // 6 + 1
+    count = -(-(3 * draws + 1) // mt.SOURCE_BATCH) * (n + 2 * e)
+    assert count > mt.DELTA_SWEEP_LIMIT
+    t0 = time.perf_counter()
+    code, out = run(capsys, "delta-estimate", "--group", "I2(5)", "--len-bound", "8",
+                    "--sample", str(draws))
+    data = last_json(out)
+    assert code == 3 and data["error"] == "CapExceeded"
+    assert f" {count} sweep cells" in data["message"]
+    assert data["message"].endswith(f" {mt.DELTA_SWEEP_LIMIT}")
+    assert time.perf_counter() - t0 < 10.0
     code, _out = run(capsys, "census", "--group", "I2(5)", "--sup-bound", "12")
     assert code == 0
     # a malformed parabolic literal is a usage error, not a traceback

@@ -12,7 +12,7 @@ from garsidehyp.errors import (
     UnknownGenerator,
 )
 
-from oracles import WordOracle, greedy_nf_oracle
+from oracles import WordOracle, greedy_nf_oracle, recombed_invert
 
 A2 = parse_group_spec("A2")
 A3 = parse_group_spec("A3")
@@ -269,12 +269,71 @@ def test_kernel_laws_property(case):
     prod = gd.multiply(gu, gv)
     assert gd.are_equal(prod, gd.normal_form(gd.LetterWord(group, u + v)))
     for g in (gu, gv, prod):
-        fs = g.factors
-        assert all(0 < x < tab.w0 for x in fs)
-        assert all(tab.is_left_weighted(fs[i], fs[i + 1])
-                   for i in range(len(fs) - 1))
         gi = gd.invert(g)
+        for fs in (g.factors, gi.factors):   # the inverse is read, not combed
+            assert all(0 < x < tab.w0 for x in fs)
+            assert all(tab.is_left_weighted(fs[i], fs[i + 1])
+                       for i in range(len(fs) - 1))
         assert gd.are_equal(gd.invert(gi), g)
         assert gd.multiply(g, gi).is_identity
     assert gd.exponent_sum(gu) == gd.LetterWord(group, u).signed_letter_count()
     assert gd.exponent_sum(prod) == gd.exponent_sum(gu) + gd.exponent_sum(gv)
+
+
+# The groups of the complement rule's checks: every family the kernel meets
+# up to rank 6, with D central (B3, D4, F4, H3, I2(8)) and not.
+RULE_GROUPS = {spec: parse_group_spec(spec) for spec in
+               ("A1", "A2", "A3", "A4", "B3", "D4", "D5", "E6", "F4", "H3",
+                "I2(5)", "I2(8)")}
+
+
+@st.composite
+def normal_forms(draw):
+    """A normal form D^p x_1..x_l, p in [-4, 4] and l <= 5, drawn factor by
+    factor among the followers of the last one."""
+    group = RULE_GROUPS[draw(st.sampled_from(sorted(RULE_GROUPS)))]
+    tab = group.table()
+    factors = []
+    options = list(range(1, tab.w0))   # empty in A1, whose one simple is D
+    for _ in range(draw(st.integers(0, 5))):
+        if not options:
+            break
+        factors.append(draw(st.sampled_from(options)))
+        options = tab.follows(factors[-1])
+    return gd.GarsideElement(group, draw(st.integers(-4, 4)), tuple(factors))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(normal_forms())
+def test_invert_and_twist_read_the_factors(g):
+    """The complement rule gives the combed inverse, left-weighted and with
+    no factor 1 or D, and the twist is conjugation by D."""
+    group, tab = g.group, g.group.table()
+    gi = gd.invert(g)
+    ref = recombed_invert(g)
+    assert (gi.power, gi.factors) == (ref.power, ref.factors)
+    assert gi.power == -g.sup and gi.sup == -g.inf
+    assert all(0 < x < tab.w0 for x in gi.factors)
+    assert all(tab.is_left_weighted(x, y) for x, y in zip(gi.factors, gi.factors[1:]))
+    assert gd.multiply(g, gi).is_identity
+    twisted = gd.tau_twist(g)
+    conj = gd.multiply(gd.multiply(gd.delta_pow(group, -1), g), gd.delta(group))
+    assert (twisted.power, twisted.factors) == (conj.power, conj.factors)
+
+
+@pytest.mark.parametrize("spec,power,word", [
+    ("A3", 0, "s1 s2"), ("A3", -1, "s1 s2"), ("A3", 1, "s1 s2 s3 s1"),
+    ("A4", -2, "s1 s2 s4 s3"), ("D5", -1, "s1 s2 s3"), ("I2(5)", 3, "a b a"),
+])
+def test_complement_factors_are_the_inverse(spec, power, word):
+    """With power p, the rule's factors are those of (D^p g)^-1, and with
+    power l those of g^-1 D^l, for a positive g of length l."""
+    group = parse_group_spec(spec)
+    g = nf(group, word)
+    h = gd.multiply(gd.delta_pow(group, power), g)
+    assert gd.complement_factors(group.table(), power, g.factors) == \
+        recombed_invert(h).factors
+    ell = len(g.factors)
+    c = gd.multiply(recombed_invert(g), gd.delta_pow(group, ell))
+    assert (c.power, c.factors) == \
+        (0, gd.complement_factors(group.table(), ell, g.factors))

@@ -842,10 +842,13 @@ def test_graph_from_json_dict_sorts_edges_and_refuses_duplicates():
     ([5, 6], "valid and distinct"),   # (1, 2), then (2, 0)
 ])
 def test_builder_codes_take_the_same_check(codes, message):
-    with pytest.raises(MalformedGraph, match=message):
-        mt.MetricGraph.from_codes(("a", "b", "c"), array("q", codes), {})
-    graph = mt.MetricGraph.from_codes(("a", "b", "c"), array("q", [1, 2, 5]), {})
-    assert graph.edges == ((0, 1), (0, 2), (1, 2))
+    """Builders hand over their sorted lists; an array is checked the same."""
+    for pack in (list, lambda c: array("q", c)):
+        with pytest.raises(MalformedGraph, match=message):
+            mt.MetricGraph.from_codes(("a", "b", "c"), pack(codes), {})
+        graph = mt.MetricGraph.from_codes(("a", "b", "c"), pack([1, 2, 5]), {})
+        assert graph.edges == ((0, 1), (0, 2), (1, 2))
+        assert graph.codes == array("q", [1, 2, 5])
 
 
 @pytest.mark.parametrize("data,message", [

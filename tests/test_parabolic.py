@@ -15,7 +15,8 @@ from garsidehyp.errors import (
     ReducibleSubset,
     SameVertex,
 )
-from oracles import reference_standardize
+from oracles import invert_based_membership, reference_standardize
+from test_garside import normal_forms
 
 A3 = parse_group_spec("A3")
 B3 = parse_group_spec("B3")
@@ -91,6 +92,46 @@ def test_standard_membership_matches_box_enumeration(data):
         key = (data.draw(st.integers(-BOX, BOX)), data.draw(st.sampled_from(forms)))
     g = gd.GarsideElement(parse_group_spec(spec), *key)
     assert pb.standard_membership(g, labels) == (key in members)
+
+
+@st.composite
+def _element_and_subset(draw):
+    """A nonempty generator subset T, proper or not, and an element: half
+    the time a word over T (a member, of any inf), else a normal form of
+    inf -4..4 (mostly not), prefixes of every length from empty up."""
+    g = draw(normal_forms())
+    group = g.group
+    idx = sorted(draw(st.sets(st.integers(0, group.rank - 1), min_size=1)))
+    if draw(st.booleans()):
+        letters = st.tuples(st.sampled_from(idx), st.sampled_from((-2, -1, 1, 2)))
+        g = gd.normal_form(gd.LetterWord(group, tuple(draw(st.lists(letters, max_size=8)))))
+    return g, tuple(group.generators[i] for i in idx)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(_element_and_subset())
+def test_membership_reads_the_rule(case):
+    """Membership on the factors agrees with building and inverting the
+    negative prefix."""
+    g, labels = case
+    assert pb.standard_membership(g, labels) == invert_based_membership(g, labels)
+
+
+@pytest.mark.parametrize("spec,labels,power,word,member", [
+    ("A3", ("s1",), 2, "s1", False),   # D^2 s1: D is outside A_T
+    ("A3", ("s1",), -3, "s1", False),   # a = D^2 y_1: D is outside A_T
+    ("A3", ("s1", "s2", "s3"), -3, "s1", True),
+    ("A3", ("s1",), -1, "s1 s2 s3 s2 s1", False),
+    ("A3", ("s1", "s2"), -2, "s2 s3 s2 s1", False),
+    ("A3", ("s1", "s2"), 0, "s1^-1 s2^-1 s1", True),
+    ("A4", ("s2", "s3"), 0, "s2^-2 s3 s2^-1", True),
+    ("A4", ("s3", "s4"), 0, "s3^-1 s4^-1 s2", False),
+])
+def test_membership_examples_on_the_rule(spec, labels, power, word, member):
+    group = parse_group_spec(spec)
+    h = gd.multiply(gd.delta_pow(group, power), nf(group, word))
+    assert pb.standard_membership(h, labels) is member
+    assert invert_based_membership(h, labels) is member
 
 
 @pytest.mark.parametrize("spec,subsets", [
