@@ -580,9 +580,6 @@ class SimpleTable:
             x = self.rmult[x][s]
         return x
 
-    def is_left_weighted(self, x: int, y: int) -> bool:
-        return self.ldesc[y] & ~self.rdesc[x] == 0
-
     def renorm(self, x: int, y: int) -> tuple[int, int]:
         """Slide letters left until (x, y) is left-weighted.
 

@@ -8,6 +8,14 @@ every adjacent pair is left-weighted: the right descent set of x_i contains
 the left descent set of x_{i+1}.  Uniqueness of this form solves the word
 problem; sup = p + l and the canonical length is l.
 
+Construction checks that invariant on every element, in one loop over the
+factors: each factor lies strictly between 1 and w0, and each adjacent
+pair is left-weighted.  A failure raises AssertionError.  `python -O`
+drops the check, so nothing that an output depends on may happen inside
+it.  Words from outside reach the kernel only through `parse_word` and
+`normal_form`, which build the form; the check guards the kernel's own
+rules (products, inverses, twists).
+
 Normalization is one sliding loop, `_normalise(tab, seq, start)`: while
 some generator s lies in L(x_{i+1}) but not in R(x_i), replace
 (x_i, x_{i+1}) by (x_i s, s x_{i+1}), combing backwards after each change.
@@ -95,17 +103,28 @@ def parse_word(group: CoxeterGraph, text: str) -> LetterWord:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class GarsideElement:
-    """A group element in left-greedy normal form D^power factors."""
+    """A group element in left-greedy normal form D^power factors.
+
+    Construction checks the form: every factor lies strictly between 1 and
+    w0 ("factor out of range"), and every adjacent pair (x, y) is
+    left-weighted, L(y) <= R(x) ("factors not left-weighted"), in that
+    order, raising AssertionError.  The check runs in debug mode only;
+    `python -O` drops it.  Input from outside becomes an element only
+    through `parse_word` and `normal_form`.
+    """
 
     group: CoxeterGraph
     power: int
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        tab = self.group.table()
-        assert all(0 < f < tab.w0 for f in self.factors), "factor out of range"
-        assert all(tab.is_left_weighted(self.factors[i], self.factors[i + 1])
-                   for i in range(len(self.factors) - 1)), "factors not left-weighted"
+        if __debug__ and (fs := self.factors):
+            tab = self.group.table()
+            assert 0 < min(fs) and max(fs) < tab.w0, "factor out of range"
+            ldesc, rdesc, x = tab.ldesc, tab.rdesc, fs[0]
+            for y in fs[1:]:
+                assert not ldesc[y] & ~rdesc[x], "factors not left-weighted"
+                x = y
 
     @property
     def inf(self) -> int:
@@ -170,7 +189,7 @@ def _normalise(tab: SimpleTable, seq: Sequence[int],
     i = start if start > 0 else 0
     while i < len(fs) - 1:
         x, y = fs[i], fs[i + 1]
-        if not ldesc[y] & ~rdesc[x]:   # tab.is_left_weighted(x, y), inlined
+        if not ldesc[y] & ~rdesc[x]:   # L(y) <= R(x): the pair is left-weighted
             i += 1
             continue
         a, b = renorm(x, y)
@@ -235,10 +254,7 @@ def multiply(g: GarsideElement, h: GarsideElement) -> GarsideElement:
     """Normal form of gh; inf is superadditive, sup subadditive."""
     _check_group(g, h)
     tab = g.group.table()
-    if h.power % 2:
-        gf: tuple[int, ...] = tuple(tab.tau[x] for x in g.factors)
-    else:
-        gf = g.factors
+    gf = tuple(map(tab.tau.__getitem__, g.factors)) if h.power % 2 else g.factors
     d, fs = _normalise(tab, gf + h.factors, len(gf) - 1)
     return GarsideElement(g.group, g.power + h.power + d, fs)
 
@@ -247,7 +263,7 @@ def complement_factors(tab: SimpleTable, power: int,
                        factors: Sequence[int]) -> tuple[int, ...]:
     """The factors y_1..y_l of the normal form D^-(p+l) y_1..y_l of the
     inverse of D^power factors, by the complement rule of `invert`."""
-    ys = [tab.left_comp[x] for x in reversed(factors)]
+    ys = list(map(tab.left_comp.__getitem__, reversed(factors)))
     first = (power + len(ys)) % 2   # ys[k] is y_(k+1), twisted when p + l - k - 1 is odd
     ys[first::2] = map(tab.tau.__getitem__, ys[first::2])
     return tuple(ys)

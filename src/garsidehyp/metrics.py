@@ -537,7 +537,7 @@ def _key_product(tab, key, u) -> tuple[int, tuple[int, ...]]:
     p, fs = key
     q, us = u
     if q % 2:
-        fs = tuple(tab.tau[x] for x in fs)
+        fs = tuple(map(tab.tau.__getitem__, fs))
     d, res = gd._normalise(tab, fs + us, len(fs) - 1)
     return p + q + d, res
 

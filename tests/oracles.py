@@ -18,7 +18,9 @@ then derives every list of `coxeter.SimpleTable` directly (a sort for the
 shortlex order, words folded for inverses, products with w0 for tau and
 left_comp), and the tests require the table's recurrences to agree.
 
-`recombed_invert` and `invert_based_membership` are the library's earlier
+`factor_refusal` is the library's earlier check of a normal form's factors
+(two `all` predicates on the table's descent sets), which its one loop must
+match.  `recombed_invert` and `invert_based_membership` are its earlier
 inverse and standard parabolic membership, on its kernel: they comb the
 complement sequence with the library's sliding loop and build and invert
 the negative prefix, where the library now reads both off g's factors.
@@ -280,8 +282,26 @@ def reference_table(graph):
 
 
 # ---------------------------------------------------------------------------
-# Reference inverse and standard parabolic membership
+# Reference normal-form check, inverse and standard parabolic membership
 # ---------------------------------------------------------------------------
+
+def left_weighted(tab, x, y):
+    """Whether the pair (x, y) is left-weighted: L(y) <= R(x)."""
+    return tab.ldesc[y] & ~tab.rdesc[x] == 0
+
+
+def factor_refusal(tab, factors):
+    """The message with which a `GarsideElement` of these factors is
+    refused, or None when it is built, by the library's earlier check of
+    two `all` predicates: every factor strictly between 1 and w0, then
+    every adjacent pair left-weighted."""
+    if not all(0 < f < tab.w0 for f in factors):
+        return "factor out of range"
+    if not all(left_weighted(tab, factors[i], factors[i + 1])
+               for i in range(len(factors) - 1)):
+        return "factors not left-weighted"
+    return None
+
 
 def recombed_invert(g):
     """g^-1 as the library formed it before the complement rule: the

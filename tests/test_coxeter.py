@@ -13,7 +13,7 @@ from garsidehyp.errors import (
     UnknownFamily,
 )
 
-from oracles import WordOracle, reference_table
+from oracles import WordOracle, left_weighted, reference_table
 
 # Reducible diagrams: a dihedral closed form inside a product, and an A2 on
 # s1, s3 beside an isolated s2, so root blocks and generator order interleave.
@@ -229,7 +229,7 @@ def test_renorm_slides():
     for x in range(tab.size):
         for y in range(tab.size):
             a, b = tab.renorm(x, y)
-            assert tab.is_left_weighted(a, b)
+            assert left_weighted(tab, a, b)
             assert tab.mult(a, b) == tab.mult(x, y)
             assert tab.length[a] + tab.length[b] == tab.length[x] + tab.length[y]
 

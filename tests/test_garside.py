@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +16,7 @@ from garsidehyp.errors import (
     UnknownGenerator,
 )
 
-from oracles import WordOracle, greedy_nf_oracle, recombed_invert
+from oracles import WordOracle, factor_refusal, greedy_nf_oracle, recombed_invert
 
 A2 = parse_group_spec("A2")
 A3 = parse_group_spec("A3")
@@ -151,8 +155,7 @@ def test_left_weighted_and_group_laws(spec):
         letters = tuple((rng.randrange(group.rank), rng.choice((-2, -1, 1, 2)))
                         for _ in range(rng.randint(0, 7)))
         g = gd.normal_form(gd.LetterWord(group, letters))
-        for i in range(len(g.factors) - 1):
-            assert tab.is_left_weighted(g.factors[i], g.factors[i + 1])
+        assert factor_refusal(tab, g.factors) is None
         gi = gd.invert(g)
         assert gd.multiply(g, gi).is_identity
         assert gd.multiply(gi, g).is_identity
@@ -226,8 +229,7 @@ def test_positive_nf_enumeration_counts():
             assert len(set(listed)) == len(listed)
             tab = group.table()
             for tup in listed:
-                assert all(tab.is_left_weighted(tup[i], tup[i + 1])
-                           for i in range(len(tup) - 1))
+                assert factor_refusal(tab, tup) is None
 
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B3", "D4", "H3", "I2(5)",
@@ -271,9 +273,7 @@ def test_kernel_laws_property(case):
     for g in (gu, gv, prod):
         gi = gd.invert(g)
         for fs in (g.factors, gi.factors):   # the inverse is read, not combed
-            assert all(0 < x < tab.w0 for x in fs)
-            assert all(tab.is_left_weighted(fs[i], fs[i + 1])
-                       for i in range(len(fs) - 1))
+            assert factor_refusal(tab, fs) is None
         assert gd.are_equal(gd.invert(gi), g)
         assert gd.multiply(g, gi).is_identity
     assert gd.exponent_sum(gu) == gd.LetterWord(group, u).signed_letter_count()
@@ -313,8 +313,7 @@ def test_invert_and_twist_read_the_factors(g):
     ref = recombed_invert(g)
     assert (gi.power, gi.factors) == (ref.power, ref.factors)
     assert gi.power == -g.sup and gi.sup == -g.inf
-    assert all(0 < x < tab.w0 for x in gi.factors)
-    assert all(tab.is_left_weighted(x, y) for x, y in zip(gi.factors, gi.factors[1:]))
+    assert factor_refusal(tab, gi.factors) is None
     assert gd.multiply(g, gi).is_identity
     twisted = gd.tau_twist(g)
     conj = gd.multiply(gd.multiply(gd.delta_pow(group, -1), g), gd.delta(group))
@@ -337,3 +336,101 @@ def test_complement_factors_are_the_inverse(spec, power, word):
     c = gd.multiply(recombed_invert(g), gd.delta_pow(group, ell))
     assert (c.power, c.factors) == \
         (0, gd.complement_factors(group.table(), ell, g.factors))
+
+
+# The construction check.  In A3, (s1, s1) and (s2, s2) are left-weighted
+# and (s1, s2) is not, as L(s2) = {s2} lies outside R(s1) = {s1}.
+_A3 = A3.table()
+_S1, _S2 = _A3.rmult[0][0], _A3.rmult[0][1]
+
+
+@pytest.mark.skipif(not __debug__, reason="python -O drops the check")
+@pytest.mark.parametrize("factors,message", [
+    ((0,), "factor out of range"),
+    ((_S1, _A3.w0), "factor out of range"),
+    ((_A3.size,), "factor out of range"),
+    ((_S1, _A3.size + 5, _S1), "factor out of range"),
+    ((-1, _S1), "factor out of range"),
+    ((_S2, _S1, 0), "factor out of range"),   # the range is tested first
+    ((_S1, _S2, _S2, _S2, _S2), "factors not left-weighted"),
+    ((_S1, _S1, _S2, _S2, _S2), "factors not left-weighted"),
+    ((_S1, _S1, _S1, _S2, _S2), "factors not left-weighted"),
+    ((_S1, _S1, _S1, _S1, _S2), "factors not left-weighted"),
+], ids=["one", "w0", "size", "past-size", "negative", "range-first", "first-pair",
+        "second-pair", "third-pair", "last-pair"])
+def test_construction_refuses_broken_forms(factors, message):
+    assert factor_refusal(_A3, factors) == message
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        gd.GarsideElement(A3, 0, factors)
+
+
+CHECK_GROUPS = {spec: parse_group_spec(spec) for spec in ("A3", "B3", "H3", "I2(5)", "H4")}
+
+
+@st.composite
+def factor_tuples(draw):
+    """A group and up to 6 indices, each a follower of the one before (a
+    left-weighted pair), any simple, or one of -1, 0 (the simple 1), w0
+    and |W|, so that
+    tuples refused for either reason, and accepted ones, all occur."""
+    group = CHECK_GROUPS[draw(st.sampled_from(sorted(CHECK_GROUPS)))]
+    tab = group.table()
+    fs = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 5))
+        if kind < 3 and fs and 0 < fs[-1] < tab.w0:
+            fs.append(draw(st.sampled_from(tab.follows(fs[-1]))))
+        elif kind < 5:
+            fs.append(draw(st.integers(1, tab.w0 - 1)))
+        else:
+            fs.append(draw(st.sampled_from((-1, 0, tab.w0, tab.size))))
+    return group, tuple(fs)
+
+
+@pytest.mark.skipif(not __debug__, reason="python -O drops the check")
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(factor_tuples())
+def test_construction_accepts_what_the_predicates_accept(case):
+    """The one-loop check accepts exactly the tuples of the two-`all`
+    predicate of `oracles.factor_refusal`, and refuses the rest with its
+    message."""
+    group, fs = case
+    message = factor_refusal(group.table(), fs)
+    if message is None:
+        assert gd.GarsideElement(group, 0, fs).factors == fs
+    else:
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            gd.GarsideElement(group, 0, fs)
+
+
+def seeded_renders(seed=28, words=30):
+    """The rendered normal forms, products and inverses of seeded words in
+    A3, B3, F4 and H4, one per line."""
+    rng = random.Random(seed)
+    lines = []
+    for spec in ("A3", "B3", "F4", "H4"):
+        group = parse_group_spec(spec)
+        forms = [gd.normal_form(gd.LetterWord(group, tuple(
+            (rng.randrange(group.rank), rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(0, 10))))) for _ in range(words)]
+        for g, h in zip(forms, forms[1:]):
+            lines += [g.render(), gd.multiply(g, h).render(), gd.invert(g).render()]
+    return lines
+
+
+def test_outputs_do_not_depend_on_the_check():
+    """Under python -O the check is gone, and every render is the same."""
+    path = os.pathsep.join([str(Path(gd.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    code = ("from garsidehyp import garside as gd\n"
+            "from garsidehyp.coxeter import parse_group_spec\n"
+            "from test_garside import seeded_renders\n"
+            "print(__debug__, gd.GarsideElement(parse_group_spec('A3'), 0, (0,)).factors)\n"
+            "print('\\n'.join(seeded_renders()))\n")
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    first, *renders = run.stdout.splitlines()
+    assert first == "False (0,)"
+    assert renders == seeded_renders()
